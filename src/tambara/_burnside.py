@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import SizeLimitExceeded, UnsupportedGroup
-from .groups import FiniteGroup, Subgroup, subgroups
+from .groups import FiniteGroup, Subgroup, double_cosets, subgroups
 from .rings import FiniteRing
 
 BURNSIDE_LEVEL_CAP = 4096
@@ -49,24 +49,6 @@ def _h_classes(G: FiniteGroup, H: Subgroup) -> List[List[Subgroup]]:
         classes.append([G.subgroup(e) for e in cls])
     classes.sort(key=lambda c: (c[0].order, c[0].elements))
     return classes
-
-
-def _double_cosets_between(G: FiniteGroup, A: Subgroup, B: Subgroup,
-                           H: Subgroup) -> List[int]:
-    """Minimal representatives of A\\H/B."""
-    seen = set()
-    reps = []
-    for h in H.elements:
-        if h in seen:
-            continue
-        coset = set()
-        for a in A.elements:
-            ah = G.mul(a, h)
-            for b in B.elements:
-                coset.add(G.mul(ah, b))
-        seen.update(coset)
-        reps.append(min(coset))
-    return sorted(reps)
 
 
 class _Level:
@@ -137,9 +119,8 @@ def _norm_marks(G: FiniteGroup, src: _Level, dst: _Level,
     m = (m_src[None, :] if single else m_src).astype(object)
     out = np.ones((m.shape[0], dst.nclasses), dtype=object)
     for l, L in enumerate(dst.reps):
-        for g in _double_cosets_between(G, K, L, H):
-            Lg = L.conjugate(g)
-            inter = K.intersect(Lg)
+        for g, _ in double_cosets(G, K, L, within=H):
+            inter = K.intersect(L.conjugate(g))
             out[:, l] *= m[:, src.class_of[inter.elements]]
     return out[0] if single else out
 
@@ -159,7 +140,7 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
             raise SizeLimitExceeded(
                 f"level at {H.elements} would have {N ** lv.nclasses} elements")
 
-    pairs = [(K, H) for H in subs for K in subs if K.is_subgroup_of(H)]
+    pairs = G.subgroup_pairs
 
     # linear generators: res, tr, conj on basis vectors, as matrices
     res_mat: Dict[Tuple[Subgroup, Subgroup], np.ndarray] = {}
@@ -168,7 +149,7 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
         lk, lh = levels[K], levels[H]
         R = np.zeros((lh.nclasses, lk.nclasses), dtype=np.int64)
         for a, A in enumerate(lh.reps):
-            for g in _double_cosets_between(G, K, A, H):
+            for g, _ in double_cosets(G, K, A, within=H):
                 inter = K.intersect(A.conjugate(g))
                 R[a, lk.class_of[inter.elements]] += 1
         res_mat[(K, H)] = R
@@ -179,8 +160,7 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
     conj_mat: Dict[Tuple[int, Subgroup], np.ndarray] = {}
     for g in G.elements():
         for H in subs:
-            Hg = G.subgroup(H.conjugate(g).elements)
-            lh, lhg = levels[H], levels[Hg]
+            lh, lhg = levels[H], levels[H.conjugate(g)]
             C = np.zeros((lh.nclasses, lhg.nclasses), dtype=np.int64)
             for a, A in enumerate(lh.reps):
                 C[a, lhg.class_of[A.conjugate(g).elements]] += 1
@@ -267,7 +247,7 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
                             changed = True
         for g in G.elements():
             for H in subs:
-                Hg = G.subgroup(H.conjugate(g).elements)
+                Hg = H.conjugate(g)
                 for t in list(ideal[H]):
                     if add_vec(Hg, np.array(t, dtype=np.int64) @ conj_mat[(g, H)]):
                         changed = True
@@ -329,8 +309,7 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
     conj = {}
     for g in G.elements():
         for H in subs:
-            Hg = G.subgroup(H.conjugate(g).elements)
-            conj[(g, H)] = linear_table(H, Hg, conj_mat[(g, H)])
+            conj[(g, H)] = linear_table(H, H.conjugate(g), conj_mat[(g, H)])
 
     return TambaraData(G, rings, res, tr, nm, conj, has_norms=True,
                        label=f"Burnside({G.name}) mod {N}")

@@ -15,24 +15,22 @@ Exit codes are stable contracts:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from . import serialize
-from .errors import (
-    DefinitionError,
-    NoNorms,
-    SearchTimeout,
-    SizeLimitExceeded,
-    TambaraError,
-    UnsupportedGroup,
+from .errors import DefinitionError, NoNorms, SearchTimeout, TambaraError
+from .functors import (
+    CheckConfig,
+    TambaraData,
+    _reindex,
+    check_axioms,
+    coinduce,
+    functor_isomorphism,
+    restrict,
 )
-from .functors import CheckConfig, TambaraData, check_axioms, coinduce, functor_isomorphism, restrict
 from .groups import subgroups, upward_closure
 from .decompose import clarify, full_decomposition
 
@@ -41,40 +39,19 @@ from .decompose import clarify, full_decomposition
 class Config:
     fiber_bound: int = 2
     budget: int = 10 ** 6
-    threads: int = 1
-
-    @staticmethod
-    def from_env_and_args(args) -> "Config":
-        threads = 1
-        env = os.environ.get("TAMBARA_THREADS")
-        if env:
-            try:
-                threads = max(1, int(env))
-            except ValueError:
-                threads = 1
-        fiber = getattr(args, "fiber_bound", None)
-        budget = getattr(args, "budget", None)
-        return Config(fiber_bound=2 if fiber is None else fiber,
-                      budget=10 ** 6 if budget is None else budget,
-                      threads=threads)
 
 
 @dataclass
 class Workspace:
-    """Per-invocation registry of loaded objects and their check status."""
+    """Per-invocation registry of loaded objects."""
 
     config: Config
     functors: Dict[str, TambaraData] = field(default_factory=dict)
-    checked: Dict[str, bool] = field(default_factory=dict)
 
     def load(self, path: str) -> TambaraData:
         if path not in self.functors:
             self.functors[path] = serialize.load_functor(path)
-            self.checked[path] = False
         return self.functors[path]
-
-    def mark_checked(self, path: str) -> None:
-        self.checked[path] = True
 
 
 def _default_out(path: str, suffix: str) -> str:
@@ -83,40 +60,25 @@ def _default_out(path: str, suffix: str) -> str:
 
 
 def cmd_check(ws: Workspace, args) -> int:
-    try:
-        T = ws.load(args.path)
-    except (DefinitionError, OSError, TambaraError) as exc:
-        print(f"error: {exc}")
-        return 1
+    T = ws.load(args.path)
     report = check_axioms(T, CheckConfig(fiber_bound=ws.config.fiber_bound))
     print(report.summary())
-    if report.passed:
-        ws.mark_checked(args.path)
-        return 0
-    return 2
+    return 0 if report.passed else 2
 
 
 def cmd_decompose(ws: Workspace, args) -> int:
-    try:
-        T = ws.load(args.path)
-    except (DefinitionError, OSError, TambaraError) as exc:
-        print(f"error: {exc}")
-        return 1
+    T = ws.load(args.path)
     G = T.group
-    try:
-        if args.lam and args.lam != "all":
-            H = serialize.resolve_subgroup(G, args.lam)
-            lam = upward_closure(G, H)
-            C, proj = clarify(T, lam)
-            sizes = [C.levels[K].size for K in subgroups(G)]
-            print(f"clarification at Lambda_{args.lam}: level sizes {sizes}")
-            doc = serialize.functor_to_json(C)
-            doc["witness"] = {serialize.subgroup_id(G, K): proj.maps[K].tolist()
-                              for K in subgroups(G)}
-            out = args.out or _default_out(args.path, f"clarified.{args.lam}")
-            _write(doc, out)
-            print(f"wrote {out}")
-            return 0
+    if args.lam and args.lam != "all":
+        H = serialize.resolve_subgroup(G, args.lam)
+        C, proj = clarify(T, upward_closure(G, H))
+        sizes = [C.levels[K].size for K in subgroups(G)]
+        print(f"clarification at Lambda_{args.lam}: level sizes {sizes}")
+        doc = serialize.functor_to_json(C)
+        doc["witness"] = {serialize.subgroup_id(G, K): proj.maps[K].tolist()
+                          for K in subgroups(G)}
+        out = args.out or _default_out(args.path, f"clarified.{args.lam}")
+    else:
         dec = full_decomposition(T)
         for H, ell in dec.factors:
             sizes = [ell.levels[K].size for K in subgroups(ell.group)]
@@ -127,19 +89,9 @@ def cmd_decompose(ws: Workspace, args) -> int:
                           for K in subgroups(G)}
         doc["factors"] = [serialize.subgroup_id(G, H) for H, _ in dec.factors]
         out = args.out or _default_out(args.path, "decomposed")
-        _write(doc, out)
-        print(f"wrote {out}")
-        return 0
-    except NoNorms:
-        print("error: input is a Green functor; the product decomposition "
-              "fails for Green functors (see the two-level counterexample)")
-        return 3
-    except SearchTimeout as exc:
-        print(f"timeout: {exc}")
-        return 5
-    except TambaraError as exc:
-        print(f"error: {exc}")
-        return 1
+    serialize.dump_document(doc, out)
+    print(f"wrote {out}")
+    return 0
 
 
 def _chain_of(T: TambaraData) -> Optional[List]:
@@ -152,18 +104,10 @@ def _chain_of(T: TambaraData) -> Optional[List]:
 
 
 def cmd_lewis(ws: Workspace, args) -> int:
-    try:
-        T = ws.load(args.path)
-    except (DefinitionError, OSError, TambaraError) as exc:
-        print(f"error: {exc}")
-        return 1
+    T = ws.load(args.path)
     G = T.group
     if args.chain:
-        try:
-            chain = [serialize.resolve_subgroup(G, s) for s in args.chain.split(",")]
-        except DefinitionError as exc:
-            print(f"error: {exc}")
-            return 1
+        chain = [serialize.resolve_subgroup(G, s) for s in args.chain.split(",")]
         for a, b in zip(chain, chain[1:]):
             if not a.is_subgroup_of(b):
                 print("error: --chain is not increasing")
@@ -199,22 +143,8 @@ def cmd_lewis(ws: Workspace, args) -> int:
 
 
 def cmd_coinduce(ws: Workspace, args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("schema") != serialize.SCHEMA_VERSION:
-            raise DefinitionError(f"unsupported schema {doc.get('schema')!r}")
-        G = serialize.parse_group(doc["group"])
-        H = serialize.resolve_subgroup(G, args.from_id)
-        Hg, _ = H.as_group
-        inner = serialize.parse_functor_body(doc, Hg, label=doc.get("label", "T"))
-        T = coinduce(G, H, inner)
-    except (DefinitionError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}")
-        return 1
-    except SizeLimitExceeded as exc:
-        print(f"error: {exc}")
-        return 1
+    G, H, inner = serialize.load_document(args.path, over=args.from_id)
+    T = coinduce(G, H, inner)
     out = args.out or _default_out(args.path, f"coind.{args.from_id}")
     serialize.dump_functor(T, out)
     print(f"wrote {out}")
@@ -222,13 +152,8 @@ def cmd_coinduce(ws: Workspace, args) -> int:
 
 
 def cmd_restrict(ws: Workspace, args) -> int:
-    try:
-        T = ws.load(args.path)
-        K = serialize.resolve_subgroup(T.group, args.to_id)
-    except (DefinitionError, OSError, TambaraError) as exc:
-        print(f"error: {exc}")
-        return 1
-    R = restrict(K, T)
+    T = ws.load(args.path)
+    R = restrict(serialize.resolve_subgroup(T.group, args.to_id), T)
     out = args.out or _default_out(args.path, f"res.{args.to_id}")
     serialize.dump_functor(R, out)
     print(f"wrote {out}")
@@ -240,32 +165,16 @@ def _rehome(T: TambaraData, target: TambaraData) -> TambaraData:
     G = target.group
     if T.group.mul_table != G.mul_table:
         raise DefinitionError("functors live over different groups")
-    lift = {H: G.subgroup(H.elements) for H in subgroups(T.group)}
-    levels = {lift[H]: T.levels[H] for H in subgroups(T.group)}
-    res = {(lift[K], lift[H]): v for (K, H), v in T.res.items()}
-    tr = {(lift[K], lift[H]): v for (K, H), v in T.tr.items()}
-    nm = None if T.nm is None else {(lift[K], lift[H]): v for (K, H), v in T.nm.items()}
-    conj = {(g, lift[H]): v for (g, H), v in T.conj.items()}
-    return TambaraData(G, levels, res, tr, nm, conj, has_norms=T.has_norms,
-                       label=T.label)
+    return _reindex(T, G, G.elements(), T.label)
 
 
 def cmd_iso(ws: Workspace, args) -> int:
-    try:
-        T1 = ws.load(args.path1)
-        T2 = ws.load(args.path2)
-        T2 = _rehome(T2, T1)
-    except (DefinitionError, OSError, TambaraError) as exc:
-        print(f"error: {exc}")
-        return 1
+    T1 = ws.load(args.path1)
+    T2 = _rehome(ws.load(args.path2), T1)
     if T1.has_norms != T2.has_norms:
         print("not isomorphic (norm flags differ)")
         return 0
-    try:
-        iso = functor_isomorphism(T1, T2, budget=ws.config.budget)
-    except SearchTimeout:
-        print("timeout")
-        return 5
+    iso = functor_isomorphism(T1, T2, budget=ws.config.budget)
     if iso is None:
         print("not isomorphic")
         return 0
@@ -274,12 +183,6 @@ def cmd_iso(ws: Workspace, args) -> int:
     for H in subgroups(G):
         print(f"  {serialize.subgroup_id(G, H)}: {iso.maps[H].tolist()}")
     return 0
-
-
-def _write(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    ws = Workspace(Config.from_env_and_args(args))
+    ws = Workspace(Config(fiber_bound=args.fiber_bound, budget=args.budget))
     handlers = {
         "check": cmd_check,
         "decompose": cmd_decompose,
@@ -335,7 +238,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         "restrict": cmd_restrict,
         "iso": cmd_iso,
     }
-    return handlers[args.command](ws, args)
+    # the one place where errors become exit codes
+    try:
+        return handlers[args.command](ws, args)
+    except NoNorms:
+        print("error: input is a Green functor; the product decomposition "
+              "fails for Green functors (see the two-level counterexample)")
+        return 3
+    except SearchTimeout:
+        print("timeout")
+        return 5
+    except (TambaraError, OSError) as exc:
+        print(f"error: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ from .rings import (
     idempotents,
     is_clarified,
     is_lambda_clarified,
-    prod_decode_array,
+    prod_components,
+    prod_encode,
     subring_on_idempotent,
 )
 
@@ -57,10 +58,6 @@ def fold_product(factors: Sequence[TambaraData]) -> TambaraData:
     for f in factors[1:]:
         out = product(out, f)
     return out
-
-
-def _flat_components(sizes: Sequence[int], n: int) -> List[np.ndarray]:
-    return prod_decode_array(list(sizes), np.arange(n))
 
 
 def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int]
@@ -95,8 +92,7 @@ def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int]
             nm[(K, H)] = cut(T.nm[(K, H)], includes[K], positions[H], "nm")
     for g in T.group.elements():
         for H in subs:
-            Hg = T.group.subgroup(H.conjugate(g).elements)
-            conj[(g, H)] = cut(T.conj[(g, H)], includes[H], positions[Hg], "conj")
+            conj[(g, H)] = cut(T.conj[(g, H)], includes[H], positions[H.conjugate(g)], "conj")
     sliced = TambaraData(T.group, levels, res, tr, nm, conj,
                          has_norms=T.has_norms, label=f"{T.label}|slice")
     return sliced, includes
@@ -165,7 +161,7 @@ def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
     maps = {}
     for H in subs:
         sizes = [f.levels[H].size for f in factors]
-        comps = _flat_components(sizes, P.levels[H].size)
+        comps = prod_components(sizes)
         ring = T.levels[H]
         acc = np.full(P.levels[H].size, ring.zero, dtype=np.int64)
         for inc, comp in zip(includes_per, comps):
@@ -241,11 +237,10 @@ def detect_coinduction(T: TambaraData
         X = _restrict_gset(coset_gset(G, K), H)
         val = evaluate_gset(ell, X)
         cosets = coset_gset(G, K).labels
-        nsrc = T.levels[K].size
-        enc = np.zeros(nsrc, dtype=np.int64)
+        tables, sizes = [], []
         for o in val.orbits:
             r = cosets[o.base][0]
-            rK = G.subgroup(K.conjugate(r).elements)
+            rK = K.conjugate(r)
             Mloc = o.stabilizer
             M = lift[Mloc]
             ringM = T.levels[M]
@@ -254,8 +249,9 @@ def detect_coinduction(T: TambaraData
             tbl = pos[ringM.mul[units[Mloc]][T.res[(M, rK)][T.conj[(r, K)]]]]
             if (tbl < 0).any():
                 raise VerificationFailed("unit map left the idempotent ideal")
-            enc = enc * ell.levels[Mloc].size + tbl
-        maps[K] = enc
+            tables.append(tbl)
+            sizes.append(ell.levels[Mloc].size)
+        maps[K] = prod_encode(sizes, tables)
     witness = TambaraMorphism(T, C, maps)
     if not witness.is_isomorphism():
         raise VerificationFailed(
@@ -304,11 +300,9 @@ def full_decomposition(T: TambaraData) -> DecompositionResult:
     maps = {}
     for K in subgroups(G):
         sizes = [c.levels[K].size for c in coinductions]
-        comps = _flat_components(sizes, reassembled.levels[K].size)
-        enc = np.zeros(reassembled.levels[K].size, dtype=np.int64)
-        for w_inv, f, comp in zip(inverses, split_factors, comps):
-            enc = enc * f.levels[K].size + w_inv.maps[K][comp]
-        maps[K] = enc
+        comps = prod_components(sizes)
+        maps[K] = prod_encode([f.levels[K].size for f in split_factors],
+                              [w_inv.maps[K][comp] for w_inv, comp in zip(inverses, comps)])
     to_split_product = TambaraMorphism(reassembled, P, maps)
     witness = split_witness.compose(to_split_product)
     if not witness.is_isomorphism():
@@ -342,11 +336,8 @@ def clarify(T: TambaraData, lam: UpwardClosedSet
     maps = {}
     for K in subgroups(G):
         sizes = [c.levels[K].size for c in dec.factor_coinductions]
-        comps = _flat_components(sizes, dec.reassembled.levels[K].size)
-        enc = np.zeros(dec.reassembled.levels[K].size, dtype=np.int64)
-        for i in kept:
-            enc = enc * sizes[i] + comps[i]
-        maps[K] = enc[inv.maps[K]]
+        comps = prod_components(sizes)
+        maps[K] = prod_encode([sizes[i] for i in kept], comps[kept])[inv.maps[K]]
     proj = TambaraMorphism(T, target, maps)
     return target, proj
 
@@ -392,20 +383,12 @@ def diagonalize_automorphism(phi: TambaraMorphism, dec: DecompositionResult
         maps = {}
         for K in subgroups(G):
             sizes = [c.levels[K].size for c in coinds]
-            comps = _flat_components(sizes, R.levels[K].size)
-            ring = R.levels[K]
+            comps = prod_components(sizes)
             # embed x at slot j with zeros elsewhere, apply phi, read back
             n = coinds[j].levels[K].size
-            embed = np.zeros(n, dtype=np.int64)
-            zeros = [c.levels[K].zero for c in coinds]
-            for x in range(n):
-                parts = list(zeros)
-                parts[j] = x
-                enc = 0
-                for s, p in zip(sizes, parts):
-                    enc = enc * s + p
-                embed[x] = enc
-            image = phi.maps[K][embed]
+            parts = [c.levels[K].zero for c in coinds]
+            parts[j] = np.arange(n)
+            image = phi.maps[K][prod_encode(sizes, parts)]
             for i in range(k):
                 if i == j:
                     continue

@@ -23,6 +23,7 @@ from .errors import (
     DefinitionError,
     GroupMismatch,
     NoNorms,
+    SizeLimitExceeded,
     VerificationFailed,
 )
 from .groups import FiniteGroup, Subgroup, double_cosets, subgroups
@@ -39,7 +40,8 @@ from .rings import (
     FiniteRing,
     GRing,
     RingHom,
-    prod_decode_array,
+    prod_components,
+    prod_encode,
     product_ring,
     zero_ring,
 )
@@ -91,13 +93,11 @@ class TambaraData:
                 t = self.conj.get((g, H))
                 if t is None or t.shape != (self.levels[H].size,):
                     raise DefinitionError(f"conj table missing/misshaped for g={g}, H={H.elements}")
-                tgt = H.conjugate(g)
-                if len(t) and (t.max() >= self.levels[self.group.subgroup(tgt.elements)].size):
+                if len(t) and (t.max() >= self.levels[H.conjugate(g)].size):
                     raise DefinitionError("conj table out of range")
 
-    def sub_pairs(self) -> List[Tuple[Subgroup, Subgroup]]:
-        subs = subgroups(self.group)
-        return [(K, H) for H in subs for K in subs if K.is_subgroup_of(H)]
+    def sub_pairs(self) -> Tuple[Tuple[Subgroup, Subgroup], ...]:
+        return self.group.subgroup_pairs
 
     def level(self, H: Subgroup) -> FiniteRing:
         return self.levels[H]
@@ -111,9 +111,6 @@ class TambaraData:
         e = self.group.trivial_subgroup
         rows = [self.conj[(g, e)] for g in self.group.elements()]
         return GRing(self.bottom, self.group, np.array(rows))
-
-    def canonical_subgroup(self, H: Subgroup) -> Subgroup:
-        return self.group.subgroup(H.elements)
 
     def is_zero(self) -> bool:
         return all(r.is_zero_ring() for r in self.levels.values())
@@ -139,13 +136,6 @@ class LeveledValue:
     def sizes(self) -> List[int]:
         return [r.size for r in self.rings]
 
-    @property
-    def total_size(self) -> int:
-        n = 1
-        for s in self.sizes:
-            n *= s
-        return n
-
     def materialize(self) -> FiniteRing:
         if len(self.rings) == 1:
             return self.rings[0]
@@ -156,7 +146,7 @@ def evaluate_gset(T: TambaraData, X: GSet) -> LeveledValue:
     if X.size == 0:
         return LeveledValue(T, X, [], [])
     orbits = orbit_decomposition(X)
-    rings = [T.levels[T.canonical_subgroup(o.stabilizer)] for o in orbits]
+    rings = [T.levels[o.stabilizer] for o in orbits]
     return LeveledValue(T, X, orbits, rings)
 
 
@@ -210,16 +200,8 @@ class EvalMap:
 
     def as_table(self) -> np.ndarray:
         """Dense index table between materialized product rings."""
-        src_sizes = self.source.sizes
-        n = self.source.total_size
-        arr = (np.stack(prod_decode_array(src_sizes, np.arange(n)), axis=1)
-               if src_sizes else np.zeros((n, 0), dtype=np.int64))
-        out = self.apply_batch(arr)
-        tgt_sizes = self.target.sizes
-        enc = np.zeros(n, dtype=np.int64)
-        for k, s in enumerate(tgt_sizes):
-            enc = enc * s + out[:, k]
-        return enc
+        out = self.apply_batch(prod_components(self.source.sizes).T)
+        return prod_encode(self.target.sizes, out.T)
 
 
 def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
@@ -246,13 +228,13 @@ def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
     # factor each source orbit through its target orbit
     factored = []
     for i, o in enumerate(X_val.orbits):
-        A = T.canonical_subgroup(o.stabilizer)
+        A = o.stabilizer
         q = f(o.base)
         j = point_orbit[q]
         oy = Y_val.orbits[j]
-        B = T.canonical_subgroup(oy.stabilizer)
+        B = oy.stabilizer
         u = oy.rep_for(q)
-        M = G.subgroup(G.conj(G.inv(u), a) for a in A.elements)
+        M = A.conjugate(G.inv(u))
         factored.append((i, j, A, B, u, M))
 
     if kind == "res":
@@ -303,8 +285,7 @@ class TambaraMorphism:
                     raise DefinitionError(f"morphism breaks nm at {K.elements}<={H.elements}")
         for g in src.group.elements():
             for H in subgroups(src.group):
-                Hg = src.canonical_subgroup(H.conjugate(g))
-                if not np.array_equal(self.maps[Hg][src.conj[(g, H)]],
+                if not np.array_equal(self.maps[H.conjugate(g)][src.conj[(g, H)]],
                                       tgt.conj[(g, H)][self.maps[H]]):
                     raise DefinitionError(f"morphism breaks conj at g={g}, H={H.elements}")
 
@@ -365,16 +346,11 @@ def fixed_point_functor(R: GRing, green_only: bool = False,
     res = {}
     tr = {}
     nm = {}
-    for (K, H) in [(K, H) for H in subs for K in subs if K.is_subgroup_of(H)]:
+    e = G.trivial_subgroup
+    for (K, H) in G.subgroup_pairs:
         res[(K, H)] = positions[K][includes[H]]
-        # left coset representatives of K in H
-        reps = []
-        seen = set()
-        for h in H.elements:
-            if h in seen:
-                continue
-            seen.update(G.mul(h, k) for k in K.elements)
-            reps.append(h)
+        # left coset representatives of K in H: the double cosets e\H/K
+        reps = [h for h, _ in double_cosets(G, e, K, within=H)]
         src = includes[K]
         acc_t = np.full(len(src), R.ring.zero, dtype=np.int64)
         acc_n = np.full(len(src), R.ring.one, dtype=np.int64)
@@ -390,8 +366,7 @@ def fixed_point_functor(R: GRing, green_only: bool = False,
     conj = {}
     for g in G.elements():
         for H in subs:
-            Hg = G.subgroup(H.conjugate(g).elements)
-            conj[(g, H)] = positions[Hg][R.action[g][includes[H]]]
+            conj[(g, H)] = positions[H.conjugate(g)][R.action[g][includes[H]]]
             if (conj[(g, H)] < 0).any():
                 raise VerificationFailed("conjugation left the fixed subring")
 
@@ -410,7 +385,7 @@ def zero_functor(G: FiniteGroup, has_norms: bool = True) -> TambaraData:
     subs = subgroups(G)
     Z = zero_ring()
     levels = {H: Z for H in subs}
-    pairs = [(K, H) for H in subs for K in subs if K.is_subgroup_of(H)]
+    pairs = G.subgroup_pairs
     one = np.zeros(1, dtype=np.int32)
     res = {p: one for p in pairs}
     tr = {p: one for p in pairs}
@@ -427,17 +402,12 @@ def product(T1: TambaraData, T2: TambaraData, label: Optional[str] = None) -> Ta
         raise GroupMismatch("product needs matching norm flags")
     G = T1.group
     subs = subgroups(G)
-    levels = {}
-    sizes1 = {H: T1.levels[H].size for H in subs}
-    sizes2 = {H: T2.levels[H].size for H in subs}
-    for H in subs:
-        levels[H] = product_ring([T1.levels[H], T2.levels[H]])
+    sizes = {H: [T1.levels[H].size, T2.levels[H].size] for H in subs}
+    levels = {H: product_ring([T1.levels[H], T2.levels[H]]) for H in subs}
 
     def combine(tbl1, tbl2, src_H, dst_H):
-        n = sizes1[src_H] * sizes2[src_H]
-        idx = np.arange(n)
-        a, b = idx // sizes2[src_H], idx % sizes2[src_H]
-        return tbl1[a] * sizes2[dst_H] + tbl2[b]
+        a, b = prod_components(sizes[src_H])
+        return prod_encode(sizes[dst_H], [tbl1[a], tbl2[b]])
 
     res, tr, conj = {}, {}, {}
     nm = {} if T1.has_norms else None
@@ -448,8 +418,7 @@ def product(T1: TambaraData, T2: TambaraData, label: Optional[str] = None) -> Ta
             nm[(K, H)] = combine(T1.nm[(K, H)], T2.nm[(K, H)], K, H)
     for g in G.elements():
         for H in subs:
-            Hg = G.subgroup(H.conjugate(g).elements)
-            conj[(g, H)] = combine(T1.conj[(g, H)], T2.conj[(g, H)], H, Hg)
+            conj[(g, H)] = combine(T1.conj[(g, H)], T2.conj[(g, H)], H, H.conjugate(g))
     return TambaraData(G, levels, res, tr, nm, conj, has_norms=T1.has_norms,
                        label=label or f"({T1.label} x {T2.label})")
 
@@ -467,8 +436,7 @@ def _coset_projection(G: FiniteGroup, K1: Subgroup, K2: Subgroup) -> GSetMap:
 
 def _coset_conj_map(G: FiniteGroup, K: Subgroup, g: int) -> GSetMap:
     """The G-iso G/(gKg^-1) -> G/K sending x(gKg^-1) to xg K."""
-    Kg = G.subgroup(K.conjugate(g).elements)
-    X1 = coset_gset(G, Kg)
+    X1 = coset_gset(G, K.conjugate(g))
     X2 = coset_gset(G, K)
     lookup = {}
     for i, c in enumerate(X2.labels):
@@ -486,17 +454,35 @@ def _restrict_gmap(f: GSetMap, H: Subgroup) -> GSetMap:
     return GSetMap(_restrict_gset(f.source, H), _restrict_gset(f.target, H), f.images)
 
 
-def _check_subgroup_functor(H: Subgroup, T: TambaraData) -> None:
+def _over_subgroup(H: Subgroup, T: TambaraData) -> TambaraData:
+    """T keyed over H.as_group; T's group must have the same table."""
     Hg, _ = H.as_group
     if T.group.order != Hg.order or T.group.mul_table != Hg.mul_table:
         raise GroupMismatch("functor must live over H.as_group")
+    return T if T.group is Hg else _reindex(T, Hg, Hg.elements(), T.label)
+
+
+def _reindex(T: TambaraData, K: FiniteGroup, elem: Sequence[int], label: str) -> TambaraData:
+    """T read over K along the injective homomorphism i -> elem[i] into
+    T.group: the level at S <= K is T's level at the image of S."""
+    G = T.group
+    subs = subgroups(K)
+    lift = {S: G.subgroup(elem[i] for i in S.elements) for S in subs}
+
+    def pull(tables):
+        return {(A, B): tables[(lift[A], lift[B])] for (A, B) in K.subgroup_pairs}
+
+    conj = {(i, S): T.conj[(elem[i], lift[S])] for i in K.elements() for S in subs}
+    return TambaraData(K, {S: T.levels[lift[S]] for S in subs}, pull(T.res), pull(T.tr),
+                       pull(T.nm) if T.has_norms else None, conj,
+                       has_norms=T.has_norms, label=label)
 
 
 def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
              label: Optional[str] = None) -> TambaraData:
     """Coinduction: the level at K is T's value on the restricted H-set G/K,
     with structure maps evaluated along restricted coset maps."""
-    _check_subgroup_functor(H, T)
+    T = _over_subgroup(H, T)
     subs = subgroups(G)
     values: Dict[Subgroup, LeveledValue] = {}
     levels: Dict[Subgroup, FiniteRing] = {}
@@ -506,7 +492,7 @@ def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
 
     res, tr, conj = {}, {}, {}
     nm = {} if T.has_norms else None
-    for (K1, K2) in [(a, b) for b in subs for a in subs if a.is_subgroup_of(b)]:
+    for (K1, K2) in G.subgroup_pairs:
         proj = _restrict_gmap(_coset_projection(G, K1, K2), H)
         res[(K1, K2)] = eval_along(T, proj, "res").as_table()
         tr[(K1, K2)] = eval_along(T, proj, "tr").as_table()
@@ -524,59 +510,21 @@ def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
 
 def restrict(K: Subgroup, T: TambaraData, label: Optional[str] = None) -> TambaraData:
     """Restriction to a subgroup: keep the levels at subgroups of K."""
-    G = T.group
-    if K.parent is not G:
+    if K.parent is not T.group:
         raise GroupMismatch("K must be a subgroup of T's group")
     Kg, embed = K.as_group
-    lift = {S: G.subgroup(embed[i] for i in S.elements) for S in subgroups(Kg)}
-    levels = {S: T.levels[lift[S]] for S in subgroups(Kg)}
-    res, tr, conj = {}, {}, {}
-    nm = {} if T.has_norms else None
-    for S1 in subgroups(Kg):
-        for S2 in subgroups(Kg):
-            if not S1.is_subgroup_of(S2):
-                continue
-            res[(S1, S2)] = T.res[(lift[S1], lift[S2])]
-            tr[(S1, S2)] = T.tr[(lift[S1], lift[S2])]
-            if nm is not None:
-                nm[(S1, S2)] = T.nm[(lift[S1], lift[S2])]
-    for i, g in enumerate(embed):
-        for S in subgroups(Kg):
-            conj[(i, S)] = T.conj[(g, lift[S])]
-    return TambaraData(Kg, levels, res, tr, nm, conj, has_norms=T.has_norms,
-                       label=label or f"Res[{K.elements}]({T.label})")
+    return _reindex(T, Kg, embed, label or f"Res[{K.elements}]({T.label})")
 
 
 def transport(T: TambaraData, H: Subgroup, d: int, label: Optional[str] = None) -> TambaraData:
     """The dHd^-1-functor obtained from an H-functor along conjugation by d."""
-    _check_subgroup_functor(H, T)
+    T = _over_subgroup(H, T)
     G = H.parent
-    Hd = G.subgroup(H.conjugate(d).elements)
-    Hg, embed = H.as_group
-    Hdg, embed_d = Hd.as_group
-    dinv = G.inv(d)
-    # subgroup S of Hdg corresponds to d^-1 S d inside Hg
-    hpos = {g: i for i, g in enumerate(embed)}
-
-    def to_h(S: Subgroup) -> Subgroup:
-        return Hg.subgroup(hpos[G.conj(dinv, embed_d[i])] for i in S.elements)
-
-    levels = {S: T.levels[to_h(S)] for S in subgroups(Hdg)}
-    res, tr, conj = {}, {}, {}
-    nm = {} if T.has_norms else None
-    for S1 in subgroups(Hdg):
-        for S2 in subgroups(Hdg):
-            if not S1.is_subgroup_of(S2):
-                continue
-            res[(S1, S2)] = T.res[(to_h(S1), to_h(S2))]
-            tr[(S1, S2)] = T.tr[(to_h(S1), to_h(S2))]
-            if nm is not None:
-                nm[(S1, S2)] = T.nm[(to_h(S1), to_h(S2))]
-    for i, x in enumerate(embed_d):
-        for S in subgroups(Hdg):
-            conj[(i, S)] = T.conj[(hpos[G.conj(dinv, x)], to_h(S))]
-    return TambaraData(Hdg, levels, res, tr, nm, conj, has_norms=T.has_norms,
-                       label=label or f"({T.label})^conj")
+    Hdg, embed_d = H.conjugate(d).as_group
+    # x in dHd^-1 acts as d^-1 x d does in H
+    hpos = {g: i for i, g in enumerate(H.elements)}
+    return _reindex(T, Hdg, [hpos[G.conj(G.inv(d), x)] for x in embed_d],
+                    label or f"({T.label})^conj")
 
 
 def green_counterexample(p: int, S: FiniteRing) -> TambaraData:
@@ -599,17 +547,12 @@ def green_counterexample(p: int, S: FiniteRing) -> TambaraData:
     levels = {e: bottom, full: top}
     sizes = [S.size] * p
 
-    idx = np.arange(top.size)
-    left = idx // S.size
-    res_table = np.zeros(top.size, dtype=np.int64)
-    for k in range(p):
-        res_table = res_table * S.size + left
-    idxb = np.arange(bottom.size)
-    comps = prod_decode_array(sizes, idxb)
+    left = prod_components([S.size] * 2)[0]
+    res_table = prod_encode(sizes, [left] * p)
     tr_sum = np.full(bottom.size, S.zero, dtype=np.int64)
-    for k in range(p):
-        tr_sum = S.add[tr_sum, comps[k]]
-    tr_table = tr_sum * S.size + S.zero
+    for comp in prod_components(sizes):
+        tr_sum = S.add[tr_sum, comp]
+    tr_table = prod_encode([S.size] * 2, [tr_sum, S.zero])
 
     ident_b = np.arange(bottom.size, dtype=np.int32)
     ident_t = np.arange(top.size, dtype=np.int32)
@@ -659,24 +602,6 @@ class CheckReport:
         for f in self.failures:
             lines.append(f"  [{f.family}] {f.description}")
         return "\n".join(lines)
-
-
-def _double_cosets_within(G: FiniteGroup, L: Subgroup, K: Subgroup,
-                          H: Subgroup) -> List[int]:
-    """Representatives (minimal) of L\\H/K inside the subgroup H."""
-    seen = set()
-    reps = []
-    for h in H.elements:
-        if h in seen:
-            continue
-        coset = set()
-        for a in L.elements:
-            ah = G.mul(a, h)
-            for b in K.elements:
-                coset.add(G.mul(ah, b))
-        seen.update(coset)
-        reps.append(min(coset))
-    return sorted(reps)
 
 
 def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckReport:
@@ -761,14 +686,13 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
         for g2 in G.elements():
             g12 = G.mul(g1, g2)
             for H in subs:
-                H2 = G.subgroup(H.conjugate(g2).elements)
+                H2 = H.conjugate(g2)
                 note("conjugation")
                 if not np.array_equal(T.conj[(g1, H2)][T.conj[(g2, H)]], T.conj[(g12, H)]):
                     fail("conjugation", f"c_{g1} c_{g2} != c_{g12} on level {H.elements}")
     for g in G.elements():
         for (K, H) in T.sub_pairs():
-            Kg = G.subgroup(K.conjugate(g).elements)
-            Hg = G.subgroup(H.conjugate(g).elements)
+            Kg, Hg = K.conjugate(g), H.conjugate(g)
             note("conjugation", 3 if T.has_norms else 2)
             if not np.array_equal(T.conj[(g, K)][T.res[(K, H)]],
                                   T.res[(Kg, Hg)][T.conj[(g, H)]]):
@@ -790,13 +714,9 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
                 rl = T.levels[L]
                 acc_t = np.full(T.levels[K].size, rl.zero, dtype=np.int64)
                 acc_n = np.full(T.levels[K].size, rl.one, dtype=np.int64)
-                for g in _double_cosets_within(G, L, K, H):
-                    gK = G.subgroup(K.conjugate(g).elements)
-                    M = G.subgroup(sorted(set(K.conjugate(G.inv(g)).elements)
-                                          & set(L.elements)))  # g^-1 L g cap K, then moved
-                    Msrc = G.subgroup(sorted(set(K.elements)
-                                             & set(L.conjugate(G.inv(g)).elements)))
-                    Mdst = G.subgroup(sorted(set(L.elements) & set(gK.elements)))
+                for g, _ in double_cosets(G, L, K, within=H):
+                    Msrc = K.intersect(L.conjugate(G.inv(g)))
+                    Mdst = L.intersect(K.conjugate(g))
                     path = T.conj[(g, Msrc)][T.res[(Msrc, K)]]
                     acc_t = rl.add[acc_t, T.tr[(Mdst, L)][path]]
                     if T.has_norms:
@@ -838,7 +758,7 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
                 pk = GSetMap(A, f.source, p)
                 try:
                     diag = dependent_product(f, pk)
-                except Exception as exc:  # size cap
+                except SizeLimitExceeded as exc:
                     fail("exponential", f"could not build diagram {desc}: {exc}")
                     continue
                 nm_f = eval_along(T, f, "nm")
@@ -846,13 +766,10 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
                 res_ev = eval_along(T, diag.evaluation, "res")
                 nm_cp = eval_along(T, diag.corner_projection, "nm")
                 tr_pr = eval_along(T, diag.projection, "tr")
-                src = tr_p.source
-                n = src.total_size
-                arr = (np.stack(prod_decode_array(src.sizes, np.arange(n)), axis=1)
-                       if src.sizes else np.zeros((n, 0), dtype=np.int64))
+                arr = prod_components(tr_p.source.sizes).T
                 path1 = nm_f.apply_batch(tr_p.apply_batch(arr))
                 path2 = tr_pr.apply_batch(nm_cp.apply_batch(res_ev.apply_batch(arr)))
-                note("exponential", n)
+                note("exponential", len(arr))
                 if not np.array_equal(path1, path2):
                     bad = int(np.argwhere((path1 != path2).any(axis=1))[0][0])
                     fail("exponential",
@@ -922,14 +839,13 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
     d^-1 k0 L, whose stabilizer matches exactly.
     """
     G = K.parent
-    _check_subgroup_functor(H, T)
+    T = _over_subgroup(H, T)
     Kg, kembed = K.as_group
     lhs = restrict(K, coinduce(G, H, T))
 
-    dreps = [d for d, _ in double_cosets(G, K, H)]
     blocks = []
-    for d in dreps:
-        Hd = G.subgroup(H.conjugate(d).elements)
+    for d, _ in double_cosets(G, K, H):
+        Hd = H.conjugate(d)
         M = K.intersect(Hd)
         Td = transport(T, H, d)
         Hdg, hd_embed = Hd.as_group
@@ -957,10 +873,8 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
             for pt in o.points:
                 point_orbit[pt] = i
 
-        nsrc = lhs.levels[L].size
-        arr = (np.stack(prod_decode_array(val.sizes, np.arange(nsrc)), axis=1)
-               if val.sizes else np.zeros((nsrc, 0), dtype=np.int64))
-        enc = np.zeros(nsrc, dtype=np.int64)
+        arr = prod_components(val.sizes).T
+        tables, sizes = [], []
         cosetsKL = coset_gset(Kg, L).labels
         for d, M_in_K, _ in blocks:
             XK = _restrict_gset(coset_gset(Kg, L), M_in_K)
@@ -969,11 +883,10 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
                 x = coset_of[G.mul(G.inv(d), k0)]     # the LHS point d^-1 k0 Ltilde
                 i = point_orbit[x]
                 h = val.orbits[i].rep_for(x)          # H-local transversal element
-                stab = T.canonical_subgroup(val.orbits[i].stabilizer)
-                tbl = T.conj[(h, stab)]
-                tgt = T.canonical_subgroup(stab.conjugate(h))
-                enc = enc * T.levels[tgt].size + tbl[arr[:, i]]
-        maps[L] = enc
+                stab = val.orbits[i].stabilizer
+                tables.append(T.conj[(h, stab)][arr[:, i]])
+                sizes.append(T.levels[stab.conjugate(h)].size)
+        maps[L] = prod_encode(sizes, tables)
     iso = TambaraMorphism(lhs, rhs, maps)
     if not iso.is_isomorphism():
         raise VerificationFailed("Mackey decomposition witness is not bijective")
@@ -1004,8 +917,8 @@ def _functor_structure(T: TambaraData) -> _search.OpStructure:
             unary.append((f"nm{a}->{b}", a, b, T.nm[(K, H)].tolist()))
     for g in T.group.elements():
         for H in subs:
-            Hg = T.group.subgroup(H.conjugate(g).elements)
-            unary.append((f"c{g}@{index[H]}", index[H], index[Hg], T.conj[(g, H)].tolist()))
+            unary.append((f"c{g}@{index[H]}", index[H], index[H.conjugate(g)],
+                          T.conj[(g, H)].tolist()))
     return _search.OpStructure(sorts=sorts, constants=constants, unary=unary, binary=binary)
 
 

@@ -196,6 +196,12 @@ class FiniteGroup:
         return self._subgroups[idx]
 
     @cached_property
+    def subgroup_pairs(self) -> Tuple[Tuple["Subgroup", "Subgroup"], ...]:
+        """All pairs (K, H) with K <= H, grouped by H in lattice order."""
+        subs = self._subgroups
+        return tuple((K, H) for H in subs for K in subs if K.is_subgroup_of(H))
+
+    @cached_property
     def trivial_subgroup(self) -> "Subgroup":
         return self._subgroups[0]
 
@@ -212,9 +218,9 @@ class FiniteGroup:
         for s in self._subgroups:
             if s.elements in seen:
                 continue
-            cls = sorted({s.conjugate(g).elements for g in self.elements()})
-            seen.update(cls)
-            classes.append(tuple(self.subgroup(e) for e in cls))
+            cls = sorted({s.conjugate(g) for g in self.elements()}, key=lambda t: t.elements)
+            seen.update(t.elements for t in cls)
+            classes.append(tuple(cls))
         return tuple(classes)
 
     def conjugacy_class_rep(self, s: "Subgroup") -> "Subgroup":
@@ -257,15 +263,15 @@ class Subgroup:
         return f"Subgroup{self.elements}"
 
     def conjugate(self, g: int) -> "Subgroup":
-        """The subgroup g H g^-1."""
+        """The subgroup g H g^-1, as the parent's lattice instance."""
         G = self.parent
-        return Subgroup(G, tuple(sorted(G.conj(g, a) for a in self.elements)))
+        return G.subgroup(G.conj(g, a) for a in self.elements)
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         return self._element_set <= other._element_set
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, tuple(sorted(self._element_set & other._element_set)))
+        return self.parent.subgroup(self._element_set & other._element_set)
 
     def left_cosets(self) -> List[Tuple[int, ...]]:
         """Left cosets gH, each sorted, ordered by minimal element; the
@@ -368,14 +374,16 @@ def subgroups(G: FiniteGroup) -> List[Subgroup]:
     return list(G._subgroups)
 
 
-def double_cosets(G: FiniteGroup, K: Subgroup, H: Subgroup) -> List[Tuple[int, Tuple[int, ...]]]:
-    """The double cosets K\\G/H as (minimal representative, element tuple).
+def double_cosets(G: FiniteGroup, K: Subgroup, H: Subgroup,
+                  within: Optional[Subgroup] = None) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The double cosets K\\A/H as (minimal representative, element tuple),
+    where A is `within` (K and H must lie in it) or, by default, all of G.
 
     The identity double coset is first; the rest follow by representative.
     """
     seen = set()
     out = []
-    for g in G.elements():
+    for g in (G.elements() if within is None else within.elements):
         if g in seen:
             continue
         coset = set()

@@ -25,7 +25,7 @@ from .errors import (
     VerificationFailed,
     ZeroRing,
 )
-from .groups import FiniteGroup, Subgroup, UpwardClosedSet
+from .groups import FiniteGroup, Subgroup, UpwardClosedSet, double_cosets
 
 RING_SIZE_CAP = 20000
 
@@ -167,19 +167,13 @@ def fq(q: int) -> FiniteRing:
     if (p, k) not in _IRREDUCIBLE:
         raise DefinitionError(f"no irreducible polynomial on file for ({p},{k})")
     poly = _IRREDUCIBLE[(p, k)]
+    digits = [p] * k
 
     def decode(i):
-        cs = []
-        for _ in range(k):
-            cs.append(i % p)
-            i //= p
-        return cs
+        return prod_decode(digits, i)[::-1]
 
     def encode(cs):
-        out = 0
-        for c in reversed(cs):
-            out = out * p + (c % p)
-        return out
+        return prod_encode(digits, [c % p for c in reversed(cs)])
 
     def poly_mul(a, b):
         prod = [0] * (2 * k - 1)
@@ -233,20 +227,10 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
         n *= s
         if n > RING_SIZE_CAP:
             raise SizeLimitExceeded(f"product ring would exceed {RING_SIZE_CAP} elements")
-    idx = np.arange(n)
-    comps = prod_decode_array(sizes, idx)
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    stride = 1
-    strides = []
-    for s in reversed(sizes):
-        strides.append(stride)
-        stride *= s
-    strides.reverse()
-    for k, f in enumerate(factors):
-        a = comps[k]
-        add += f.add[a[:, None], a[None, :]].astype(np.int64) * strides[k]
-        mul += f.mul[a[:, None], a[None, :]].astype(np.int64) * strides[k]
+    comps = prod_components(sizes)
+    # generators keep one n x n component table alive at a time
+    add = prod_encode(sizes, (f.add[np.ix_(a, a)] for f, a in zip(factors, comps)))
+    mul = prod_encode(sizes, (f.mul[np.ix_(a, a)] for f, a in zip(factors, comps)))
     zero = prod_encode(sizes, [f.zero for f in factors])
     one = prod_encode(sizes, [f.one for f in factors])
     R = FiniteRing(add, mul, zero, one,
@@ -255,10 +239,21 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
     return R
 
 
-def prod_encode(sizes: Sequence[int], comps: Sequence[int]) -> int:
-    out = 0
+# -- the mixed-radix codec of product indices -----------------------------
+#
+# An element of a product of rings of the given sizes has index
+# sum_k c_k * prod(sizes[k+1:]) (C order: the last factor varies fastest).
+
+
+def prod_encode(sizes: Sequence[int], comps):
+    """Index of the element with components comps, one per factor.
+
+    The components are ints (giving an int) or equal-shape index arrays
+    (giving an array); a (k, n) array gives n indices, also when k == 0.
+    """
+    out = np.zeros(comps.shape[1:], dtype=np.int64) if isinstance(comps, np.ndarray) else 0
     for s, c in zip(sizes, comps):
-        out = out * s + int(c)
+        out = out * s + c
     return out
 
 
@@ -270,13 +265,15 @@ def prod_decode(sizes: Sequence[int], idx: int) -> Tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def prod_decode_array(sizes: Sequence[int], idx: np.ndarray) -> List[np.ndarray]:
-    out = []
-    rem = idx.copy()
-    for s in reversed(sizes):
-        out.append(rem % s)
-        rem = rem // s
-    out.reverse()
+def prod_components(sizes: Sequence[int]) -> np.ndarray:
+    """The components of every element of the product, one row per factor:
+    entry [k, x] is element x's component in factor k.  Shape
+    (k, prod(sizes)); the transpose has one row per element."""
+    rem = np.arange(int(np.prod(sizes, dtype=np.int64)))
+    out = np.empty((len(sizes), len(rem)), dtype=np.int64)
+    for k in range(len(sizes) - 1, -1, -1):
+        out[k] = rem % sizes[k]
+        rem = rem // sizes[k]
     return out
 
 
@@ -491,18 +488,14 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
     ring = product_ring([S.ring] * m, label=f"Fun({G.name}/{H.elements}, {S.ring.label})")
     sizes = [S.ring.size] * m
     n = ring.size
-    comps = prod_decode_array(sizes, np.arange(n))
+    comps = prod_components(sizes)
     action = np.zeros((G.order, n), dtype=np.int64)
     for gamma in G.elements():
         ginv = G.inv(gamma)
-        out = np.zeros(n, dtype=np.int64)
-        stride = 1
-        for j in range(m - 1, -1, -1):
-            src = coset_of[G.mul(ginv, reps[j])]
-            twist = G.mul(G.mul(G.inv(reps[j]), gamma), reps[src])
-            out += S.action[hpos[twist]][comps[src]].astype(np.int64) * stride
-            stride *= S.ring.size
-        action[gamma] = out
+        srcs = [coset_of[G.mul(ginv, r)] for r in reps]
+        action[gamma] = prod_encode(sizes, [
+            S.action[hpos[G.mul(G.mul(G.inv(r), gamma), reps[src])]][comps[src]]
+            for r, src in zip(reps, srcs)])
     out_ring = GRing(ring, G, action)
     out_ring.coind_cosets = tuple(cosets)
     out_ring.coind_reps = tuple(reps)
@@ -521,14 +514,11 @@ def gring_product(R: GRing, S: GRing) -> GRing:
     if R.group is not S.group:
         raise GroupMismatch("product needs a common group")
     ring = product_ring([R.ring, S.ring])
-    n = ring.size
-    comps = prod_decode_array([R.ring.size, S.ring.size], np.arange(n))
-    action = np.zeros((R.group.order, n), dtype=np.int64)
-    for g in R.group.elements():
-        action[g] = (R.action[g][comps[0]].astype(np.int64) * S.ring.size
-                     + S.action[g][comps[1]])
-    out = GRing(ring, R.group, action)
-    return out
+    sizes = [R.ring.size, S.ring.size]
+    a, b = prod_components(sizes)
+    action = [prod_encode(sizes, [R.action[g][a], S.action[g][b]])
+              for g in R.group.elements()]
+    return GRing(ring, R.group, action)
 
 
 def gring_transport(S: GRing, H: Subgroup, g: int) -> GRing:
@@ -540,7 +530,7 @@ def gring_transport(S: GRing, H: Subgroup, g: int) -> GRing:
     G = H.parent
     _, embed = H.as_group
     hpos = {e: i for i, e in enumerate(embed)}
-    Hg = G.subgroup(G.conj(g, h) for h in H.elements)
+    Hg = H.conjugate(g)
     _, embed2 = Hg.as_group
     rows = [S.action[hpos[G.conj(G.inv(g), x)]] for x in embed2]
     return GRing(S.ring, Hg.as_group[0], np.array(rows))
@@ -633,17 +623,12 @@ def decompose_gring(R: GRing) -> GRingDecomposition:
             pos = -np.ones(R.ring.size, dtype=np.int64)
             pos[inc] = np.arange(S.size)
             pos_tables.append(pos)
-        comps = prod_decode_array(sizes, np.arange(factor_ring.size))
+        comps = prod_components(sizes)
         for i, k in enumerate(embed):
-            out = np.zeros(factor_ring.size, dtype=np.int64)
-            stride = 1
-            for j in range(len(subrings) - 1, -1, -1):
-                moved = pos_tables[j][R.action[k][includes[j][comps[j]]]]
-                if (moved < 0).any():
-                    raise VerificationFailed("class representative does not preserve a factor")
-                out += moved * stride
-                stride *= sizes[j]
-            action[i] = out
+            moved = [pos[R.action[k][inc[c]]] for pos, inc, c in zip(pos_tables, includes, comps)]
+            if any((m < 0).any() for m in moved):
+                raise VerificationFailed("class representative does not preserve a factor")
+            action[i] = prod_encode(sizes, moved)
         S_class = GRing(factor_ring, Kg, action)
         if not is_clarified(S_class):
             raise VerificationFailed("decomposition factor is not clarified")
@@ -690,8 +675,6 @@ def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing
     Returns (lhs, rhs, iso : lhs.ring -> rhs.ring); the identity double
     coset factor comes first.
     """
-    from .groups import double_cosets as _dcs
-
     _check_subgroup_ring(H, S)
     Kg, kembed = K.as_group
     lhs = gring_restrict(K, coinduce_gring(G, H, S))
@@ -706,8 +689,8 @@ def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing
     hpos = {g: i for i, g in enumerate(hembed)}
 
     blocks = []
-    for d, _ in _dcs(G, K, H):
-        Hd = G.subgroup(G.conj(d, h) for h in H.elements)
+    for d, _ in double_cosets(G, K, H):
+        Hd = H.conjugate(d)
         M = K.intersect(Hd)              # K cap dHd^-1, subgroup of G
         Sd = gring_transport(S, H, d)    # dHd^-1-ring
         # restrict the Hd-ring Sd to M, then coinduce from M inside K

@@ -12,10 +12,11 @@ aliases "e", "G", and "C<n>" (when unique) are accepted on input.
 from __future__ import annotations
 
 import json
+from typing import Optional, Tuple
 
 from .errors import DefinitionError
 from .groups import FiniteGroup, Subgroup, subgroups
-from .gsets import GSet, GSetMap
+from .gsets import GSet
 from .rings import FiniteRing, GRing, fq, product_ring, zero_ring, zn
 from .functors import TambaraData
 from ._burnside import burnside_mod
@@ -131,10 +132,6 @@ def parse_gring(block: dict, G: FiniteGroup) -> GRing:
     return GRing(ring, G, action)
 
 
-def gring_to_json(R: GRing) -> dict:
-    return {"ring": ring_to_json(R.ring), "action": R.action.tolist()}
-
-
 # -- G-sets (external interface for completeness) --------------------------
 
 
@@ -143,10 +140,6 @@ def parse_gset(block: dict, G: FiniteGroup) -> GSet:
     if "points" in block and int(block["points"]) != X.size:
         raise DefinitionError("gset 'points' does not match the action table")
     return X
-
-
-def parse_gset_map(block: dict, X: GSet, Y: GSet) -> GSetMap:
-    return GSetMap(X, Y, tuple(int(i) for i in block["images"]))
 
 
 # -- functors ---------------------------------------------------------------
@@ -227,8 +220,7 @@ def _parse_explicit(block: dict, G: FiniteGroup, label: str) -> TambaraData:
         levels[H] = parse_ring(block["levels"][key])
     res, tr, conj = {}, {}, {}
     nm = None if green_only else {}
-    pairs = [(K, H) for H in subs for K in subs if K.is_subgroup_of(H)]
-    for (K, H) in pairs:
+    for (K, H) in G.subgroup_pairs:
         key = _edge_key(G, K, H)
         for name, store in (("res", res), ("tr", tr)) + (() if green_only else (("nm", nm),)):
             table = block.get(name, {}).get(key)
@@ -246,11 +238,19 @@ def _parse_explicit(block: dict, G: FiniteGroup, label: str) -> TambaraData:
                        has_norms=not green_only, label=label)
 
 
-def load_functor(path: str) -> TambaraData:
+def load_document(path: str, over: Optional[str] = None
+                  ) -> Tuple[FiniteGroup, Subgroup, TambaraData]:
+    """Read a definition file: returns (G, H, T) with G the file's group, H
+    its subgroup with id `over` (default: G itself) and T the file's functor
+    body read over H.as_group.
+
+    This is the one entry point for files: a malformed block (a missing
+    key, a wrong type, a non-integer entry) raises DefinitionError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise DefinitionError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise DefinitionError("definition file must hold a JSON object")
@@ -258,16 +258,31 @@ def load_functor(path: str) -> TambaraData:
         raise DefinitionError(f"unsupported schema {doc.get('schema')!r}")
     if "group" not in doc:
         raise DefinitionError("definition file needs a 'group'")
-    G = parse_group(doc["group"])
-    return parse_functor_body(doc, G, label=doc.get("label", "T"))
+    try:
+        G = parse_group(doc["group"])
+        H = G.full_subgroup if over is None else resolve_subgroup(G, over)
+        return G, H, parse_functor_body(doc, H.as_group[0], label=doc.get("label", "T"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DefinitionError(f"malformed definition: {type(exc).__name__}: {exc}") from exc
+
+
+def load_functor(path: str) -> TambaraData:
+    return load_document(path)[2]
+
+
+def dumps_document(doc: dict) -> str:
+    """The byte-stable text of a document: sorted keys, no spaces, newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dump_document(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_document(doc))
 
 
 def dump_functor(T: TambaraData, path: str) -> None:
-    doc = functor_to_json(T)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    dump_document(functor_to_json(T), path)
 
 
 def dumps_functor(T: TambaraData) -> str:
-    return json.dumps(functor_to_json(T), sort_keys=True, separators=(",", ":")) + "\n"
+    return dumps_document(functor_to_json(T))

@@ -133,10 +133,10 @@ def test_restriction_matches_set_oracle(G):
                     stab = [k for k in K.elements if action[k][x] == x]
                     coeffs[lk.class_of[G.subgroup(stab).elements]] += 1
                 # against the linear map used by the functor
-                from tambara._burnside import _double_cosets_between
+                from tambara.groups import double_cosets
 
                 want = [0] * lk.nclasses
-                for g in _double_cosets_between(G, K, A, H):
+                for g, _ in double_cosets(G, K, A, within=H):
                     inter = K.intersect(A.conjugate(g))
                     want[lk.class_of[inter.elements]] += 1
                 assert coeffs == want

@@ -313,6 +313,18 @@ def _failing_families(T):
     return {f.family for f in report.failures}
 
 
+def test_exponential_family_propagates_internal_errors(monkeypatch):
+    # only a size cap may become a reported failure; anything else is a bug
+    import tambara.functors as functors
+
+    def broken(f, p, section_cap=None):
+        raise RuntimeError("bug in the dependent product")
+
+    monkeypatch.setattr(functors, "dependent_product", broken)
+    with pytest.raises(RuntimeError):
+        check_axioms(corpus.FP_CORPUS["F4_galois_C2"])
+
+
 def test_mutation_contracts():
     T = _copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
     e, full = C2.trivial_subgroup, C2.full_subgroup

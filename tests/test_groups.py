@@ -107,6 +107,23 @@ def test_double_cosets_partition(G):
             assert sorted(covered) == list(range(G.order))
 
 
+@pytest.mark.parametrize("G", [
+    C4, S3, FiniteGroup.dihedral(4), FiniteGroup.quaternion(),
+    FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4"),
+], ids=lambda g: g.name)
+def test_double_cosets_within_match_set_enumeration(G):
+    for H in subgroups(G):
+        inner = [K for K in subgroups(G) if K.is_subgroup_of(H)]
+        for K in inner:
+            for L in inner:
+                want = {frozenset(G.mul(G.mul(k, h), l) for k in K.elements for l in L.elements)
+                        for h in H.elements}
+                got = double_cosets(G, K, L, within=H)
+                assert {frozenset(c) for _, c in got} == want
+                assert [d for d, _ in got] == sorted(min(c) for c in want)
+                assert all(d == min(c) for d, c in got)
+
+
 def test_is_subconjugate():
     e = S3.trivial_subgroup
     subs = subgroups(S3)

@@ -26,6 +26,9 @@ from tambara.rings import (
     is_lambda_clarified,
     mackey_gring_iso,
     primitive_idempotents,
+    prod_components,
+    prod_decode,
+    prod_encode,
     product_ring,
     ring_isomorphism,
     subring_on_idempotent,
@@ -353,3 +356,23 @@ def test_typed_idempotents_upward_closed():
                         and is_subconjugate(G, K, G.subgroup(u))
                         for u in types
                     )
+
+
+@pytest.mark.parametrize("sizes", [[], [5], [2, 3], [4, 1, 3], [3, 3, 2, 2]])
+def test_mixed_radix_codec_round_trip(sizes):
+    n = int(np.prod(sizes, dtype=np.int64))
+    rows = prod_components(sizes)
+    assert rows.shape == (len(sizes), n)
+    cols = rows.T
+    # ints: every index decodes to in-range components and encodes back
+    for idx in range(n):
+        comps = prod_decode(sizes, idx)
+        assert comps == tuple(cols[idx])
+        assert all(0 <= c < s for c, s in zip(comps, sizes))
+        assert prod_encode(sizes, comps) == idx
+    # arrays: a list of component arrays, and the (k, n) component array
+    assert np.array_equal(prod_encode(sizes, rows), np.arange(n))
+    if sizes:
+        assert np.array_equal(prod_encode(sizes, list(rows)), np.arange(n))
+        # C order: the last factor varies fastest
+        assert prod_encode(sizes, [0] * (len(sizes) - 1) + [1]) == 1

@@ -252,6 +252,32 @@ def test_cmd_unknown_subgroup_exit1(tmp_path, capsys):
     assert main(["coinduce", str(p2), "--from", "H7"]) == 1
 
 
+_C2_GROUP = {"name": "C2", "table": [[0, 1], [1, 0]]}
+MALFORMED = {
+    "toplevel_list": [1, 2],
+    "zn_without_n": {"schema": 1, "group": _C2_GROUP,
+                     "fp": {"ring": {"kind": "Zn"}, "action": [[0, 1], [0, 1]]}},
+    "burnside_mod_text": {"schema": 1, "group": _C2_GROUP, "burnside": {"mod": "x"}},
+    "burnside_mod_1": {"schema": 1, "group": _C2_GROUP, "burnside": {"mod": 1}},
+    "coind_without_functor": {"schema": 1, "group": _C2_GROUP, "coind": {"from": "e"}},
+    "res_not_an_object": {"schema": 1, "group": _C2_GROUP,
+                          "functor": {"levels": {"H0": {"kind": "zero"}, "H1": {"kind": "zero"}},
+                                      "res": []}},
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["decompose"], ["restrict", "--to", "e"],
+                                     ["coinduce", "--from", "e"], ["lewis"], ["iso"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1(tmp_path, capsys, command, case):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(MALFORMED[case]))
+    paths = [str(p), str(p)] if command[0] == "iso" else [str(p)]
+    assert main([command[0], *paths, *command[1:]]) == 1
+    assert capsys.readouterr().out.startswith("error:")
+
+
 def test_cmd_check_fiber_bound_flag(tmp_path, capsys):
     p = _write_fixture(tmp_path, "b.json", corpus.BURNSIDE_CORPUS["burnside_C2_4"])
     assert main(["--fiber-bound", "3", "check", p]) == 0
