@@ -35,8 +35,8 @@ from .functors import (
     TambaraData,
     TambaraMorphism,
     coinduce,
+    fold_product,
     identity_morphism,
-    product,
     restrict,
     zero_functor,
 )
@@ -52,15 +52,7 @@ from .rings import (
 )
 
 
-def fold_product(factors: Sequence[TambaraData]) -> TambaraData:
-    """Left fold of binary products; the flat C-order encodings agree."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = product(out, f)
-    return out
-
-
-def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int]
+def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int], label: str
                       ) -> Tuple[TambaraData, Dict[Subgroup, np.ndarray]]:
     """The sub-Tambara functor on the ideals units[H] * level(H).
 
@@ -94,7 +86,7 @@ def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int]
         for H in subs:
             conj[(g, H)] = cut(T.conj[(g, H)], includes[H], positions[H.conjugate(g)], "conj")
     sliced = TambaraData(T.group, levels, res, tr, nm, conj,
-                         has_norms=T.has_norms, label=f"{T.label}|slice")
+                         has_norms=T.has_norms, label=label)
     return sliced, includes
 
 
@@ -153,7 +145,7 @@ def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
     factors = []
     includes_per = []
     for fam in unit_families:
-        sliced, includes = _idempotent_slice(T, fam)
+        sliced, includes = _idempotent_slice(T, fam, f"{T.label}|slice")
         factors.append(sliced)
         includes_per.append(includes)
 
@@ -219,11 +211,8 @@ def detect_coinduction(T: TambaraData
 
     # the inner H-functor: slice Res_H T along the norm units of d
     TH = restrict(H, T)
-    Hg, embed = H.as_group
-    lift = {S: G.subgroup(embed[i] for i in S.elements) for S in subgroups(Hg)}
-    units = {S: int(T.nm[(e, lift[S])][d]) for S in subgroups(Hg)}
-    ell, includes = _idempotent_slice(TH, units)
-    ell.label = f"core({T.label})"
+    units = {S: int(T.nm[(e, H.subgroup_in_parent(S.elements))][d]) for S in subgroups(TH.group)}
+    ell, includes = _idempotent_slice(TH, units, f"core({T.label})")
 
     C = coinduce(G, H, ell)
 
@@ -236,13 +225,12 @@ def detect_coinduction(T: TambaraData
     for K in subgroups(G):
         X = _restrict_gset(coset_gset(G, K), H)
         val = evaluate_gset(ell, X)
-        cosets = coset_gset(G, K).labels
         tables, sizes = [], []
         for o in val.orbits:
-            r = cosets[o.base][0]
+            r = K.left_cosets()[o.base][0]
             rK = K.conjugate(r)
             Mloc = o.stabilizer
-            M = lift[Mloc]
+            M = H.subgroup_in_parent(Mloc.elements)
             ringM = T.levels[M]
             pos = -np.ones(ringM.size, dtype=np.int64)
             pos[includes[Mloc]] = np.arange(ell.levels[Mloc].size)

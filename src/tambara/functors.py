@@ -76,25 +76,33 @@ class TambaraData:
     # -- structural bookkeeping ---------------------------------------
 
     def _shape_check(self) -> None:
+        """Every table is present, has one entry per source element and
+        lands in the target level."""
         subs = subgroups(self.group)
         for s in subs:
             if s not in self.levels:
                 raise DefinitionError(f"missing level for subgroup {s.elements}")
+        tables = []  # (name, where, table, source level, target level)
         for (K, H) in self.sub_pairs():
-            t = self.res.get((K, H))
-            if t is None or t.shape != (self.levels[H].size,):
-                raise DefinitionError(f"res table missing/misshaped for {K.elements}<={H.elements}")
+            where = f"{K.elements}<={H.elements}"
+            tables.append(("res", where, self.res.get((K, H)), H, K))
             for name, table in [("tr", self.tr)] + ([("nm", self.nm)] if self.has_norms else []):
-                t = table.get((K, H))
-                if t is None or t.shape != (self.levels[K].size,):
-                    raise DefinitionError(f"{name} table missing/misshaped for {K.elements}<={H.elements}")
+                tables.append((name, where, table.get((K, H)), K, H))
         for g in self.group.elements():
             for H in subs:
-                t = self.conj.get((g, H))
-                if t is None or t.shape != (self.levels[H].size,):
-                    raise DefinitionError(f"conj table missing/misshaped for g={g}, H={H.elements}")
-                if len(t) and (t.max() >= self.levels[H.conjugate(g)].size):
-                    raise DefinitionError("conj table out of range")
+                tables.append(("conj", f"g={g}, H={H.elements}", self.conj.get((g, H)),
+                               H, H.conjugate(g)))
+        for name, where, t, src, _ in tables:
+            if t is None or t.shape != (self.levels[src].size,):
+                raise DefinitionError(f"{name} table missing/misshaped for {where}")
+        # all entries at once, each against the size of its table's target
+        lengths = [len(t) for _, _, t, _, _ in tables]
+        entries = np.concatenate([t for _, _, t, _, _ in tables])
+        limits = np.repeat([self.levels[dst].size for *_, dst in tables], lengths)
+        bad = np.flatnonzero((entries < 0) | (entries >= limits))
+        if bad.size:
+            name, where = tables[np.searchsorted(np.cumsum(lengths), bad[0], side="right")][:2]
+            raise DefinitionError(f"{name} table out of range for {where}")
 
     def sub_pairs(self) -> Tuple[Tuple[Subgroup, Subgroup], ...]:
         return self.group.subgroup_pairs
@@ -423,31 +431,33 @@ def product(T1: TambaraData, T2: TambaraData, label: Optional[str] = None) -> Ta
                        label=label or f"({T1.label} x {T2.label})")
 
 
+def fold_product(factors: Sequence[TambaraData], label: Optional[str] = None) -> TambaraData:
+    """Left fold of binary products (the flat C-order encodings agree); the
+    result is named label when one is given."""
+    out = factors[0]
+    for i, f in enumerate(factors[1:], start=2):
+        out = product(out, f, label=label if i == len(factors) else None)
+    if len(factors) == 1 and label is not None:
+        out = _reindex(out, out.group, out.group.elements(), label)
+    return out
+
+
 def _coset_projection(G: FiniteGroup, K1: Subgroup, K2: Subgroup) -> GSetMap:
     """The G-map G/K1 -> G/K2 for K1 <= K2 (identity coset to identity coset)."""
-    X1 = coset_gset(G, K1)
-    X2 = coset_gset(G, K2)
-    lookup = {}
-    for i, c in enumerate(X2.labels):
-        for g in c:
-            lookup[g] = i
-    return GSetMap(X1, X2, tuple(lookup[c[0]] for c in X1.labels))
+    return GSetMap(coset_gset(G, K1), coset_gset(G, K2),
+                   tuple(K2.coset_index[c[0]] for c in K1.left_cosets()))
 
 
 def _coset_conj_map(G: FiniteGroup, K: Subgroup, g: int) -> GSetMap:
     """The G-iso G/(gKg^-1) -> G/K sending x(gKg^-1) to xg K."""
-    X1 = coset_gset(G, K.conjugate(g))
-    X2 = coset_gset(G, K)
-    lookup = {}
-    for i, c in enumerate(X2.labels):
-        for x in c:
-            lookup[x] = i
-    return GSetMap(X1, X2, tuple(lookup[G.mul(c[0], g)] for c in X1.labels))
+    Kg = K.conjugate(g)
+    return GSetMap(coset_gset(G, Kg), coset_gset(G, K),
+                   tuple(K.coset_index[G.mul(c[0], g)] for c in Kg.left_cosets()))
 
 
 def _restrict_gset(X: GSet, H: Subgroup) -> GSet:
     Hg, embed = H.as_group
-    return GSet(Hg, [X.action[e] for e in embed])
+    return GSet(Hg, X.action[list(embed)])
 
 
 def _restrict_gmap(f: GSetMap, H: Subgroup) -> GSetMap:
@@ -522,8 +532,7 @@ def transport(T: TambaraData, H: Subgroup, d: int, label: Optional[str] = None) 
     G = H.parent
     Hdg, embed_d = H.conjugate(d).as_group
     # x in dHd^-1 acts as d^-1 x d does in H
-    hpos = {g: i for i, g in enumerate(H.elements)}
-    return _reindex(T, Hdg, [hpos[G.conj(G.inv(d), x)] for x in embed_d],
+    return _reindex(T, Hdg, [H.local_index[G.conj(G.inv(d), x)] for x in embed_d],
                     label or f"({T.label})^conj")
 
 
@@ -847,27 +856,15 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
     for d, _ in double_cosets(G, K, H):
         Hd = H.conjugate(d)
         M = K.intersect(Hd)
-        Td = transport(T, H, d)
-        Hdg, hd_embed = Hd.as_group
-        M_in_Hd = Hdg.subgroup(hd_embed.index(x) for x in M.elements)
-        Sd = restrict(M_in_Hd, Td)
-        M_in_K = Kg.subgroup(kembed.index(x) for x in M.elements)
+        Sd = restrict(Hd.local_subgroups[M], transport(T, H, d))
+        M_in_K = K.local_subgroups[M]
         blocks.append((d, M_in_K, coinduce(Kg, M_in_K, Sd)))
-
-    rhs = blocks[0][2]
-    for b in blocks[1:]:
-        rhs = product(rhs, b[2])
-    rhs.label = f"MackeyRHS({T.label})"
+    rhs = fold_product([b[2] for b in blocks], label=f"MackeyRHS({T.label})")
 
     maps = {}
     for L in subgroups(Kg):
-        Ltilde = G.subgroup(kembed[i] for i in L.elements)
-        cosetsG = coset_gset(G, Ltilde)
-        val = evaluate_gset(T, _restrict_gset(cosetsG, H))
-        coset_of = {}
-        for i, c in enumerate(cosetsG.labels):
-            for g in c:
-                coset_of[g] = i
+        Ltilde = K.subgroup_in_parent(L.elements)
+        val = evaluate_gset(T, _restrict_gset(coset_gset(G, Ltilde), H))
         point_orbit = {}
         for i, o in enumerate(val.orbits):
             for pt in o.points:
@@ -875,12 +872,11 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
 
         arr = prod_components(val.sizes).T
         tables, sizes = [], []
-        cosetsKL = coset_gset(Kg, L).labels
         for d, M_in_K, _ in blocks:
             XK = _restrict_gset(coset_gset(Kg, L), M_in_K)
             for o in orbit_decomposition(XK):
-                k0 = kembed[cosetsKL[o.base][0]]      # rep of the base coset, in G
-                x = coset_of[G.mul(G.inv(d), k0)]     # the LHS point d^-1 k0 Ltilde
+                k0 = kembed[L.left_cosets()[o.base][0]]      # rep of the base coset, in G
+                x = Ltilde.coset_index[G.mul(G.inv(d), k0)]  # the LHS point d^-1 k0 Ltilde
                 i = point_orbit[x]
                 h = val.orbits[i].rep_for(x)          # H-local transversal element
                 stab = val.orbits[i].stabilizer

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DefinitionError
 
@@ -273,19 +273,35 @@ class Subgroup:
     def intersect(self, other: "Subgroup") -> "Subgroup":
         return self.parent.subgroup(self._element_set & other._element_set)
 
-    def left_cosets(self) -> List[Tuple[int, ...]]:
+    def left_cosets(self) -> Tuple[Tuple[int, ...], ...]:
         """Left cosets gH, each sorted, ordered by minimal element; the
-        coset of the identity comes first."""
+        coset of the identity comes first.  Computed once."""
+        return self._left_cosets
+
+    @cached_property
+    def _left_cosets(self) -> Tuple[Tuple[int, ...], ...]:
         G = self.parent
-        seen = set()
-        cosets = []
-        for g in G.elements():
-            if g in seen:
-                continue
-            coset = tuple(sorted(G.mul(g, h) for h in self.elements))
-            seen.update(coset)
-            cosets.append(coset)
-        return sorted(cosets)
+        return tuple(sorted({tuple(sorted(G.mul(g, h) for h in self.elements))
+                             for g in G.elements()}))
+
+    @cached_property
+    def coset_index(self) -> Tuple[int, ...]:
+        """coset_index[g] is the position of the coset gH in left_cosets()."""
+        index = [0] * self.parent.order
+        for i, c in enumerate(self.left_cosets()):
+            for g in c:
+                index[g] = i
+        return tuple(index)
+
+    @cached_property
+    def coset_gset(self):
+        """The G-set G/H of gsets.coset_gset, built once per subgroup."""
+        from .gsets import GSet  # gsets builds on this module
+
+        G = self.parent
+        reps = [c[0] for c in self.left_cosets()]
+        action = [[self.coset_index[G.mul(g, r)] for r in reps] for g in G.elements()]
+        return GSet(G, action, labels=self.left_cosets())
 
     @cached_property
     def as_group(self) -> Tuple[FiniteGroup, Tuple[int, ...]]:
@@ -298,15 +314,26 @@ class Subgroup:
         embed = self.elements  # sorted, so identity 0 is first
         if self.order == self.parent.order:
             return self.parent, embed
-        pos = {g: i for i, g in enumerate(embed)}
-        mul = [[pos[self.parent.mul(a, b)] for b in embed] for a in embed]
+        mul = [[self.local_index[self.parent.mul(a, b)] for b in embed] for a in embed]
         grp = FiniteGroup(mul, name=f"{self.parent.name}|{embed}")
         return grp, embed
+
+    @cached_property
+    def local_index(self) -> Dict[int, int]:
+        """Parent element -> its index in as_group; inverts the embedding."""
+        return {g: i for i, g in enumerate(self.elements)}
 
     def subgroup_in_parent(self, sub_elements: Iterable[int]) -> "Subgroup":
         """Map a subgroup of as_group (by its own indices) into the parent."""
         _, embed = self.as_group
         return self.parent.subgroup(embed[i] for i in sub_elements)
+
+    @cached_property
+    def local_subgroups(self) -> Dict["Subgroup", "Subgroup"]:
+        """Each subgroup of the parent inside this one -> the same subgroup
+        of as_group; inverts subgroup_in_parent."""
+        Hg, _ = self.as_group
+        return {self.subgroup_in_parent(S.elements): S for S in subgroups(Hg)}
 
 
 @dataclass(frozen=True)
@@ -422,21 +449,10 @@ def weyl_group(G: FiniteGroup, H: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...
     satisfies section[W.mul(i,j)] H == section[i] section[j] H.
     """
     N = normalizer(G, H)
-    hset = H._element_set
-    cosets = []
-    seen = set()
-    for g in N.elements:
-        if g in seen:
-            continue
-        coset = tuple(sorted(G.mul(g, h) for h in H.elements))
-        seen.update(coset)
-        cosets.append(coset)
-    cosets.sort()
-    reps = [c[0] for c in cosets]
-    coset_of = {}
-    for i, c in enumerate(cosets):
-        for g in c:
-            coset_of[g] = i
-    mul = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
-    W = FiniteGroup(mul, name=f"W_{G.name}({len(hset)})")
+    # the cosets of H inside N, numbered in H.left_cosets() order
+    inside = [i for i, c in enumerate(H.left_cosets()) if c[0] in N]
+    reps = [H.left_cosets()[i][0] for i in inside]
+    pos = {i: j for j, i in enumerate(inside)}
+    mul = [[pos[H.coset_index[G.mul(a, b)]] for b in reps] for a in reps]
+    W = FiniteGroup(mul, name=f"W_{G.name}({H.order})")
     return W, tuple(reps)

@@ -1,6 +1,6 @@
 """Finite G-sets and equivariant maps.
 
-A G-set is an action table over a FiniteGroup; points are 0-based indices.
+A G-set is an action array over a FiniteGroup; points are 0-based indices.
 This module supplies orbit decomposition, pullbacks, the dependent product
 along a map (sections over fibers), and the five-object exponential diagram
 built from it.  Everything is constructed literally from the definitions and
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DefinitionError, SizeLimitExceeded
 from .groups import FiniteGroup, Subgroup
 
@@ -20,42 +22,47 @@ SECTION_CAP = 4096
 
 
 class GSet:
-    """A finite G-set: action[g][x] is the point g.x."""
+    """A finite G-set: action[g, x] is the point g.x, stored as one
+    read-only (|G|, n) int32 array and validated on construction."""
 
     def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]],
                  labels: Optional[Sequence[object]] = None) -> None:
         self.group = group
-        self.action = tuple(tuple(int(x) for x in row) for row in action)
-        if len(self.action) != group.order:
+        if len(action) != group.order:
             raise DefinitionError("need one action row per group element")
-        self.size = len(self.action[0]) if self.action else 0
+        try:
+            self.action = np.array(action, dtype=np.int32)
+            if self.action.ndim != 2:
+                raise ValueError("not two-dimensional")
+        except (ValueError, OverflowError):
+            raise DefinitionError("action table is not a rectangle of integers") from None
+        self.action.flags.writeable = False
+        self.size = self.action.shape[1]
         self.labels = list(labels) if labels is not None else None
         self._validate()
 
     def _validate(self) -> None:
-        n = self.size
-        for row in self.action:
-            if len(row) != n:
-                raise DefinitionError("ragged action table")
-            if sorted(row) != list(range(n)):
-                raise DefinitionError("group element does not act bijectively")
-        if self.action and self.action[0] != tuple(range(n)):
+        """Bijective rows, trivial identity row and A[gh] = A[g][A[h]],
+        the last with one gather per g; a failure names the first (g, h, x)
+        in lexicographic order."""
+        A, n = self.action, self.size
+        if not (np.sort(A, axis=1) == np.arange(n)).all():
+            raise DefinitionError("group element does not act bijectively")
+        if not np.array_equal(A[0], np.arange(n)):
             raise DefinitionError("identity must act trivially")
-        G = self.group
-        for g in G.elements():
-            for h in G.elements():
-                gh = G.mul(g, h)
-                for x in range(n):
-                    if self.action[gh][x] != self.action[g][self.action[h][x]]:
-                        raise DefinitionError(
-                            f"action not a homomorphism at g={g}, h={h}, x={x}")
+        mul = np.asarray(self.group.mul_table)
+        for g in self.group.elements():
+            bad = A[mul[g]] != A[g][A]  # row h compares A[gh] with A[g][A[h]]
+            if bad.any():
+                h, x = np.argwhere(bad)[0]
+                raise DefinitionError(
+                    f"action not a homomorphism at g={g}, h={h}, x={x}")
 
     def act(self, g: int, x: int) -> int:
-        return self.action[g][x]
+        return int(self.action[g, x])
 
     def stabilizer(self, x: int) -> Subgroup:
-        els = [g for g in self.group.elements() if self.action[g][x] == x]
-        return self.group.subgroup(els)
+        return self.group.subgroup(np.flatnonzero(self.action[:, x] == x).tolist())
 
     def __repr__(self) -> str:
         return f"GSet({self.group.name}, {self.size} points)"
@@ -74,17 +81,21 @@ class GSetMap:
             raise DefinitionError("source and target live over different groups")
         if len(self.images) != self.source.size:
             raise DefinitionError("image table has wrong length")
-        for g in self.source.group.elements():
-            for x in range(self.source.size):
-                if self.images[self.source.act(g, x)] != self.target.act(g, self.images[x]):
-                    raise DefinitionError(f"map not equivariant at g={g}, x={x}")
+        img = np.asarray(self.images, dtype=np.int64)
+        if img.size and (img.min() < 0 or img.max() >= self.target.size):
+            raise DefinitionError("image outside the target")
+        bad = img[self.source.action] != self.target.action[:, img]
+        if bad.any():
+            g, x = np.argwhere(bad)[0]
+            raise DefinitionError(f"map not equivariant at g={g}, x={x}")
 
     def __call__(self, x: int) -> int:
         return self.images[x]
 
     def compose(self, other: "GSetMap") -> "GSetMap":
         """self after other."""
-        if other.target is not self.source and other.target.action != self.source.action:
+        if other.target is not self.source and not np.array_equal(
+                other.target.action, self.source.action):
             raise DefinitionError("composition mismatch")
         return GSetMap(other.source, self.target,
                        tuple(self.images[y] for y in other.images))
@@ -95,18 +106,15 @@ def identity_map(X: GSet) -> GSetMap:
 
 
 def trivial_gset(G: FiniteGroup, n: int) -> GSet:
-    return GSet(G, [list(range(n)) for _ in G.elements()])
+    return GSet(G, np.broadcast_to(np.arange(n), (G.order, n)))
 
 
 def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
-    """The transitive G-set G/H; point 0 is the identity coset."""
-    cosets = H.left_cosets()
-    index = {}
-    for i, c in enumerate(cosets):
-        for g in c:
-            index[g] = i
-    action = [[index[G.mul(g, c[0])] for c in cosets] for g in G.elements()]
-    return GSet(G, action, labels=cosets)
+    """The transitive G-set G/H; point 0 is the identity coset and the
+    labels are H.left_cosets().  Built once per subgroup and shared."""
+    if H.parent is not G:
+        raise DefinitionError("H must be a subgroup of G")
+    return H.coset_gset
 
 
 def disjoint_union(parts: Sequence[GSet]) -> Tuple[GSet, List[Tuple[int, int]]]:
@@ -121,12 +129,7 @@ def disjoint_union(parts: Sequence[GSet]) -> Tuple[GSet, List[Tuple[int, int]]]:
             raise DefinitionError("parts live over different groups")
         offsets.append((start, p.size))
         start += p.size
-    action = []
-    for g in G.elements():
-        row = []
-        for (off, _), p in zip(offsets, parts):
-            row.extend(off + y for y in p.action[g])
-        action.append(row)
+    action = np.concatenate([p.action + off for (off, _), p in zip(offsets, parts)], axis=1)
     return GSet(G, action), offsets
 
 
@@ -154,16 +157,14 @@ def orbit_decomposition(X: GSet) -> List[Orbit]:
     transversal; together these give the equivariant bijection with the
     coset G-set of the stabilizer (point g.base <-> coset g.Stab).
     """
-    G = X.group
     seen = set()
     orbits = []
     for x in range(X.size):
         if x in seen:
             continue
         trans: Dict[int, int] = {}
-        for g in G.elements():  # increasing g: keeps minimal representative
-            y = X.act(g, x)
-            if y not in trans:
+        for g, y in enumerate(X.action[:, x].tolist()):  # increasing g keeps
+            if y not in trans:                           # the minimal representative
                 trans[y] = g
         pts = tuple(sorted(trans))
         seen.update(pts)
@@ -174,12 +175,9 @@ def orbit_decomposition(X: GSet) -> List[Orbit]:
 
 def orbit_coset_iso(X: GSet, orbit: Orbit) -> GSetMap:
     """The equivariant map G/Stab(base) -> X hitting exactly the orbit."""
-    G = X.group
-    CH = coset_gset(G, orbit.stabilizer)
-    images = []
-    for c in CH.labels:  # each label is the sorted coset tuple
-        images.append(X.act(c[0], orbit.base))
-    return GSetMap(CH, X, tuple(images))
+    CH = coset_gset(X.group, orbit.stabilizer)
+    # each label is the sorted coset tuple
+    return GSetMap(CH, X, tuple(X.act(c[0], orbit.base) for c in CH.labels))
 
 
 def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
@@ -187,15 +185,14 @@ def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
     if f.target is not g.target:
         raise DefinitionError("pullback needs a common target")
     X, Z = f.source, g.source
-    pts = [(x, z) for x in range(X.size) for z in range(Z.size)
-           if f(x) == g(z)]
-    index = {p: i for i, p in enumerate(pts)}
-    G = X.group
-    action = [[index[(X.act(gg, x), Z.act(gg, z))] for (x, z) in pts]
-              for gg in G.elements()]
-    P = GSet(G, action, labels=pts)
-    p1 = GSetMap(P, X, tuple(x for x, _ in pts))
-    p2 = GSetMap(P, Z, tuple(z for _, z in pts))
+    # the pairs in lexicographic order, and each pair's point number
+    xs, zs = np.nonzero(np.asarray(f.images)[:, None] == np.asarray(g.images)[None, :])
+    index = np.zeros((X.size, Z.size), dtype=np.int32)
+    index[xs, zs] = np.arange(len(xs))
+    P = GSet(X.group, index[X.action[:, xs], Z.action[:, zs]],
+             labels=list(zip(xs.tolist(), zs.tolist())))
+    p1 = GSetMap(P, X, tuple(xs.tolist()))
+    p2 = GSetMap(P, Z, tuple(zs.tolist()))
     return P, p1, p2
 
 
@@ -251,13 +248,15 @@ def dependent_product(f: GSetMap, p: GSetMap,
     points.sort()
     index = {pt: i for i, pt in enumerate(points)}
 
+    x_rows, y_rows, a_rows = X.action.tolist(), Y.action.tolist(), A.action.tolist()
+
     def act_point(g: int, pt: Tuple[int, Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
         y, sigma = pt
         fib = fibers[y]
         val = dict(zip(fib, sigma))
-        gy = Y.act(g, y)
-        ginv = G.inv(g)
-        new_sigma = tuple(A.act(g, val[X.act(ginv, x)]) for x in fibers[gy])
+        gy = y_rows[g][y]
+        x_inv, a_g = x_rows[G.inv(g)], a_rows[g]
+        new_sigma = tuple(a_g[val[x_inv[x]]] for x in fibers[gy])
         return (gy, new_sigma)
 
     action = [[index[act_point(g, pt)] for pt in points] for g in G.elements()]
@@ -285,12 +284,9 @@ def dependent_product(f: GSetMap, p: GSetMap,
 def equivariant_maps(X: GSet, Y: GSet) -> Iterator[GSetMap]:
     """All equivariant maps X -> Y, by exhaustive choice of orbit images."""
     orbits = orbit_decomposition(X)
-    candidates = []
-    for orb in orbits:
-        stab = orb.stabilizer
-        ok = [y for y in range(Y.size)
-              if all(Y.act(h, y) == y for h in stab.elements)]
-        candidates.append(ok)
+    # an orbit can go to the points fixed by its stabilizer
+    candidates = [np.flatnonzero((Y.action[list(orb.stabilizer.elements)] == np.arange(Y.size))
+                                 .all(axis=0)).tolist() for orb in orbits]
     for choice in iproduct(*candidates):
         images = [0] * X.size
         for orb, y0 in zip(orbits, choice):

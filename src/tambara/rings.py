@@ -471,8 +471,6 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
     canonical coset); the isomorphism class does not depend on the choice.
     """
     _check_subgroup_ring(H, S)
-    _, embed = H.as_group
-    hpos = {g: i for i, g in enumerate(embed)}
     cosets = H.left_cosets()
     if rep_choice is None:
         reps = [c[0] for c in cosets]
@@ -480,10 +478,6 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
         reps = [int(r) for r in rep_choice]
         if len(reps) != len(cosets) or any(r not in c for r, c in zip(reps, cosets)):
             raise DefinitionError("rep_choice must pick one element of each coset")
-    coset_of = {}
-    for i, c in enumerate(cosets):
-        for g in c:
-            coset_of[g] = i
     m = len(cosets)
     ring = product_ring([S.ring] * m, label=f"Fun({G.name}/{H.elements}, {S.ring.label})")
     sizes = [S.ring.size] * m
@@ -492,9 +486,9 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
     action = np.zeros((G.order, n), dtype=np.int64)
     for gamma in G.elements():
         ginv = G.inv(gamma)
-        srcs = [coset_of[G.mul(ginv, r)] for r in reps]
+        srcs = [H.coset_index[G.mul(ginv, r)] for r in reps]
         action[gamma] = prod_encode(sizes, [
-            S.action[hpos[G.mul(G.mul(G.inv(r), gamma), reps[src])]][comps[src]]
+            S.action[H.local_index[G.mul(G.mul(G.inv(r), gamma), reps[src])]][comps[src]]
             for r, src in zip(reps, srcs)])
     out_ring = GRing(ring, G, action)
     out_ring.coind_cosets = tuple(cosets)
@@ -528,12 +522,9 @@ def gring_transport(S: GRing, H: Subgroup, g: int) -> GRing:
     """
     _check_subgroup_ring(H, S)
     G = H.parent
-    _, embed = H.as_group
-    hpos = {e: i for i, e in enumerate(embed)}
-    Hg = H.conjugate(g)
-    _, embed2 = Hg.as_group
-    rows = [S.action[hpos[G.conj(G.inv(g), x)]] for x in embed2]
-    return GRing(S.ring, Hg.as_group[0], np.array(rows))
+    Hg, embed = H.conjugate(g).as_group
+    rows = [H.local_index[G.conj(G.inv(g), x)] for x in embed]
+    return GRing(S.ring, Hg, S.action[rows])
 
 
 def is_equivariant(hom: RingHom, src: GRing, tgt: GRing) -> bool:
@@ -679,27 +670,16 @@ def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing
     Kg, kembed = K.as_group
     lhs = gring_restrict(K, coinduce_gring(G, H, S))
 
-    cosets_H = H.left_cosets()
-    reps_H = [c[0] for c in cosets_H]
-    coset_of_H = {}
-    for i, c in enumerate(cosets_H):
-        for g in c:
-            coset_of_H[g] = i
-    _, hembed = H.as_group
-    hpos = {g: i for i, g in enumerate(hembed)}
+    reps_H = [c[0] for c in H.left_cosets()]
 
     blocks = []
     for d, _ in double_cosets(G, K, H):
         Hd = H.conjugate(d)
         M = K.intersect(Hd)              # K cap dHd^-1, subgroup of G
-        Sd = gring_transport(S, H, d)    # dHd^-1-ring
-        # restrict the Hd-ring Sd to M, then coinduce from M inside K
-        _, hd_embed = Hd.as_group
-        hd_pos = {g: i for i, g in enumerate(hd_embed)}
-        Mg, m_embed = M.as_group
-        S_M = GRing(Sd.ring, Mg, Sd.action[[hd_pos[x] for x in m_embed]])
-        M_in_K = Kg.subgroup(kembed.index(x) for x in M.elements)
-        blocks.append((d, M, coinduce_gring(Kg, M_in_K, S_M)))
+        # restrict the dHd^-1-ring to M, then coinduce from M inside K
+        S_M = gring_restrict(Hd.local_subgroups[M], gring_transport(S, H, d))
+        M_in_K = K.local_subgroups[M]
+        blocks.append((d, M_in_K, coinduce_gring(Kg, M_in_K, S_M)))
 
     rhs = blocks[0][2]
     for _, _, b in blocks[1:]:
@@ -707,26 +687,21 @@ def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing
 
     # iso per derivation: component (d, coset c' of K/(K cap dH)) of the image
     # of f reads tau . f(c) with c = (rep'(c') d) H, tau = (rep'(c') d)^-1 rep(c)
-    m = len(cosets_H)
-    lhs_sizes = [S.ring.size] * m
+    lhs_sizes = [S.ring.size] * len(reps_H)
+    rhs_sizes = [b.ring.size for _, _, b in blocks]
     images = []
-    block_layouts = []
-    for d, M, b in blocks:
-        M_in_K = Kg.subgroup(kembed.index(x) for x in M.elements)
-        cosets = M_in_K.left_cosets()  # cosets inside Kg (subgroup-local indices)
-        block_layouts.append((d, cosets, b.ring.size))
-    rhs_sizes = [b[2] for b in block_layouts]
     for idx in range(lhs.ring.size):
         f = prod_decode(lhs_sizes, idx)
         outs = []
-        for d, cosets, _ in block_layouts:
+        for d, M_in_K, _ in blocks:
+            cosets = M_in_K.left_cosets()  # cosets inside Kg (subgroup-local indices)
             vals = []
             for c in cosets:
                 kk = kembed[c[0]]          # representative of c' in G
                 w = G.mul(kk, d)
-                cH = coset_of_H[w]
+                cH = H.coset_index[w]
                 tau = G.mul(G.inv(w), reps_H[cH])
-                vals.append(int(S.action[hpos[tau], f[cH]]))
+                vals.append(int(S.action[H.local_index[tau], f[cH]]))
             outs.append(prod_encode([S.ring.size] * len(cosets), vals))
         images.append(prod_encode(rhs_sizes, outs))
     iso = RingHom(lhs.ring, rhs.ring, tuple(images))

@@ -107,10 +107,11 @@ def test_double_cosets_partition(G):
             assert sorted(covered) == list(range(G.order))
 
 
-@pytest.mark.parametrize("G", [
-    C4, S3, FiniteGroup.dihedral(4), FiniteGroup.quaternion(),
-    FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4"),
-], ids=lambda g: g.name)
+LATTICE_GROUPS = [C4, S3, FiniteGroup.dihedral(4), FiniteGroup.quaternion(),
+                  FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")]
+
+
+@pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)
 def test_double_cosets_within_match_set_enumeration(G):
     for H in subgroups(G):
         inner = [K for K in subgroups(G) if K.is_subgroup_of(H)]
@@ -122,6 +123,20 @@ def test_double_cosets_within_match_set_enumeration(G):
                 assert {frozenset(c) for _, c in got} == want
                 assert [d for d, _ in got] == sorted(min(c) for c in want)
                 assert all(d == min(c) for d, c in got)
+
+
+@pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_subgroup_caches_match_definitions(G):
+    for H in subgroups(G):
+        cosets = H.left_cosets()
+        for g in G.elements():
+            assert cosets[H.coset_index[g]] == tuple(sorted(G.mul(g, h) for h in H.elements))
+        Hg, embed = H.as_group
+        assert [H.local_index[x] for x in embed] == list(range(Hg.order))
+        assert sorted(H.local_index) == list(H.elements)
+        for S in subgroups(Hg):
+            assert H.local_subgroups[H.subgroup_in_parent(S.elements)] is S
+        assert set(H.local_subgroups) == {M for M in subgroups(G) if M.is_subgroup_of(H)}
 
 
 def test_is_subconjugate():

@@ -41,6 +41,9 @@ def test_map_validation():
     Z = regular_gset(C2)
     with pytest.raises(DefinitionError):
         GSetMap(X, Z, (0, 0))  # not equivariant
+    for images in [(0, 2), (-1, -1)]:
+        with pytest.raises(DefinitionError, match="outside the target"):
+            GSetMap(X, Y, images)
 
 
 def test_orbit_decomposition_regular():

@@ -1,11 +1,24 @@
 """Property-based tests for the invariants that quantify over choices."""
 
+import re
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
 from corpus import C2, C3, C4, F3, F4, S3
 from tambara.groups import subgroups
-from tambara.gsets import GSet, coset_gset, disjoint_union, gset_isomorphism, orbit_decomposition
+from tambara.errors import DefinitionError
+from tambara.gsets import (
+    GSet,
+    coset_gset,
+    disjoint_union,
+    equivariant_maps,
+    gset_isomorphism,
+    orbit_decomposition,
+    pullback,
+)
 from tambara.rings import (
     GRing,
     coinduce_gring,
@@ -43,8 +56,9 @@ def test_coinduction_is_choice_independent(data):
 
 
 @st.composite
-def shuffled_gset(draw):
-    G = draw(st.sampled_from([C2, C3, S3]))
+def shuffled_gset(draw, G=None):
+    if G is None:
+        G = draw(st.sampled_from([C2, C3, S3]))
     subs = subgroups(G)
     picks = draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3))
     X, _ = disjoint_union([coset_gset(G, H) for H in picks])
@@ -76,6 +90,71 @@ def test_orbit_decomposition_recovers_summands(data):
     assert got == want
     covered = sorted(p for o in orbs for p in o.points)
     assert covered == list(range(X.size))
+
+
+@st.composite
+def cospans(draw):
+    """Equivariant maps f : X -> Y <- Z : g between shuffled G-sets; Y has a
+    fixed point, so maps into it exist."""
+    G = draw(st.sampled_from([C2, C3, S3]))
+    X = draw(shuffled_gset(G))[3]
+    Z = draw(shuffled_gset(G))[3]
+    Y, _ = disjoint_union([coset_gset(G, draw(st.sampled_from(subgroups(G)))),
+                           coset_gset(G, G.full_subgroup)])
+    f = draw(st.sampled_from(list(equivariant_maps(X, Y))))
+    g = draw(st.sampled_from(list(equivariant_maps(Z, Y))))
+    return G, f, g
+
+
+@given(cospans())
+@settings(max_examples=30, deadline=None)
+def test_pullback_is_the_fiber_product(data):
+    G, f, g = data
+    X, Z = f.source, g.source
+    P, p1, p2 = pullback(f, g)
+    pairs = sorted((x, z) for x in range(X.size) for z in range(Z.size) if f(x) == g(z))
+    assert P.labels == pairs
+    assert p1.images == tuple(x for x, _ in pairs)
+    assert p2.images == tuple(z for _, z in pairs)
+    for gg in G.elements():
+        for i, (x, z) in enumerate(pairs):
+            assert pairs[P.act(gg, i)] == (X.act(gg, x), Z.act(gg, z))
+
+
+@given(st.sampled_from([C2, C3, S3]), st.data())
+@settings(max_examples=25, deadline=None)
+def test_disjoint_union_shifts_rows(G, data):
+    parts = [data.draw(shuffled_gset(G))[3] for _ in range(data.draw(st.integers(1, 3)))]
+    U, offsets = disjoint_union(parts)
+    assert [n for _, n in offsets] == [p.size for p in parts]
+    assert [off for off, _ in offsets] == list(np.cumsum([0] + [p.size for p in parts])[:-1])
+    for (off, n), p in zip(offsets, parts):
+        assert U.action[:, off:off + n].tolist() == (p.action + off).tolist()
+
+
+def _first_non_homomorphic(G, rows):
+    """The definition's loop: the first (g, h, x) with A[gh][x] != A[g][A[h][x]]."""
+    for g in G.elements():
+        for h in G.elements():
+            for x in range(len(rows[0])):
+                if rows[G.mul(g, h)][x] != rows[g][rows[h][x]]:
+                    return g, h, x
+    return None
+
+
+@given(shuffled_gset(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_non_homomorphic_action_reports_first_failure(gs, data):
+    G, _, _, X = gs
+    rows = X.action.tolist()
+    g0 = data.draw(st.integers(min_value=1, max_value=G.order - 1))
+    rows[g0] = data.draw(st.permutations(list(range(X.size))))
+    bad = _first_non_homomorphic(G, rows)
+    if bad is None:
+        assert GSet(G, rows).action.tolist() == rows
+        return
+    with pytest.raises(DefinitionError, match=re.escape("at g={}, h={}, x={}".format(*bad)) + "$"):
+        GSet(G, rows)
 
 
 @given(st.integers(min_value=1, max_value=3),

@@ -5,12 +5,12 @@ import pytest
 
 import corpus
 import helpers
-from corpus import C2, C4, F3, S3
+from corpus import C2, C4, F2, F3, S3
 from tambara import serialize
 from tambara.cli import main
 from tambara.errors import DefinitionError
 from tambara.groups import subgroups
-from tambara.functors import functor_isomorphism
+from tambara.functors import constant_functor, functor_isomorphism
 
 
 def test_group_roundtrip():
@@ -276,6 +276,23 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, case):
     paths = [str(p), str(p)] if command[0] == "iso" else [str(p)]
     assert main([command[0], *paths, *command[1:]]) == 1
     assert capsys.readouterr().out.startswith("error:")
+
+
+# one table of the constant F2 functor over C2 pointing outside its target level
+OUT_OF_RANGE = {"res": ("H0<H1", [7, 7]), "tr": ("H0<H1", [9, 9]), "conj": ("g1|H0", [-1, 0])}
+
+
+@pytest.mark.parametrize("command", [["check"], ["decompose"], ["lewis"], ["restrict", "--to", "e"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("table", sorted(OUT_OF_RANGE))
+def test_out_of_range_table_exits_1(tmp_path, capsys, command, table):
+    doc = serialize.functor_to_json(constant_functor(F2, C2))
+    key, entries = OUT_OF_RANGE[table]
+    doc["functor"][table][key] = entries
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main([command[0], str(p), *command[1:]]) == 1
+    assert capsys.readouterr().out.startswith("error: ")
 
 
 def test_cmd_check_fiber_bound_flag(tmp_path, capsys):
