@@ -15,34 +15,43 @@ level rings here are therefore the quotient of (Z/N)-coefficient vectors
 by the smallest levelwise ideal that is closed under restriction,
 transfer, conjugation, and norm perturbation; on that quotient the norm of
 a canonical nonnegative lift is well defined and all axioms hold exactly.
+
+Everything is computed on codes: a level with k basis classes numbers its
+N^k coefficient vectors v by the big-endian base-N code v . N^(k-1..0), so
+code order is lexicographic order.  Each level's ideal is a boolean mask
+over its codes, grown by a worklist fixpoint in which only the members new
+since the last round go through the rules: the subgroup they generate with
+the current members (the multiples of each new member added to every
+member), their products with the k basis classes (enough, by bilinearity
+and additive closure), their images under res, tr and conj, and their norm
+perturbations nm(v + t) - nm(v), read from one table per pair K < H of the
+norms of all lifts in [0, 2N)^k.  A coset's representative is its smallest
+code, i.e. its lexicographically minimal vector; one array per level maps
+every code to the index of its coset, and every structure table is a
+gather through that array.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-from typing import Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitExceeded, UnsupportedGroup
+from .errors import DefinitionError, SizeLimitExceeded, UnsupportedGroup
 from .groups import FiniteGroup, Subgroup, double_cosets, subgroups
-from .rings import FiniteRing
+from .rings import FiniteRing, prod_components, prod_encode
 
 BURNSIDE_LEVEL_CAP = 4096
-
-
-def _subgroups_within(G: FiniteGroup, H: Subgroup) -> List[Subgroup]:
-    return [A for A in subgroups(G) if A.is_subgroup_of(H)]
 
 
 def _h_classes(G: FiniteGroup, H: Subgroup) -> List[List[Subgroup]]:
     """H-conjugacy classes of subgroups of H, ascending by order; each class
     sorted with the minimal member first."""
-    subs = _subgroups_within(G, H)
     seen = set()
     classes = []
-    for A in subs:
-        if A.elements in seen:
+    for A, top in G.subgroup_pairs:
+        if top != H or A.elements in seen:
             continue
         cls = sorted({A.conjugate(h).elements for h in H.elements})
         seen.update(cls)
@@ -64,24 +73,11 @@ class _Level:
         for i, cls in enumerate(self.classes):
             for A in cls:
                 self.class_of[A.elements] = i
-        # marks[a][l] = number of cosets hA (A = reps[a]) fixed by reps[l]
-        self.marks = np.zeros((self.nclasses, self.nclasses), dtype=np.int64)
-        for a, A in enumerate(self.reps):
-            cosets = []
-            seen = set()
-            for h in H.elements:
-                if h in seen:
-                    continue
-                coset = frozenset(G.mul(h, x) for x in A.elements)
-                seen.update(coset)
-                cosets.append(coset)
-            for l, L in enumerate(self.reps):
-                count = 0
-                for coset in cosets:
-                    h0 = min(coset)
-                    if all(G.mul(x, h0) in coset for x in L.elements):
-                        count += 1
-                self.marks[a, l] = count
+        # marks[a][l] = number of cosets hA (A = reps[a]) fixed by L = reps[l],
+        # i.e. #{h in H : h^-1 L h <= A} / |A|
+        self.marks = np.array(
+            [[sum(L.conjugate(G.inv(h)).is_subgroup_of(A) for h in H.elements) // A.order
+              for L in self.reps] for A in self.reps], dtype=np.int64)
 
     def to_marks(self, v: Sequence[int]) -> np.ndarray:
         return np.asarray(v, dtype=np.int64) @ self.marks
@@ -94,17 +90,26 @@ class _Level:
         """
         m = np.array(m)
         single = m.ndim == 1
-        if single:
-            m = m[None, :]
-        u = np.zeros_like(m)
-        for l in range(self.nclasses - 1, -1, -1):
-            rest = m[:, l] - u[:, l + 1:] @ self.marks[l + 1:, l]
-            d = int(self.marks[l, l])
-            q = rest // d
-            if np.asarray(rest - q * d != 0).any():
-                raise ArithmeticError("mark vector is not in the Burnside lattice")
-            u[:, l] = q
+        u = np.stack(self.solve_marks(list(np.atleast_2d(m).T)), axis=-1)
         return u[0] if single else u
+
+    def solve_marks(self, cols: List[np.ndarray]) -> List[np.ndarray]:
+        """from_marks column by column: cols[l] holds the mark at class l of
+        every vector (any shape); returns the coefficient columns."""
+        u: List[np.ndarray] = [None] * self.nclasses
+        for l in range(self.nclasses - 1, -1, -1):
+            rest = cols[l]
+            for j in range(l + 1, self.nclasses):
+                if self.marks[j, l]:
+                    rest = rest - u[j] * int(self.marks[j, l])
+            d = int(self.marks[l, l])
+            if d != 1:
+                q = rest // d
+                if np.asarray(rest - q * d != 0).any():
+                    raise ArithmeticError("mark vector is not in the Burnside lattice")
+                rest = q
+            u[l] = rest
+        return u
 
 
 def _norm_marks(G: FiniteGroup, src: _Level, dst: _Level,
@@ -125,6 +130,15 @@ def _norm_marks(G: FiniteGroup, src: _Level, dst: _Level,
     return out[0] if single else out
 
 
+def _vector_to_index(radix: List[int], rep_index: np.ndarray, vec: Sequence[int]) -> int:
+    """The index of the class of an integer coefficient vector, read mod N,
+    at a level with radix [N] * k and code-to-class array rep_index."""
+    v = np.asarray(vec, dtype=np.int64)
+    if v.shape != (len(radix),):
+        raise DefinitionError(f"expected {len(radix)} coefficients, got shape {v.shape}")
+    return int(rep_index[prod_encode(radix, v % radix[0])])
+
+
 def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
     """The mod-N Burnside Tambara functor of G (order <= 12)."""
     from .functors import TambaraData
@@ -141,10 +155,26 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
                 f"level at {H.elements} would have {N ** lv.nclasses} elements")
 
     pairs = G.subgroup_pairs
+    block = 1 << 18  # entries per column of a temporary built in blocks
+    radix = {H: [N] * levels[H].nclasses for H in subs}
+    # vectors[H][c] is the coefficient vector with code c
+    vectors = {H: prod_components(radix[H]).T for H in subs}
 
-    # linear generators: res, tr, conj on basis vectors, as matrices
-    res_mat: Dict[Tuple[Subgroup, Subgroup], np.ndarray] = {}
-    tr_mat: Dict[Tuple[Subgroup, Subgroup], np.ndarray] = {}
+    def encode(H: Subgroup, cols) -> np.ndarray:
+        """Codes at level H of integer vectors given by their coefficient
+        columns (cols[i] holds coefficient i), reduced mod N."""
+        return prod_encode(radix[H], [c % N for c in cols])
+
+    def nm_of_vectors(K: Subgroup, H: Subgroup, v: np.ndarray) -> List[np.ndarray]:
+        """Integral norms of nonnegative coefficient vectors, reduced mod N,
+        as coefficient columns."""
+        lk, lh = levels[K], levels[H]
+        marks = _norm_marks(G, lk, lh, lk.to_marks(v))
+        return [(c % N).astype(np.int64) for c in lh.solve_marks(list(marks.T))]
+
+    # linear generators: res, tr, conj on basis vectors, as maps of codes
+    res_code: Dict[tuple, np.ndarray] = {}
+    tr_code: Dict[tuple, np.ndarray] = {}
     for (K, H) in pairs:
         lk, lh = levels[K], levels[H]
         R = np.zeros((lh.nclasses, lk.nclasses), dtype=np.int64)
@@ -152,164 +182,127 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
             for g, _ in double_cosets(G, K, A, within=H):
                 inter = K.intersect(A.conjugate(g))
                 R[a, lk.class_of[inter.elements]] += 1
-        res_mat[(K, H)] = R
+        res_code[(K, H)] = encode(K, (vectors[H] @ R).T)
         Tm = np.zeros((lk.nclasses, lh.nclasses), dtype=np.int64)
         for b, B in enumerate(lk.reps):
             Tm[b, lh.class_of[B.elements]] += 1
-        tr_mat[(K, H)] = Tm
-    conj_mat: Dict[Tuple[int, Subgroup], np.ndarray] = {}
+        tr_code[(K, H)] = encode(H, (vectors[K] @ Tm).T)
+    conj_code: Dict[tuple, np.ndarray] = {}
     for g in G.elements():
         for H in subs:
             lh, lhg = levels[H], levels[H.conjugate(g)]
             C = np.zeros((lh.nclasses, lhg.nclasses), dtype=np.int64)
             for a, A in enumerate(lh.reps):
                 C[a, lhg.class_of[A.conjugate(g).elements]] += 1
-            conj_mat[(g, H)] = C
+            conj_code[(g, H)] = encode(H.conjugate(g), (vectors[H] @ C).T)
 
-    def nm_of_vector(K: Subgroup, H: Subgroup, v: np.ndarray) -> np.ndarray:
-        """Integral norm of a nonnegative coefficient vector, reduced mod N."""
-        lk, lh = levels[K], levels[H]
-        m = lk.to_marks(np.asarray(v, dtype=np.int64))
-        return (lh.from_marks(_norm_marks(G, lk, lh, m)) % N).astype(np.int64)
+    # norms of the lifts in [0, 2N)^k of level-K vectors, by base-2N code:
+    # a vector plus an ideal member, or plus N e_i, is such a lift, and with
+    # no carries the code of a sum is the sum of the codes
+    lift = {K: prod_encode([2 * N] * len(radix[K]), vectors[K].T) for K in subs}
+    nm_lift = {(K, H): nm_of_vectors(K, H, prod_components([2 * N] * len(radix[K])).T)
+               for (K, H) in pairs if K != H}
+
+    ideal = {H: np.zeros(len(vectors[H]), dtype=bool) for H in subs}
+    for H in subs:
+        ideal[H][0] = True
+    fresh: Dict[Subgroup, list] = {H: [] for H in subs}
+
+    def add(H: Subgroup, codes: np.ndarray) -> None:
+        """Grow the ideal at H to the subgroup generated with these codes;
+        the members this adds are queued in fresh[H]."""
+        mask, vecs = ideal[H], vectors[H]
+        codes = codes[~mask[codes]]
+        while codes.size:
+            members, step = vecs[mask], vecs[codes[0]]
+            shift, cosets = step, []
+            while not mask[encode(H, shift)]:
+                cosets.append(encode(H, (members + shift).T))
+                shift = shift + step
+            new = np.concatenate(cosets)
+            mask[new] = True
+            fresh[H].append(new)
+            codes = codes[~mask[codes]]
+
+    def perturb(K: Subgroup, H: Subgroup, t: np.ndarray) -> None:
+        """Add nm(v + t) - nm(v) for every level-K vector v and member t."""
+        base = [c[lift[K]] for c in nm_lift[(K, H)]]
+        chunk = max(1, block // len(lift[K]))
+        for s in range(0, len(t), chunk):
+            shifted = lift[K][t[s:s + chunk], None] + lift[K]
+            add(H, encode(H, [c[shifted] - b for c, b in zip(nm_lift[(K, H)], base)]).ravel())
 
     # the congruence ideal: start from the forced N-lift norm differences
-    ideal: Dict[Subgroup, set] = {H: {(0,) * levels[H].nclasses} for H in subs}
-
-    def all_vectors(H: Subgroup) -> np.ndarray:
-        lv = levels[H]
-        return np.array(list(iproduct(range(N), repeat=lv.nclasses)), dtype=np.int64)
-
-    vectors = {H: all_vectors(H) for H in subs}
-
-    def add_vec(H: Subgroup, v: np.ndarray) -> bool:
-        t = tuple(int(x) % N for x in v)
-        if t in ideal[H]:
-            return False
-        ideal[H].add(t)
-        return True
-
     for (K, H) in pairs:
-        if K == H:
-            continue
-        lk = levels[K]
-        vs = vectors[K]
-        base = nm_of_vector(K, H, vs)
-        for i in range(lk.nclasses):
-            shifted = vs.copy()
-            shifted[:, i] += N
-            lifted = (levels[H].from_marks(_norm_marks(G, lk, levels[H],
-                                                       lk.to_marks(shifted)))
-                      % N).astype(np.int64)
-            for diff in (lifted - base) % N:
-                add_vec(H, diff)
+        if K != H:
+            k = len(radix[K])
+            for i in range(k):
+                up = N * (2 * N) ** (k - 1 - i)
+                add(H, encode(H, [c[lift[K] + up] - c[lift[K]] for c in nm_lift[(K, H)]]))
 
     # close under linear maps, ring multiplication, and norm perturbation
-    changed = True
-    while changed:
-        changed = False
+    while any(fresh.values()):
         for H in subs:
-            # additive span
-            current = [np.array(t, dtype=np.int64) for t in ideal[H]]
-            for a in current:
-                for b in current:
-                    if add_vec(H, (a + b) % N):
-                        changed = True
-            # ring-ideal closure in mark coordinates
+            if not fresh[H]:
+                continue
+            t = np.concatenate(fresh[H])
+            fresh[H] = []
             lv = levels[H]
-            for t in list(ideal[H]):
-                tm = lv.to_marks(np.array(t))
-                prods = lv.from_marks(vectors[H] @ lv.marks * tm) % N
-                for v in prods:
-                    if add_vec(H, v):
-                        changed = True
-        for (K, H) in pairs:
-            for t in list(ideal[K]):
-                tv = np.array(t, dtype=np.int64)
-                if add_vec(H, tv @ tr_mat[(K, H)]):
-                    changed = True
-            for t in list(ideal[H]):
-                tv = np.array(t, dtype=np.int64)
-                if add_vec(K, tv @ res_mat[(K, H)]):
-                    changed = True
-            if K != H:
-                lk = levels[K]
-                vs = vectors[K]
-                base = nm_of_vector(K, H, vs)
-                for t in list(ideal[K]):
-                    if not any(t):
-                        continue
-                    shifted = vs + np.array(t, dtype=np.int64)
-                    lifted = (levels[H].from_marks(
-                        _norm_marks(G, lk, levels[H], lk.to_marks(shifted)))
-                        % N).astype(np.int64)
-                    for diff in (lifted - base) % N:
-                        if add_vec(H, diff):
-                            changed = True
-        for g in G.elements():
-            for H in subs:
-                Hg = H.conjugate(g)
-                for t in list(ideal[H]):
-                    if add_vec(Hg, np.array(t, dtype=np.int64) @ conj_mat[(g, H)]):
-                        changed = True
+            tm = lv.to_marks(vectors[H][t]).T
+            for i in range(lv.nclasses):
+                add(H, encode(H, lv.solve_marks([m * x for m, x in zip(tm, lv.marks[i])])))
+            for (K, top) in pairs:
+                if top is H:
+                    add(K, res_code[(K, H)][t])
+                if K is H:
+                    add(top, tr_code[(H, top)][t])
+                    if top is not H:
+                        perturb(H, top, t)
+            for g in G.elements():
+                add(H.conjugate(g), conj_code[(g, H)][t])
 
-    # quotient levels: canonical representative = lexicographically minimal
-    rep_of: Dict[Subgroup, Dict[Tuple[int, ...], int]] = {}
-    reps_list: Dict[Subgroup, np.ndarray] = {}
+    # quotient levels: the representative of a coset is its smallest code
+    reps: Dict[Subgroup, np.ndarray] = {}
+    rep_index: Dict[Subgroup, np.ndarray] = {}
     rings: Dict[Subgroup, FiniteRing] = {}
     for H in subs:
-        lv = levels[H]
-        idl = sorted(ideal[H])
-        coset_rep = {}
-        for v in vectors[H]:
-            t = tuple(int(x) for x in v)
-            if t in coset_rep:
-                continue
-            coset = sorted(tuple((int(x) + i) % N for x, i in zip(t, ivec))
-                           for ivec in idl)
-            rep = coset[0]
-            for member in coset:
-                coset_rep[member] = rep
-        reps = sorted(set(coset_rep.values()))
-        index = {r: i for i, r in enumerate(reps)}
-        rep_of[H] = {t: index[coset_rep[t]] for t in coset_rep}
-        arr = np.array(reps, dtype=np.int64)
-        reps_list[H] = arr
-        n = len(reps)
-        add = np.zeros((n, n), dtype=np.int64)
-        mul = np.zeros((n, n), dtype=np.int64)
-        marks_arr = arr @ lv.marks
-        for i in range(n):
-            srow = (arr[i][None, :] + arr) % N
-            prow = lv.from_marks(marks_arr[i][None, :] * marks_arr) % N
-            add[i] = [rep_of[H][tuple(int(x) for x in v)] for v in srow]
-            mul[i] = [rep_of[H][tuple(int(x) for x in v)] for v in prow]
-        one_vec = np.zeros(lv.nclasses, dtype=np.int64)
+        lv, vecs = levels[H], vectors[H]
+        smallest = np.arange(len(vecs))
+        for m in vecs[ideal[H]][1:]:
+            np.minimum(smallest, encode(H, (vecs + m).T), out=smallest)
+        reps[H], rep_index[H] = np.unique(smallest, return_inverse=True)
+        arr = vecs[reps[H]]
+        n, k = arr.shape
+        cols, mcols = arr.T, lv.to_marks(arr).T
+        add_t = np.empty((n, n), dtype=np.int32)
+        mul_t = np.empty((n, n), dtype=np.int32)
+        rows = max(1, block // n)
+        for s in range(0, n, rows):
+            blk = slice(s, s + rows)
+            add_t[blk] = rep_index[H][encode(H, [c[blk, None] + c for c in cols])]
+            prods = lv.solve_marks([m[blk, None] * m for m in mcols])
+            mul_t[blk] = rep_index[H][encode(H, prods)]
+        one_vec = np.zeros(k, dtype=np.int64)
         one_vec[lv.class_of[H.elements]] = 1
-        zero = rep_of[H][(0,) * lv.nclasses]
-        one = rep_of[H][tuple(int(x) for x in one_vec)]
-        ring = FiniteRing(add, mul, zero, one, label=f"A({H.elements})/{N}")
+        ring = FiniteRing(add_t, mul_t, rep_index[H][0], rep_index[H][encode(H, one_vec)],
+                          label=f"A({H.elements})/{N}")
         ring.basis_classes = [A.elements for A in lv.reps]
-        ring.index_to_vector = [tuple(int(x) for x in v) for v in arr]
-        ring.vector_to_index = lambda vec, _H=H: rep_of[_H][
-            tuple(int(x) % N for x in vec)]
+        ring.index_to_vector = [tuple(v) for v in arr.tolist()]
+        ring.vector_to_index = partial(_vector_to_index, radix[H], rep_index[H])
         rings[H] = ring
-
-    def linear_table(src: Subgroup, dst: Subgroup, mat: np.ndarray) -> np.ndarray:
-        vecs = (reps_list[src] @ mat) % N
-        return np.array([rep_of[dst][tuple(int(x) for x in v)] for v in vecs])
 
     res = {}
     tr = {}
     nm = {}
     for (K, H) in pairs:
-        res[(K, H)] = linear_table(H, K, res_mat[(K, H)])
-        tr[(K, H)] = linear_table(K, H, tr_mat[(K, H)])
-        nmv = nm_of_vector(K, H, reps_list[K])
-        nm[(K, H)] = np.array([rep_of[H][tuple(int(x) for x in v)] for v in nmv])
+        res[(K, H)] = rep_index[K][res_code[(K, H)][reps[H]]]
+        tr[(K, H)] = rep_index[H][tr_code[(K, H)][reps[K]]]
+        nm[(K, H)] = rep_index[H][encode(H, nm_of_vectors(K, H, vectors[K][reps[K]]))]
     conj = {}
     for g in G.elements():
         for H in subs:
-            conj[(g, H)] = linear_table(H, H.conjugate(g), conj_mat[(g, H)])
+            conj[(g, H)] = rep_index[H.conjugate(g)][conj_code[(g, H)][reps[H]]]
 
     return TambaraData(G, rings, res, tr, nm, conj, has_norms=True,
                        label=f"Burnside({G.name}) mod {N}")
+
