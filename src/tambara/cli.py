@@ -229,6 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`tambara lewis f | head -1`): send
+        # what is still buffered to devnull, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
     ws = Workspace(Config(fiber_bound=args.fiber_bound, budget=args.budget))
     handlers = {
         "check": cmd_check,

@@ -22,7 +22,6 @@ from .functors import TambaraData
 from ._burnside import burnside_mod
 
 SCHEMA_VERSION = 1
-VALIDATE_FULL_MAX = 300
 
 
 # -- groups ---------------------------------------------------------------
@@ -107,8 +106,7 @@ def parse_ring(block: dict) -> FiniteRing:
     if kind == "tables":
         R = FiniteRing(block["add"], block["mul"], int(block["zero"]),
                        int(block["one"]), label=block.get("label", "R"))
-        if R.size <= VALIDATE_FULL_MAX:
-            R.validate()
+        R.validate()
         return R
     raise DefinitionError(f"unknown ring kind {kind!r}")
 

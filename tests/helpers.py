@@ -1,11 +1,13 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
-fixtures, and the randomized assembly sampler for round-trip tests."""
+fixtures, the row-by-row ring-axiom reference, and the randomized assembly
+sampler for round-trip tests."""
 
 import random
 
 import numpy as np
 
 import corpus
+from tambara.errors import DefinitionError
 from tambara.functors import TambaraData, coinduce, constant_functor, fixed_point_functor, product
 from tambara.groups import subgroups
 from tambara.rings import product_ring
@@ -37,6 +39,20 @@ def ideal_closure(ring, gens):
         if not extra:
             return ideal
         ideal = additive_span(ring, ideal | extra)
+
+
+def reference_validate(ring):
+    """The O(n^3) row-by-row check of additive and multiplicative
+    associativity and distributivity, three n x n gathers per element:
+    the reference FiniteRing.validate is tested against."""
+    n, add, mul = ring.size, ring.add, ring.mul
+    for a in range(n):
+        if not np.array_equal(add[add[a]], add[a][add]):
+            raise DefinitionError(f"addition not associative at {a}")
+        if not np.array_equal(mul[mul[a]], mul[a][mul]):
+            raise DefinitionError(f"multiplication not associative at {a}")
+        if not np.array_equal(mul[a][add], add[mul[a][:, None], mul[a][None, :]]):
+            raise DefinitionError(f"distributivity fails at {a}")
 
 
 def proper_transfer_images(T, L):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import corpus
+import helpers
 from tambara.errors import (
     DefinitionError,
     NotIdempotent,
@@ -9,6 +12,7 @@ from tambara.errors import (
 )
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups, upward_closure
 from tambara.rings import (
+    FiniteRing,
     GRing,
     RingHom,
     classify_idempotent,
@@ -92,6 +96,98 @@ def test_bad_tables():
         FiniteRing(a, a, 0, 1)
 
 
+# small rings whose perturbed tables validate() and the row-by-row
+# reference must judge alike; each has elements outside {0, 1} to perturb
+PERTURBED_RINGS = [Z4, Z6, zn(9), F4, fq(8), F9, product_ring([F2] * 3),
+                   product_ring([Z4, F2]), product_ring([F4, F3])]
+
+
+@st.composite
+def perturbed_tables(draw):
+    """Tables of a ring in PERTURBED_RINGS with one or two symmetric
+    entries of add or mul changed, away from the 0 and 1 rows."""
+    R = draw(st.sampled_from(PERTURBED_RINGS))
+    tables = {"add": R.add.copy(), "mul": R.mul.copy()}
+    free = [x for x in range(R.size) if x not in (R.zero, R.one)]
+    for _ in range(draw(st.integers(1, 2))):
+        t = tables[draw(st.sampled_from(["add", "mul"]))]
+        i, j = draw(st.sampled_from(free)), draw(st.sampled_from(free))
+        t[i, j] = t[j, i] = draw(st.integers(0, R.size - 1))
+    return tables["add"], tables["mul"], R.zero, R.one
+
+
+@given(perturbed_tables())
+@settings(max_examples=400, deadline=None)
+def test_validate_agrees_with_row_reference(case):
+    try:
+        R = FiniteRing(*case)
+    except DefinitionError:  # a perturbed add may leave an element without inverse
+        return
+    try:
+        helpers.reference_validate(R)
+    except DefinitionError:
+        with pytest.raises(DefinitionError):
+            R.validate()
+    else:
+        R.validate()
+
+
+def _nonassociative_f2_algebra():
+    """The commutative unital F2-algebra on 1, a, b with aa = b, ab = 1,
+    bb = 0: bilinear, hence distributive, but (aa)b = 0 != a = a(ab).
+    Elements are bit masks over the basis (1, a, b) = (1, 2, 4)."""
+    basis = [[1, 2, 4], [2, 4, 1], [4, 1, 0]]
+
+    def times(x, y):
+        out = 0
+        for i in range(3):
+            for j in range(3):
+                if (x >> i) & 1 and (y >> j) & 1:
+                    out ^= basis[i][j]
+        return out
+
+    idx = np.arange(8)
+    return FiniteRing(idx[:, None] ^ idx[None, :],
+                      [[times(x, y) for y in range(8)] for x in range(8)], 0, 1)
+
+
+@pytest.mark.parametrize("R, family", [
+    # Z/4 with 2 + 3 = 0
+    (FiniteRing([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 0], [3, 0, 0, 2]], Z4.mul, 0, 1),
+     "addition not associative"),
+    # Z/4's addition with the multiplication of F2 x F2 on 0, 1 and the
+    # orthogonal idempotents 2, 3: associative but not distributive
+    (FiniteRing(Z4.add, [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 0, 3]], 0, 1),
+     "distributivity fails"),
+    (_nonassociative_f2_algebra(), "multiplication not associative"),
+], ids=["add", "distributivity", "mul"])
+def test_validate_failure_families(R, family):
+    with pytest.raises(DefinitionError, match=family):
+        helpers.reference_validate(R)
+    with pytest.raises(DefinitionError, match=family):
+        R.validate()
+
+
+# the rings of these tests and the level rings of the functor corpus
+VALID_RINGS = ([zero_ring(), F2, F3, F4, F5, F9, fq(8), fq(27), Z4, Z6, zn(9), zn(256),
+                product_ring([F2] * 9), product_ring([F4] * 4)] + PERTURBED_RINGS
+               + [T.levels[H] for T in corpus.TAMBARA_CORPUS.values() for H in subgroups(T.group)])
+
+
+@pytest.mark.parametrize("R", VALID_RINGS, ids=lambda R: f"{R.label}:{R.size}")
+def test_additive_generators_span_within_log_bound(R):
+    gens = R.additive_generators()
+    assert len(gens) <= int(np.log2(R.size))
+    assert helpers.additive_span(R, gens) == set(range(R.size))
+    R.validate()
+
+
+def test_additive_generators_examples():
+    assert zn(9).additive_generators() == [1]
+    assert len(F9.additive_generators()) == 2
+    assert product_ring([F2] * 9).additive_generators() == [1 << k for k in range(9)]
+
+
 def test_idempotents():
     assert idempotents(F4) == [0, 1]
     P = product_ring([F3, F3])
@@ -133,6 +229,15 @@ def test_is_clarified():
     assert is_clarified(trivial_gring(product_ring([F3, F3]), C2))
     lam_e = upward_closure(C2, C2.trivial_subgroup)
     assert is_lambda_clarified(swap_gring_c2(F3), lam_e)
+
+
+def test_gring_action_law_names_first_failing_pair():
+    # every row of [id, id, id, Frobenius] is an automorphism of F4, but C4
+    # is not acting: A[gh] != A[g][A[h]] at (1, 2), (1, 3), (2, 1), ...
+    # and (1, 2) comes first with g varying slowest
+    ident = np.arange(4)
+    with pytest.raises(DefinitionError, match=r"^action not a homomorphism at \(1,2\)$"):
+        GRing(F4, C4, [ident, ident, ident, frobenius(F4)])
 
 
 def test_coinduce_full_subgroup_identity():

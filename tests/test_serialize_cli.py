@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from tambara.cli import main
 from tambara.errors import DefinitionError
 from tambara.groups import subgroups
 from tambara.functors import constant_functor, functor_isomorphism
+from tambara.rings import product_ring
 
 
 def test_group_roundtrip():
@@ -319,3 +323,42 @@ def test_serialization_closure_byte_stable(tmp_path, capsys):
     capsys.readouterr()
     assert open(d1, "rb").read() == open(d2, "rb").read()
     assert main(["check", d1]) == 0
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "lewis"])
+def test_large_broken_ring_exits_1(tmp_path, capsys, command):
+    # F2^9 (512 elements) with one symmetric product changed, 3 * 5 = 7
+    # instead of 1: a ring read from tables is checked whatever its size
+    R = product_ring([F2] * 9)
+    mul = R.mul.copy()
+    mul[3, 5] = mul[5, 3] = 7
+    ring = {"kind": "tables", "add": R.add.tolist(), "mul": mul.tolist(),
+            "zero": R.zero, "one": R.one}
+    doc = {"schema": 1, "group": _C2_GROUP,
+           "fp": {"ring": ring, "action": [list(range(R.size))] * 2}}
+    p = tmp_path / "broken512.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr().out.startswith("error: distributivity fails")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, buffered):
+    # buffered, the broken pipe shows when stdout is flushed; unbuffered,
+    # in the first print
+    p = _write_fixture(tmp_path, "b24.json", corpus.BURNSIDE_CORPUS["burnside_C2_4"])
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tambara.cli", "lewis", p],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
