@@ -218,12 +218,12 @@ def detect_coinduction(T: TambaraData
 
     # unit map T -> Coind_H(ell): the component at the orbit of the coset rK
     # is the ideal projection of res to H cap rKr^-1 after conjugating by r
-    from .functors import _restrict_gset, evaluate_gset
+    from .functors import evaluate_gset
     from .gsets import coset_gset
 
     maps = {}
     for K in subgroups(G):
-        X = _restrict_gset(coset_gset(G, K), H)
+        X = coset_gset(G, K).restricted(H)
         val = evaluate_gset(ell, X)
         tables, sizes = [], []
         for o in val.orbits:

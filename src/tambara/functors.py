@@ -137,7 +137,7 @@ class LeveledValue:
 
     functor: TambaraData
     gset: GSet
-    orbits: List[Orbit]
+    orbits: Sequence[Orbit]
     rings: List[FiniteRing]
 
     @property
@@ -151,8 +151,6 @@ class LeveledValue:
 
 
 def evaluate_gset(T: TambaraData, X: GSet) -> LeveledValue:
-    if X.size == 0:
-        return LeveledValue(T, X, [], [])
     orbits = orbit_decomposition(X)
     rings = [T.levels[o.stabilizer] for o in orbits]
     return LeveledValue(T, X, orbits, rings)
@@ -188,23 +186,25 @@ class EvalMap:
         return tuple(out)
 
     def apply_batch(self, arr: np.ndarray) -> np.ndarray:
-        """arr has one row per element, one column per source component."""
+        """arr has one row per element and one column per source component;
+        the int32 result has one row per element and one column per target
+        component.  It is the transpose of a C-order (components, elements)
+        buffer, so each of its columns is contiguous, as is each column of
+        an input that is such a transpose."""
         n = arr.shape[0]
+        out = np.empty((len(self.plan), n), dtype=np.int32)
         if self.kind == "res":
-            if not self.plan:
-                return np.zeros((n, 0), dtype=np.int64)
-            return np.stack([t[arr[:, j]] for (j, t) in self.plan], axis=1)
-        cols = []
-        for j, items in enumerate(self.plan):
+            for col, (j, t) in zip(out, self.plan):
+                np.take(t, arr[:, j], out=col)
+            return out.T
+        for j, (acc, items) in enumerate(zip(out, self.plan)):
             ring = self.target.rings[j]
-            acc = np.full(n, ring.zero if self.kind == "tr" else ring.one, dtype=np.int64)
-            table = ring.add if self.kind == "tr" else ring.mul
+            acc.fill(ring.zero if self.kind == "tr" else ring.one)
+            # table[u, v] is flat[u * size + v]; size**2 <= RING_SIZE_CAP**2 < 2**31
+            flat = (ring.add if self.kind == "tr" else ring.mul).ravel()
             for (i, t) in items:
-                acc = table[acc, t[arr[:, i]]]
-            cols.append(acc)
-        if not cols:
-            return np.zeros((n, 0), dtype=np.int64)
-        return np.stack(cols, axis=1)
+                np.take(flat, acc * ring.size + t[arr[:, i]], out=acc)
+        return out.T
 
     def as_table(self) -> np.ndarray:
         """Dense index table between materialized product rings."""
@@ -455,13 +455,8 @@ def _coset_conj_map(G: FiniteGroup, K: Subgroup, g: int) -> GSetMap:
                    tuple(K.coset_index[G.mul(c[0], g)] for c in Kg.left_cosets()))
 
 
-def _restrict_gset(X: GSet, H: Subgroup) -> GSet:
-    Hg, embed = H.as_group
-    return GSet(Hg, X.action[list(embed)])
-
-
 def _restrict_gmap(f: GSetMap, H: Subgroup) -> GSetMap:
-    return GSetMap(_restrict_gset(f.source, H), _restrict_gset(f.target, H), f.images)
+    return GSetMap(f.source.restricted(H), f.target.restricted(H), f.images)
 
 
 def _over_subgroup(H: Subgroup, T: TambaraData) -> TambaraData:
@@ -497,7 +492,7 @@ def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
     values: Dict[Subgroup, LeveledValue] = {}
     levels: Dict[Subgroup, FiniteRing] = {}
     for K in subs:
-        values[K] = evaluate_gset(T, _restrict_gset(coset_gset(G, K), H))
+        values[K] = evaluate_gset(T, coset_gset(G, K).restricted(H))
         levels[K] = values[K].materialize()
 
     res, tr, conj = {}, {}, {}
@@ -763,6 +758,7 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
             if K == H:
                 continue
             f = _coset_projection(G, K, H)
+            nm_f = eval_along(T, f, "nm")
             for A, p, desc in _exponential_family(G, K, cfg.fiber_bound):
                 pk = GSetMap(A, f.source, p)
                 try:
@@ -770,7 +766,6 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
                 except SizeLimitExceeded as exc:
                     fail("exponential", f"could not build diagram {desc}: {exc}")
                     continue
-                nm_f = eval_along(T, f, "nm")
                 tr_p = eval_along(T, pk, "tr")
                 res_ev = eval_along(T, diag.evaluation, "res")
                 nm_cp = eval_along(T, diag.corner_projection, "nm")
@@ -783,8 +778,8 @@ def check_axioms(T: TambaraData, config: Optional[CheckConfig] = None) -> CheckR
                     bad = int(np.argwhere((path1 != path2).any(axis=1))[0][0])
                     fail("exponential",
                          f"exponential formula fails for {desc} over "
-                         f"{K.elements}<={H.elements} at element {tuple(arr[bad])}: "
-                         f"{tuple(path1[bad])} vs {tuple(path2[bad])}")
+                         f"{K.elements}<={H.elements} at element {tuple(arr[bad].tolist())}: "
+                         f"{tuple(path1[bad].tolist())} vs {tuple(path2[bad].tolist())}")
 
     return CheckReport(passed=not failures, failures=failures, checked=checked)
 
@@ -864,7 +859,7 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
     maps = {}
     for L in subgroups(Kg):
         Ltilde = K.subgroup_in_parent(L.elements)
-        val = evaluate_gset(T, _restrict_gset(coset_gset(G, Ltilde), H))
+        val = evaluate_gset(T, coset_gset(G, Ltilde).restricted(H))
         point_orbit = {}
         for i, o in enumerate(val.orbits):
             for pt in o.points:
@@ -873,7 +868,7 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
         arr = prod_components(val.sizes).T
         tables, sizes = [], []
         for d, M_in_K, _ in blocks:
-            XK = _restrict_gset(coset_gset(Kg, L), M_in_K)
+            XK = coset_gset(Kg, L).restricted(M_in_K)
             for o in orbit_decomposition(XK):
                 k0 = kembed[L.left_cosets()[o.base][0]]      # rep of the base coset, in G
                 x = Ltilde.coset_index[G.mul(G.inv(d), k0)]  # the LHS point d^-1 k0 Ltilde

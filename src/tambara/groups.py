@@ -264,8 +264,12 @@ class Subgroup:
 
     def conjugate(self, g: int) -> "Subgroup":
         """The subgroup g H g^-1, as the parent's lattice instance."""
+        return self._conjugates[g]
+
+    @cached_property
+    def _conjugates(self) -> Tuple["Subgroup", ...]:
         G = self.parent
-        return G.subgroup(G.conj(g, a) for a in self.elements)
+        return tuple(G.subgroup(G.conj(g, a) for a in self.elements) for g in G.elements())
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         return self._element_set <= other._element_set

@@ -9,6 +9,7 @@ validated on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -40,6 +41,8 @@ class GSet:
         self.size = self.action.shape[1]
         self.labels = list(labels) if labels is not None else None
         self._validate()
+        self._orbits: Optional[Tuple["Orbit", ...]] = None
+        self._restrictions: Dict[Subgroup, "GSet"] = {}
 
     def _validate(self) -> None:
         """Bijective rows, trivial identity row and A[gh] = A[g][A[h]],
@@ -63,6 +66,13 @@ class GSet:
 
     def stabilizer(self, x: int) -> Subgroup:
         return self.group.subgroup(np.flatnonzero(self.action[:, x] == x).tolist())
+
+    def restricted(self, H: Subgroup) -> "GSet":
+        """This G-set as an H.as_group-set; built once per subgroup."""
+        if H not in self._restrictions:
+            Hg, embed = H.as_group
+            self._restrictions[H] = GSet(Hg, self.action[list(embed)])
+        return self._restrictions[H]
 
     def __repr__(self) -> str:
         return f"GSet({self.group.name}, {self.size} points)"
@@ -150,13 +160,16 @@ class Orbit:
         raise KeyError(x)
 
 
-def orbit_decomposition(X: GSet) -> List[Orbit]:
+def orbit_decomposition(X: GSet) -> Tuple[Orbit, ...]:
     """Orbits in increasing order of their minimal point.
 
     Each orbit carries the stabilizer of its minimal point and an explicit
     transversal; together these give the equivariant bijection with the
     coset G-set of the stabilizer (point g.base <-> coset g.Stab).
+    Computed once per G-set.
     """
+    if X._orbits is not None:
+        return X._orbits
     seen = set()
     orbits = []
     for x in range(X.size):
@@ -170,7 +183,8 @@ def orbit_decomposition(X: GSet) -> List[Orbit]:
         seen.update(pts)
         orbits.append(Orbit(points=pts, base=x, stabilizer=X.stabilizer(x),
                             transversal=tuple(sorted(trans.items()))))
-    return orbits
+    X._orbits = tuple(orbits)
+    return X._orbits
 
 
 def orbit_coset_iso(X: GSet, orbit: Orbit) -> GSetMap:
@@ -221,60 +235,68 @@ def dependent_product(f: GSetMap, p: GSetMap,
     Points of Pi_f A are pairs (y, sigma) with sigma : f^-1(y) -> A a
     section of p over the fiber; the action is g(y, sigma) = (gy, g sigma)
     with (g sigma)(x) = g.sigma(g^-1 x).
+
+    The points are sorted: by y, then by sigma in the product order of the
+    lift lists p^-1(x) over the sorted fiber.  So the point (y, sigma) is
+    numbered offset[y] + sum over x in f^-1(y) of rank[sigma(x)] * weight[x],
+    where rank[a] is a's position in p^-1(p(a)) and weight[x] is the number
+    of sections of the part of the fiber after x.  Row i of the section
+    matrix holds point i's sigma(x) for x in its fiber and the sentinel
+    A.size elsewhere, which every g fixes and which ranks 0.
     """
     if p.target is not f.source:
         raise DefinitionError("p must target the source of f")
     X, Y, A = f.source, f.target, p.source
     G = X.group
 
-    fibers = {y: tuple(x for x in range(X.size) if f(x) == y)
-              for y in range(Y.size)}
-    lifts = {x: tuple(a for a in range(A.size) if p(a) == x)
-             for x in range(X.size)}
+    f_img, p_img = np.asarray(f.images, dtype=np.int64), np.asarray(p.images, dtype=np.int64)
+    fibers = [np.flatnonzero(f_img == y) for y in range(Y.size)]
+    lifts = [np.flatnonzero(p_img == x) for x in range(X.size)]
+    radix = [len(lift) for lift in lifts]
+    counts = [math.prod(radix[x] for x in fib.tolist()) for fib in fibers]
+    if sum(counts) > section_cap:
+        raise SizeLimitExceeded(
+            f"dependent product would have more than {section_cap} points")
 
-    total = 0
-    points: List[Tuple[int, Tuple[int, ...]]] = []
-    for y in range(Y.size):
-        fib = fibers[y]
-        count = 1
-        for x in fib:
-            count *= len(lifts[x])
-        total += count
-        if total > section_cap:
-            raise SizeLimitExceeded(
-                f"dependent product would have more than {section_cap} points")
-        for choice in iproduct(*(lifts[x] for x in fib)):
-            points.append((y, tuple(choice)))  # aligned with sorted fiber
-    points.sort()
-    index = {pt: i for i, pt in enumerate(points)}
+    rank = np.zeros(A.size + 1, dtype=np.int64)
+    weight = np.zeros(X.size, dtype=np.int64)
+    sections = np.full((sum(counts), X.size), A.size, dtype=np.int64)
+    offset = np.zeros(Y.size, dtype=np.int64)
+    labels: List[Tuple[int, Tuple[int, ...]]] = []
+    start = 0
+    for y, fib in enumerate(fibers):
+        offset[y] = start
+        block = sections[start:start + counts[y]]
+        codes = np.arange(counts[y])
+        w = 1
+        for x in reversed(fib.tolist()):  # the last fiber point varies fastest
+            rank[lifts[x]] = np.arange(radix[x])
+            weight[x] = w
+            if counts[y]:
+                block[:, x] = lifts[x][codes // w % radix[x]]
+            w *= radix[x]
+        labels.extend((y, tuple(sigma)) for sigma in block[:, fib].tolist())
+        start += counts[y]
+    point_y = np.repeat(np.arange(Y.size), counts)
 
-    x_rows, y_rows, a_rows = X.action.tolist(), Y.action.tolist(), A.action.tolist()
-
-    def act_point(g: int, pt: Tuple[int, Tuple[int, ...]]) -> Tuple[int, Tuple[int, ...]]:
-        y, sigma = pt
-        fib = fibers[y]
-        val = dict(zip(fib, sigma))
-        gy = y_rows[g][y]
-        x_inv, a_g = x_rows[G.inv(g)], a_rows[g]
-        new_sigma = tuple(a_g[val[x_inv[x]]] for x in fibers[gy])
-        return (gy, new_sigma)
-
-    action = [[index[act_point(g, pt)] for pt in points] for g in G.elements()]
-    pi = GSet(G, action, labels=points)
-    projection = GSetMap(pi, Y, tuple(y for y, _ in points))
+    # moved_rank[g, a] is the rank of g.a (a may be the sentinel);
+    # action[g, i] is the number of the point g.(point i)
+    moved_rank = rank[np.concatenate([A.action, np.full((G.order, 1), A.size)], axis=1)]
+    action = np.empty((G.order, len(sections)), dtype=np.int64)
+    for g in G.elements():
+        action[g] = (offset[Y.action[g, point_y]]
+                     + moved_rank[g][sections] @ weight[X.action[g]])
+    pi = GSet(G, action, labels=labels)
+    projection = GSetMap(pi, Y, tuple(point_y.tolist()))
 
     corner, to_x, to_pi = pullback(f, projection)
-    ev_images = []
-    for (x, ipt) in corner.labels:
-        y, sigma = points[ipt]
-        val = dict(zip(fibers[y], sigma))
-        ev_images.append(val[x])
-    evaluation = GSetMap(corner, A, tuple(ev_images))
+    xs = np.asarray(to_x.images, dtype=np.int64)
+    ev = sections[np.asarray(to_pi.images, dtype=np.int64), xs]
+    evaluation = GSetMap(corner, A, tuple(ev.tolist()))
 
     # commutativity of the exponential diagram
-    for i in range(corner.size):
-        if p(evaluation(i)) != to_x(i):
-            raise DefinitionError("exponential diagram does not commute")
+    if not np.array_equal(p_img[ev], xs):
+        raise DefinitionError("exponential diagram does not commute")
 
     return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection,
                               pullback_corner=corner, evaluation=evaluation,

@@ -1,15 +1,18 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
-fixtures, the row-by-row ring-axiom reference, and the randomized assembly
-sampler for round-trip tests."""
+fixtures, the row-by-row ring-axiom reference, the point-by-point dependent
+product reference, and the randomized assembly sampler for round-trip
+tests."""
 
 import random
+from itertools import product as iproduct
 
 import numpy as np
 
 import corpus
-from tambara.errors import DefinitionError
+from tambara.errors import DefinitionError, SizeLimitExceeded
 from tambara.functors import TambaraData, coinduce, constant_functor, fixed_point_functor, product
 from tambara.groups import subgroups
+from tambara.gsets import SECTION_CAP, ExponentialDiagram, GSet, GSetMap, pullback
 from tambara.rings import product_ring
 
 
@@ -53,6 +56,63 @@ def reference_validate(ring):
             raise DefinitionError(f"multiplication not associative at {a}")
         if not np.array_equal(mul[a][add], add[mul[a][:, None], mul[a][None, :]]):
             raise DefinitionError(f"distributivity fails at {a}")
+
+
+def reference_dependent_product(f, p, section_cap=SECTION_CAP):
+    """Pi_f A built point by point from the definition: every section of p
+    over every fiber, sorted, and g(y, sigma) = (gy, g sigma) worked out for
+    each point; the reference gsets.dependent_product is tested against."""
+    if p.target is not f.source:
+        raise DefinitionError("p must target the source of f")
+    X, Y, A = f.source, f.target, p.source
+    G = X.group
+
+    fibers = {y: tuple(x for x in range(X.size) if f(x) == y)
+              for y in range(Y.size)}
+    lifts = {x: tuple(a for a in range(A.size) if p(a) == x)
+             for x in range(X.size)}
+
+    total = 0
+    points = []
+    for y in range(Y.size):
+        fib = fibers[y]
+        count = 1
+        for x in fib:
+            count *= len(lifts[x])
+        total += count
+        if total > section_cap:
+            raise SizeLimitExceeded(
+                f"dependent product would have more than {section_cap} points")
+        for choice in iproduct(*(lifts[x] for x in fib)):
+            points.append((y, tuple(choice)))  # aligned with sorted fiber
+    points.sort()
+    index = {pt: i for i, pt in enumerate(points)}
+
+    x_rows, y_rows, a_rows = X.action.tolist(), Y.action.tolist(), A.action.tolist()
+
+    def act_point(g, pt):
+        y, sigma = pt
+        val = dict(zip(fibers[y], sigma))
+        gy = y_rows[g][y]
+        x_inv, a_g = x_rows[G.inv(g)], a_rows[g]
+        return (gy, tuple(a_g[val[x_inv[x]]] for x in fibers[gy]))
+
+    action = [[index[act_point(g, pt)] for pt in points] for g in G.elements()]
+    pi = GSet(G, action, labels=points)
+    projection = GSetMap(pi, Y, tuple(y for y, _ in points))
+
+    corner, to_x, to_pi = pullback(f, projection)
+    ev_images = []
+    for (x, ipt) in corner.labels:
+        y, sigma = points[ipt]
+        ev_images.append(dict(zip(fibers[y], sigma))[x])
+    evaluation = GSetMap(corner, A, tuple(ev_images))
+    for i in range(corner.size):
+        if p(evaluation(i)) != to_x(i):
+            raise DefinitionError("exponential diagram does not commute")
+    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection,
+                              pullback_corner=corner, evaluation=evaluation,
+                              corner_projection=to_pi)
 
 
 def proper_transfer_images(T, L):

@@ -325,6 +325,18 @@ def test_exponential_family_propagates_internal_errors(monkeypatch):
         check_axioms(corpus.FP_CORPUS["F4_galois_C2"])
 
 
+def test_exponential_failure_names_plain_ints():
+    T = _copy_functor(corpus.BURNSIDE_CORPUS["burnside_C2_4"])
+    e, full = C2.trivial_subgroup, C2.full_subgroup
+    nm = T.nm[(e, full)]
+    T.nm[(e, full)] = T.levels[full].mul[nm, nm]
+    failure = check_axioms(T).first_failure()
+    assert failure.family == "exponential"
+    assert failure.description == (
+        "exponential formula fails for A = G/(0,) + G/(0,) over (0,)<=(0, 1) "
+        "at element (1, 1): (0,) vs (6,)")
+
+
 def test_mutation_contracts():
     T = _copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
     e, full = C2.trivial_subgroup, C2.full_subgroup

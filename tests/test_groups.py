@@ -126,6 +126,15 @@ def test_double_cosets_within_match_set_enumeration(G):
 
 
 @pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_conjugate_is_the_lattice_instance(G):
+    subs = subgroups(G)
+    for H in subs:
+        for g in G.elements():
+            built = {G.conj(g, a) for a in H.elements}
+            assert H.conjugate(g) is next(S for S in subs if set(S.elements) == built)
+
+
+@pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)
 def test_subgroup_caches_match_definitions(G):
     for H in subgroups(G):
         cosets = H.left_cosets()

@@ -154,6 +154,16 @@ def test_section_cap():
         dependent_product(f, p, section_cap=1000)
 
 
+def test_section_count_does_not_wrap():
+    # 64 fixed points over one point, two lifts each: 2**64 sections, which
+    # an int64 product would count as 0
+    X, Y, A = trivial_gset(C2, 64), trivial_gset(C2, 1), trivial_gset(C2, 128)
+    f = GSetMap(X, Y, (0,) * 64)
+    p = GSetMap(A, X, tuple(a // 2 for a in range(128)))
+    with pytest.raises(SizeLimitExceeded, match="more than 4096 points"):
+        dependent_product(f, p)
+
+
 def test_exponential_diagram_commutes():
     H = next(s for s in subgroups(S3) if s.order == 2)
     X = coset_gset(S3, H)
@@ -202,6 +212,19 @@ def test_dependent_product_adjunction():
             imgs.append(dict(zip(fiber, sigma))[x])
         mates.add(tuple(imgs))
     assert mates == {q.images for q in over_x}
+
+
+def test_orbit_decomposition_is_computed_once(monkeypatch):
+    X, _ = disjoint_union([regular_gset(S3), coset_gset(S3, S3.full_subgroup)])
+    stabilized = []
+    stabilizer = GSet.stabilizer
+    monkeypatch.setattr(GSet, "stabilizer",
+                        lambda self, x: stabilized.append(x) or stabilizer(self, x))
+    first = orbit_decomposition(X)
+    assert stabilized == [0, 6]
+    assert orbit_decomposition(X) == first
+    assert stabilized == [0, 6]
+    assert isinstance(first, tuple)
 
 
 def test_gset_isomorphism():

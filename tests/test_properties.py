@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from corpus import C2, C3, C4, F3, F4, S3
+from corpus import C2, C3, C4, F3, F4, S3, V4
+from helpers import reference_dependent_product
 from tambara.groups import subgroups
-from tambara.errors import DefinitionError
+from tambara.errors import DefinitionError, SizeLimitExceeded
+from tambara.functors import eval_along
 from tambara.gsets import (
     GSet,
+    GSetMap,
     coset_gset,
+    dependent_product,
     disjoint_union,
     equivariant_maps,
     gset_isomorphism,
@@ -161,8 +165,6 @@ def test_non_homomorphic_action_reports_first_failure(gs, data):
        st.sampled_from([C2, C3]))
 @settings(max_examples=20, deadline=None)
 def test_section_count_of_dependent_product(n, G):
-    from tambara.gsets import GSetMap, dependent_product
-
     X = coset_gset(G, G.trivial_subgroup)
     Y = coset_gset(G, G.full_subgroup)
     f = GSetMap(X, Y, tuple(0 for _ in range(X.size)))
@@ -186,3 +188,69 @@ def test_frobenius_on_random_elements(name, data):
     x = data.draw(st.integers(min_value=0, max_value=rk.size - 1))
     tr, res = T.tr[(K, H)], T.res[(K, H)]
     assert tr[rk.mul[res[y], x]] == rh.mul[y, tr[x]]
+
+
+@st.composite
+def gset_over(draw, Y, min_parts, max_parts):
+    """A random G-set X with a random equivariant map f : X -> Y: each
+    summand G/K is sent to a point y with K <= Stab(y), by gK -> g.y."""
+    G = Y.group
+    parts, images = [], []
+    for _ in range(draw(st.integers(min_value=min_parts, max_value=max_parts))):
+        y = draw(st.integers(min_value=0, max_value=Y.size - 1))
+        stab = Y.stabilizer(y)
+        C = coset_gset(G, draw(st.sampled_from(
+            [K for K in subgroups(G) if K.is_subgroup_of(stab)])))
+        parts.append(C)
+        images.extend(Y.act(c[0], y) for c in C.labels)
+    X = disjoint_union(parts)[0] if parts else GSet(G, [[] for _ in G.elements()])
+    return X, GSetMap(X, Y, tuple(images))
+
+
+@st.composite
+def exponential_inputs(draw):
+    """f : X -> Y and p : A -> X over one of C2, C3, C4, V4, S3."""
+    G = draw(st.sampled_from([C2, C3, C4, V4, S3]))
+    Y, _ = draw(gset_over(coset_gset(G, G.full_subgroup), 1, 2))
+    X, f = draw(gset_over(Y, 1, 2))
+    _, p = draw(gset_over(X, 0, 3))
+    return f, p
+
+
+@given(exponential_inputs())
+@settings(max_examples=80, deadline=None)
+def test_dependent_product_matches_pointwise_reference(inputs):
+    f, p = inputs
+    try:
+        want = reference_dependent_product(f, p)
+    except SizeLimitExceeded:
+        with pytest.raises(SizeLimitExceeded):
+            dependent_product(f, p)
+        return
+    got = dependent_product(f, p)
+    assert np.array_equal(got.pi.action, want.pi.action)
+    assert got.pi.labels == want.pi.labels
+    assert got.projection.images == want.projection.images
+    assert np.array_equal(got.pullback_corner.action, want.pullback_corner.action)
+    assert got.evaluation.images == want.evaluation.images
+    assert got.corner_projection.images == want.corner_projection.images
+
+
+@given(st.sampled_from(["burnside_C2_4", "F4_galois_C2", "burnside_C3_9", "coind_C2_C4_FPF4",
+                        "coind_e_V4_constF2", "coind_C2a_S3_FPF4"]),
+       st.sampled_from(["res", "tr", "nm"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_batch_matches_apply(name, kind, data):
+    T = corpus.TAMBARA_CORPUS[name]
+    G = T.group
+    Y, _ = data.draw(gset_over(coset_gset(G, G.full_subgroup), 1, 2))
+    _, f = data.draw(gset_over(Y, 0, 2))
+    m = eval_along(T, f, kind)
+    n_rows = data.draw(st.integers(min_value=0, max_value=6))
+    rows = np.array([[data.draw(st.integers(min_value=0, max_value=n - 1))
+                      for n in m.source.sizes] for _ in range(n_rows)],
+                    dtype=np.int64).reshape(n_rows, len(m.source.sizes))
+    out = m.apply_batch(rows)
+    assert out.dtype == np.int32
+    assert out.shape == (len(rows), len(m.target.sizes))
+    assert [tuple(r) for r in out.tolist()] == [m.apply(tuple(r)) for r in rows.tolist()]
