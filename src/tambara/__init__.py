@@ -47,7 +47,6 @@ from .rings import (
 from .functors import (
     TambaraData,
     TambaraMorphism,
-    CheckConfig,
     CheckReport,
     check_axioms,
     coinduce,

@@ -17,13 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import serialize
 from .errors import DefinitionError, NoNorms, SearchTimeout, TambaraError
 from .functors import (
-    CheckConfig,
     TambaraData,
     _reindex,
     check_axioms,
@@ -35,39 +33,20 @@ from .groups import subgroups, upward_closure
 from .decompose import clarify, full_decomposition
 
 
-@dataclass
-class Config:
-    fiber_bound: int = 2
-    budget: int = 10 ** 6
-
-
-@dataclass
-class Workspace:
-    """Per-invocation registry of loaded objects."""
-
-    config: Config
-    functors: Dict[str, TambaraData] = field(default_factory=dict)
-
-    def load(self, path: str) -> TambaraData:
-        if path not in self.functors:
-            self.functors[path] = serialize.load_functor(path)
-        return self.functors[path]
-
-
 def _default_out(path: str, suffix: str) -> str:
     base, ext = os.path.splitext(path)
     return f"{base}.{suffix}{ext or '.json'}"
 
 
-def cmd_check(ws: Workspace, args) -> int:
-    T = ws.load(args.path)
-    report = check_axioms(T, CheckConfig(fiber_bound=ws.config.fiber_bound))
+def cmd_check(args) -> int:
+    T = serialize.load_functor(args.path)
+    report = check_axioms(T, fiber_bound=args.fiber_bound)
     print(report.summary())
     return 0 if report.passed else 2
 
 
-def cmd_decompose(ws: Workspace, args) -> int:
-    T = ws.load(args.path)
+def cmd_decompose(args) -> int:
+    T = serialize.load_functor(args.path)
     G = T.group
     if args.lam and args.lam != "all":
         H = serialize.resolve_subgroup(G, args.lam)
@@ -103,8 +82,8 @@ def _chain_of(T: TambaraData) -> Optional[List]:
     return chain
 
 
-def cmd_lewis(ws: Workspace, args) -> int:
-    T = ws.load(args.path)
+def cmd_lewis(args) -> int:
+    T = serialize.load_functor(args.path)
     G = T.group
     if args.chain:
         chain = [serialize.resolve_subgroup(G, s) for s in args.chain.split(",")]
@@ -142,7 +121,7 @@ def cmd_lewis(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_coinduce(ws: Workspace, args) -> int:
+def cmd_coinduce(args) -> int:
     G, H, inner = serialize.load_document(args.path, over=args.from_id)
     T = coinduce(G, H, inner)
     out = args.out or _default_out(args.path, f"coind.{args.from_id}")
@@ -151,8 +130,8 @@ def cmd_coinduce(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_restrict(ws: Workspace, args) -> int:
-    T = ws.load(args.path)
+def cmd_restrict(args) -> int:
+    T = serialize.load_functor(args.path)
     R = restrict(serialize.resolve_subgroup(T.group, args.to_id), T)
     out = args.out or _default_out(args.path, f"res.{args.to_id}")
     serialize.dump_functor(R, out)
@@ -168,13 +147,13 @@ def _rehome(T: TambaraData, target: TambaraData) -> TambaraData:
     return _reindex(T, G, G.elements(), T.label)
 
 
-def cmd_iso(ws: Workspace, args) -> int:
-    T1 = ws.load(args.path1)
-    T2 = _rehome(ws.load(args.path2), T1)
+def cmd_iso(args) -> int:
+    T1 = serialize.load_functor(args.path1)
+    T2 = _rehome(serialize.load_functor(args.path2), T1)
     if T1.has_norms != T2.has_norms:
         print("not isomorphic (norm flags differ)")
         return 0
-    iso = functor_isomorphism(T1, T2, budget=ws.config.budget)
+    iso = functor_isomorphism(T1, T2, budget=args.budget)
     if iso is None:
         print("not isomorphic")
         return 0
@@ -241,7 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args) -> int:
-    ws = Workspace(Config(fiber_bound=args.fiber_bound, budget=args.budget))
     handlers = {
         "check": cmd_check,
         "decompose": cmd_decompose,
@@ -252,7 +230,7 @@ def _run(args) -> int:
     }
     # the one place where errors become exit codes
     try:
-        return handlers[args.command](ws, args)
+        return handlers[args.command](args)
     except NoNorms:
         print("error: input is a Green functor; the product decomposition "
               "fails for Green functors (see the two-level counterexample)")

@@ -13,6 +13,8 @@ from functools import cached_property
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DefinitionError
 
 
@@ -33,6 +35,7 @@ class FiniteGroup:
                 raise DefinitionError("multiplication table is not square over 0..n-1")
         self.order = n
         self.mul_table = table
+        self.mul_array = np.array(table)
         self.name = name
         self.identity = 0
         self._validate()
@@ -50,6 +53,35 @@ class FiniteGroup:
         for a, b, c in product(range(n), repeat=3):
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise DefinitionError(f"associativity fails at ({a},{b},{c})")
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        """A greedy generating set, increasing: repeatedly the smallest
+        element outside the subgroup generated so far.  Each member at
+        least doubles that subgroup, so there are at most log2|G|."""
+        gens: List[int] = []
+        while len(_closure(self, gens)) < self.order:
+            gens.append(min(set(self.elements()).difference(_closure(self, gens))))
+        return tuple(gens)
+
+    def action_failure(self, action: np.ndarray) -> Optional[Tuple[int, int, int]]:
+        """The first (s, h, x), s a generator, with A[sh][x] != A[s][A[h][x]]
+        for the (|G|, n) array A[g, x] = g.x, or None if A is an action.
+        Entries outside 0..n-1 or a row 0 other than the identity raise
+        DefinitionError.  The law at the generators gives it for all pairs
+        and makes every row a bijection (README, "Actions checked at
+        generators"); the first failure is the one the all-pairs loop finds."""
+        n = action.shape[1]
+        if action.size and (action.min() < 0 or action.max() >= n):
+            raise DefinitionError(f"action entries must lie in 0..{n - 1}")
+        if not np.array_equal(action[0], np.arange(n)):
+            raise DefinitionError("identity must act trivially")
+        for s in self.generators:
+            bad = action[self.mul_array[s]] != action[s][action]  # [h, x]: A[sh] vs A[s][A[h]]
+            if bad.any():
+                h, x = np.argwhere(bad)[0]
+                return s, int(h), int(x)
+        return None
 
     def _find_inverse(self, a: int) -> int:
         for b in range(self.order):

@@ -56,8 +56,7 @@ class FiniteRing:
         n = self.add.shape[0]
         if self.add.shape != (n, n) or self.mul.shape != (n, n):
             raise DefinitionError("add/mul tables must be square and equal-sized")
-        if n > RING_SIZE_CAP:
-            raise SizeLimitExceeded(f"ring size {n} exceeds cap {RING_SIZE_CAP}")
+        _check_size(n)
         self.size = n
         self.zero = int(zero)
         self.one = int(one)
@@ -172,12 +171,6 @@ class FiniteRing:
             acc = int(self.add[acc, x])
         return acc
 
-    def mul_many(self, xs: Sequence[int]) -> int:
-        acc = self.one
-        for x in xs:
-            acc = int(self.mul[acc, x])
-        return acc
-
     def power(self, x: int, k: int) -> int:
         acc = self.one
         for _ in range(k):
@@ -192,9 +185,16 @@ def zero_ring() -> FiniteRing:
     return FiniteRing([[0]], [[0]], 0, 0, label="0")
 
 
+def _check_size(n: int) -> None:
+    """Refuse a ring of n elements before its n x n tables exist."""
+    if n > RING_SIZE_CAP:
+        raise SizeLimitExceeded(f"ring size {n} exceeds cap {RING_SIZE_CAP}")
+
+
 def zn(n: int) -> FiniteRing:
     if n < 1:
         raise DefinitionError("modulus must be positive")
+    _check_size(n)
     if n == 1:
         return zero_ring()
     idx = np.arange(n)
@@ -220,6 +220,7 @@ def _factor_prime_power(q: int) -> Tuple[int, int]:
 def fq(q: int) -> FiniteRing:
     """The field with q = p^k elements (k <= 4), as polynomials mod a fixed
     irreducible; element index is sum(c_i * p^i) so scalars sit at 0..p-1."""
+    _check_size(q)
     p, k = _factor_prime_power(q)
     if k == 1:
         R = zn(p)
@@ -354,6 +355,18 @@ def subring_on_idempotent(R: FiniteRing, e: int, label: Optional[str] = None
     return S, members.astype(np.int32)
 
 
+def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
+               ) -> Optional[Tuple[int, int]]:
+    """The first (a, b) in row-major order with img[a o b] != img[a] o img[b],
+    where src_op and dst_op are the tables of o on the map's source and
+    target; None when the map img preserves o."""
+    bad = img[src_op] != dst_op[img[:, None], img[None, :]]
+    if not bad.any():
+        return None
+    a, b = np.argwhere(bad)[0]
+    return int(a), int(b)
+
+
 @dataclass(frozen=True)
 class RingHom:
     """A unital ring homomorphism as an image table."""
@@ -370,9 +383,9 @@ class RingHom:
             raise DefinitionError("homomorphism does not preserve 0")
         if img[self.source.one] != self.target.one:
             raise DefinitionError("homomorphism does not preserve 1")
-        if not np.array_equal(img[self.source.add], self.target.add[img[:, None], img[None, :]]):
+        if op_failure(img, self.source.add, self.target.add):
             raise DefinitionError("homomorphism does not preserve addition")
-        if not np.array_equal(img[self.source.mul], self.target.mul[img[:, None], img[None, :]]):
+        if op_failure(img, self.source.mul, self.target.mul):
             raise DefinitionError("homomorphism does not preserve multiplication")
 
     def __call__(self, x: int) -> int:
@@ -396,7 +409,12 @@ class RingHom:
 
 
 class GRing:
-    """A finite ring with a group acting by ring automorphisms."""
+    """A finite ring with a group acting by ring automorphisms.
+
+    The constructor checks the action law and that each generator s of the
+    group acts additively and multiplicatively.  By the law every action
+    row is a composite of rows of generators (FiniteGroup.action_failure),
+    and a composite of maps preserving an operation preserves it."""
 
     def __init__(self, ring: FiniteRing, group: FiniteGroup, action) -> None:
         self.ring = ring
@@ -404,26 +422,14 @@ class GRing:
         self.action = np.asarray(action, dtype=np.int32)
         if self.action.shape != (group.order, ring.size):
             raise DefinitionError("action table must be |G| x |R|")
-        self._validate()
-
-    def _validate(self) -> None:
-        n = self.ring.size
-        if not np.array_equal(self.action[0], np.arange(n)):
-            raise DefinitionError("identity must act trivially")
-        for g in self.group.elements():
-            row = self.action[g]
-            if not np.array_equal(np.sort(row), np.arange(n)):
-                raise DefinitionError(f"group element {g} does not act bijectively")
-            if not np.array_equal(row[self.ring.add], self.ring.add[row[:, None], row[None, :]]):
-                raise DefinitionError(f"element {g} is not additive")
-            if not np.array_equal(row[self.ring.mul], self.ring.mul[row[:, None], row[None, :]]):
-                raise DefinitionError(f"element {g} is not multiplicative")
-        A, mul = self.action, np.asarray(self.group.mul_table)
-        for g in self.group.elements():
-            bad = (A[mul[g]] != A[g][A]).any(axis=1)  # row h: A[gh] vs A[g][A[h]]
-            if bad.any():
-                raise DefinitionError(
-                    f"action not a homomorphism at ({g},{int(np.argmax(bad))})")
+        bad = group.action_failure(self.action)
+        if bad is not None:
+            raise DefinitionError("action not a homomorphism at ({},{})".format(*bad[:2]))
+        for s in group.generators:
+            if op_failure(self.action[s], ring.add, ring.add):
+                raise DefinitionError(f"element {s} is not additive")
+            if op_failure(self.action[s], ring.mul, ring.mul):
+                raise DefinitionError(f"element {s} is not multiplicative")
 
     def act(self, g: int, x: int) -> int:
         return int(self.action[g, x])

@@ -243,7 +243,8 @@ def load_document(path: str, over: Optional[str] = None
     body read over H.as_group.
 
     This is the one entry point for files: a malformed block (a missing
-    key, a wrong type, a non-integer entry) raises DefinitionError.
+    key, a wrong type, a non-integer entry, an entry past int32) raises
+    DefinitionError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -260,7 +261,7 @@ def load_document(path: str, over: Optional[str] = None
         G = parse_group(doc["group"])
         H = G.full_subgroup if over is None else resolve_subgroup(G, over)
         return G, H, parse_functor_body(doc, H.as_group[0], label=doc.get("label", "T"))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DefinitionError(f"malformed definition: {type(exc).__name__}: {exc}") from exc
 
 

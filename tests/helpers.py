@@ -1,7 +1,7 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
-fixtures, the row-by-row ring-axiom reference, the point-by-point dependent
-product reference, and the randomized assembly sampler for round-trip
-tests."""
+fixtures, the row-by-row ring-axiom reference, the every-element action
+references, the point-by-point dependent product reference, and the
+randomized assembly sampler for round-trip tests."""
 
 import random
 from itertools import product as iproduct
@@ -56,6 +56,55 @@ def reference_validate(ring):
             raise DefinitionError(f"multiplication not associative at {a}")
         if not np.array_equal(mul[a][add], add[mul[a][:, None], mul[a][None, :]]):
             raise DefinitionError(f"distributivity fails at {a}")
+
+
+def reference_gset_validate(G, action):
+    """The all-pairs G-set check: bijective rows, trivial identity row and
+    A[gh] = A[g][A[h]] for every g and h; the reference GSet's check at
+    the generators is tested against."""
+    A = np.asarray(action)
+    n = A.shape[1]
+    if not (np.sort(A, axis=1) == np.arange(n)).all():
+        raise DefinitionError("group element does not act bijectively")
+    if not np.array_equal(A[0], np.arange(n)):
+        raise DefinitionError("identity must act trivially")
+    for g in G.elements():
+        for h in G.elements():
+            if not np.array_equal(A[G.mul(g, h)], A[g][A[h]]):
+                raise DefinitionError(f"action not a homomorphism at ({g},{h})")
+
+
+def reference_gsetmap_validate(X, Y, images):
+    """Equivariance of images : X -> Y at every group element; the
+    reference GSetMap's check at the generators is tested against."""
+    img = np.asarray(images)
+    if img.size and (img.min() < 0 or img.max() >= Y.size):
+        raise DefinitionError("image outside the target")
+    for g in X.group.elements():
+        if not np.array_equal(img[X.action[g]], Y.action[g][img]):
+            raise DefinitionError(f"map not equivariant at g={g}")
+
+
+def reference_gring_validate(ring, G, action):
+    """Every element bijective, additive and multiplicative, and the
+    action law for every pair; the reference GRing's check at the
+    generators is tested against."""
+    A = np.asarray(action)
+    n = ring.size
+    if not np.array_equal(A[0], np.arange(n)):
+        raise DefinitionError("identity must act trivially")
+    for g in G.elements():
+        row = A[g]
+        if not np.array_equal(np.sort(row), np.arange(n)):
+            raise DefinitionError(f"group element {g} does not act bijectively")
+        if not np.array_equal(row[ring.add], ring.add[row[:, None], row[None, :]]):
+            raise DefinitionError(f"element {g} is not additive")
+        if not np.array_equal(row[ring.mul], ring.mul[row[:, None], row[None, :]]):
+            raise DefinitionError(f"element {g} is not multiplicative")
+    for g in G.elements():
+        for h in G.elements():
+            if not np.array_equal(A[G.mul(g, h)], A[g][A[h]]):
+                raise DefinitionError(f"action not a homomorphism at ({g},{h})")
 
 
 def reference_dependent_product(f, p, section_cap=SECTION_CAP):

@@ -18,7 +18,6 @@ from tambara.errors import GroupMismatch, NoNorms, SearchTimeout
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups
 from tambara.gsets import GSetMap, coset_gset, disjoint_union
 from tambara.functors import (
-    CheckConfig,
     TambaraData,
     TambaraMorphism,
     check_axioms,
@@ -271,7 +270,7 @@ def test_axioms_on_nonabelian_order8_coinduction():
 
 def test_axioms_at_higher_fiber_bound():
     B = corpus.BURNSIDE_CORPUS["burnside_C4_4"]
-    assert check_axioms(B, CheckConfig(fiber_bound=3)).passed
+    assert check_axioms(B, fiber_bound=3).passed
 
 
 def test_burnside_a4_order12_spot_check():

@@ -5,6 +5,7 @@ from tambara.errors import DefinitionError
 from tambara.groups import (
     FiniteGroup,
     Subgroup,
+    _closure,
     double_cosets,
     is_subconjugate,
     normalizer,
@@ -109,6 +110,15 @@ def test_double_cosets_partition(G):
 
 LATTICE_GROUPS = [C4, S3, FiniteGroup.dihedral(4), FiniteGroup.quaternion(),
                   FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")]
+
+
+@pytest.mark.parametrize("G", LATTICE_GROUPS + [C2, V4, FiniteGroup.cyclic(1)],
+                         ids=lambda g: g.name)
+def test_generators_generate_with_at_most_log2_members(G):
+    S = G.generators
+    assert _closure(G, S) == tuple(G.elements())
+    assert 2 ** len(S) <= G.order
+    assert list(S) == sorted(set(S)) and 0 not in S
 
 
 @pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)

@@ -33,6 +33,14 @@ def test_gset_validation():
         GSet(C2, [[1, 0], [0, 1]])  # identity acts nontrivially
 
 
+@pytest.mark.parametrize("entry", [-1, -3, 3, 2 ** 20])
+def test_out_of_range_action_entries_rejected(entry):
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    rows[1][2] = entry
+    with pytest.raises(DefinitionError, match=r"^action entries must lie in 0\.\.2$"):
+        GSet(C3, rows)
+
+
 def test_map_validation():
     X = regular_gset(C2)
     Y = trivial_gset(C2, 2)

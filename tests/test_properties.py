@@ -1,13 +1,15 @@
 """Property-based tests for the invariants that quantify over choices."""
 
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from corpus import C2, C3, C4, F3, F4, S3, V4
+import helpers
+from corpus import C2, C3, C4, F2, F3, F4, S3, V4
 from helpers import reference_dependent_product
 from tambara.groups import subgroups
 from tambara.errors import DefinitionError, SizeLimitExceeded
@@ -159,6 +161,129 @@ def test_non_homomorphic_action_reports_first_failure(gs, data):
         return
     with pytest.raises(DefinitionError, match=re.escape("at g={}, h={}, x={}".format(*bad)) + "$"):
         GSet(G, rows)
+
+
+# -- action checks at the generators against the every-element references --
+
+ACTION_GROUPS = [C2, C3, C4, V4, S3]
+
+
+def _rejection(build, *args):
+    """The DefinitionError text build(*args) raises, or None."""
+    try:
+        build(*args)
+    except DefinitionError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(draw, rows):
+    """A copy of the action rows with at most one change: an entry set to
+    anything in -2..n+1, one row replaced by another row, by a composite of
+    two rows or by a random permutation, or two entries of a row swapped."""
+    rows = np.array(rows)
+    n = rows.shape[1]
+    kind = draw(st.sampled_from(["none", "entry", "copy", "compose", "permute", "swap"]))
+    g, h = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "entry":
+        rows[g, x] = draw(st.integers(-2, n + 1))
+    elif kind == "copy":
+        rows[g] = rows[h]
+    elif kind == "compose":
+        rows[g] = rows[h][rows[g]]
+    elif kind == "permute":
+        rows[g] = draw(st.permutations(list(range(n))))
+    elif kind == "swap":
+        rows[g, [x, y]] = rows[g, [y, x]]
+    return rows
+
+
+def _twisted(draw, G, rows):
+    """The action rows with one generator s of G sent to a cyclic shift P
+    of the points fixed by all the other generators, and every other row
+    rebuilt from words in the generators.  P commutes with the rows of the
+    other generators, so in V4 the law holds at them and fails at s alone
+    when P * P is not the identity."""
+    rows = np.asarray(rows)
+    s = draw(st.sampled_from(G.generators))
+    others = [t for t in G.generators if t != s]
+    fixed = np.flatnonzero((rows[others] == np.arange(rows.shape[1])).all(axis=0))
+    gens = {t: rows[t] for t in others}
+    gens[s] = np.arange(rows.shape[1])
+    gens[s][fixed] = np.roll(fixed, draw(st.integers(0, max(len(fixed) - 1, 0))))
+    built, reached = {0: rows[0]}, [0]
+    for e in reached:  # grows while it is walked: breadth first
+        for t in G.generators:
+            if G.mul(t, e) not in built:
+                built[G.mul(t, e)] = gens[t][built[e]]
+                reached.append(G.mul(t, e))
+    return np.array([built[e] for e in G.elements()])
+
+
+def _names_generator(G, message, pattern):
+    m = re.search(pattern, message or "")
+    return m is None or int(m.group(1)) in G.generators
+
+
+@given(st.sampled_from(ACTION_GROUPS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gset_check_agrees_with_all_pairs_reference(G, data):
+    X = data.draw(shuffled_gset(G))[3]
+    if data.draw(st.booleans()):
+        rows = _perturbed(data.draw, X.action)
+    else:  # with three more fixed points, so that a twist has room
+        rows = _twisted(data.draw, G, np.hstack([X.action, np.tile(X.size + np.arange(3), (G.order, 1))]))
+    got = _rejection(GSet, G, rows)
+    assert (got is None) == (_rejection(helpers.reference_gset_validate, G, rows) is None)
+    assert _names_generator(G, got, r"homomorphism at g=(\d+),")
+
+
+@given(st.sampled_from(ACTION_GROUPS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_gsetmap_check_agrees_with_every_element_reference(G, data):
+    X = data.draw(shuffled_gset(G))[3]
+    Y, _ = disjoint_union([data.draw(shuffled_gset(G))[3], coset_gset(G, G.full_subgroup)])
+    f = data.draw(st.sampled_from(list(islice(equivariant_maps(X, Y), 30))))
+    images = list(f.images)
+    if data.draw(st.booleans()):
+        images[data.draw(st.integers(0, X.size - 1))] = data.draw(st.integers(-1, Y.size))
+    got = _rejection(GSetMap, X, Y, tuple(images))
+    assert (got is None) == (_rejection(helpers.reference_gsetmap_validate, X, Y, images) is None)
+    assert _names_generator(G, got, r"equivariant at g=(\d+),")
+
+
+@st.composite
+def grings(draw):
+    """A valid G-ring of at most 256 elements over an ACTION_GROUPS group:
+    one from the corpus, or a coinduction of a trivial F2 or F3 ring or of
+    the Galois F4 along a subgroup."""
+    corpus_rings = [R for R in corpus.GRING_CORPUS.values() if R.group in ACTION_GROUPS]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(corpus_rings))
+    G = draw(st.sampled_from(ACTION_GROUPS))
+    H = draw(st.sampled_from(subgroups(G)))
+    Hg = H.as_group[0]
+    inner = [trivial_gring(F2, Hg), trivial_gring(F3, Hg)]
+    if H.order == 2:
+        inner.append(corpus.galois_gring(F4, Hg))
+    index = G.order // H.order
+    S = draw(st.sampled_from([S for S in inner if S.ring.size ** index <= 256]))
+    return coinduce_gring(G, H, S)
+
+
+@given(grings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_gring_check_agrees_with_every_element_reference(R, data):
+    G = R.group
+    if data.draw(st.booleans()):
+        rows = _perturbed(data.draw, R.action)
+    else:
+        rows = _twisted(data.draw, G, R.action)
+    got = _rejection(GRing, R.ring, G, rows)
+    assert (got is None) == (_rejection(helpers.reference_gring_validate, R.ring, G, rows) is None)
+    assert _names_generator(G, got, r"homomorphism at \((\d+),")
+    assert _names_generator(G, got, r"^element (\d+) is not")
 
 
 @given(st.integers(min_value=1, max_value=3),

@@ -240,6 +240,14 @@ def test_gring_action_law_names_first_failing_pair():
         GRing(F4, C4, [ident, ident, ident, frobenius(F4)])
 
 
+@pytest.mark.parametrize("entry", [-1, -4, 4, 2 ** 20])
+def test_out_of_range_gring_action_entries_rejected(entry):
+    rows = [np.arange(4), frobenius(F4)]
+    rows[1][3] = entry
+    with pytest.raises(DefinitionError, match=r"^action entries must lie in 0\.\.3$"):
+        GRing(F4, C2, rows)
+
+
 def test_coinduce_full_subgroup_identity():
     S = galois_gring(F4, C2)
     # Coind_G^G along the full subgroup: same ring up to relabeling

@@ -264,6 +264,8 @@ MALFORMED = {
     "burnside_mod_text": {"schema": 1, "group": _C2_GROUP, "burnside": {"mod": "x"}},
     "burnside_mod_1": {"schema": 1, "group": _C2_GROUP, "burnside": {"mod": 1}},
     "coind_without_functor": {"schema": 1, "group": _C2_GROUP, "coind": {"from": "e"}},
+    "fp_action_past_int32": {"schema": 1, "group": _C2_GROUP,
+                             "fp": {"ring": {"kind": "Zn", "n": 2}, "action": [[0, 1], [1, 2 ** 40]]}},
     "res_not_an_object": {"schema": 1, "group": _C2_GROUP,
                           "functor": {"levels": {"H0": {"kind": "zero"}, "H1": {"kind": "zero"}},
                                       "res": []}},
@@ -282,8 +284,10 @@ def test_malformed_input_exits_1(tmp_path, capsys, command, case):
     assert capsys.readouterr().out.startswith("error:")
 
 
-# one table of the constant F2 functor over C2 pointing outside its target level
-OUT_OF_RANGE = {"res": ("H0<H1", [7, 7]), "tr": ("H0<H1", [9, 9]), "conj": ("g1|H0", [-1, 0])}
+# one table of the constant F2 functor over C2 pointing outside its target
+# level (the nm entry does not fit in int32)
+OUT_OF_RANGE = {"res": ("H0<H1", [7, 7]), "tr": ("H0<H1", [9, 9]), "conj": ("g1|H0", [-1, 0]),
+                "nm": ("H0<H1", [2 ** 40, 0])}
 
 
 @pytest.mark.parametrize("command", [["check"], ["decompose"], ["lewis"], ["restrict", "--to", "e"]],
@@ -340,6 +344,23 @@ def test_large_broken_ring_exits_1(tmp_path, capsys, command):
     p.write_text(json.dumps(doc))
     assert main([command, str(p)]) == 1
     assert capsys.readouterr().out.startswith("error: distributivity fails")
+
+
+@pytest.mark.parametrize("ring", [{"kind": "Zn", "n": 30000}, {"kind": "Fq", "q": 1000000007}],
+                         ids=["Zn", "Fq"])
+def test_oversized_ring_block_exits_1_fast(tmp_path, ring):
+    # refused before the n x n tables are allocated or q is factored
+    doc = {"schema": 1, "group": _C2_GROUP, "fp": {"ring": ring, "action": [[0], [0]]}}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "tambara.cli", "check", str(p)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith(b"error: ring size ")
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
