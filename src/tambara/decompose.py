@@ -35,8 +35,8 @@ from .functors import (
     TambaraData,
     TambaraMorphism,
     coinduce,
-    fold_product,
     identity_morphism,
+    product,
     restrict,
     zero_functor,
 )
@@ -59,35 +59,22 @@ def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int], label: str
     units must be norm-coherent (res/nm/conj carry them to each other);
     a structure map leaving an ideal raises VerificationFailed.
     """
-    subs = subgroups(T.group)
     levels, includes, positions = {}, {}, {}
-    for H in subs:
+    for H in subgroups(T.group):
         S, inc = subring_on_idempotent(T.levels[H], units[H])
         pos = -np.ones(T.levels[H].size, dtype=np.int64)
         pos[inc] = np.arange(S.size)
         levels[H], includes[H], positions[H] = S, inc, pos
 
-    def cut(table, inc_src, pos_dst, desc):
-        out = pos_dst[table[inc_src]]
+    def cut(name, key, src, dst):
+        # for nm, x = unit_K x forces nm(x) = nm(unit_K) nm(x) = unit_H nm(x),
+        # so the raw norm already lands in the target ideal
+        out = positions[dst][T.table(name, key)[includes[src]]]
         if (out < 0).any():
-            raise VerificationFailed(f"{desc} does not preserve the idempotent ideal")
+            raise VerificationFailed(f"{name} does not preserve the idempotent ideal")
         return out
 
-    res, tr, conj = {}, {}, {}
-    nm = {} if T.has_norms else None
-    for (K, H) in T.sub_pairs():
-        res[(K, H)] = cut(T.res[(K, H)], includes[H], positions[K], "res")
-        tr[(K, H)] = cut(T.tr[(K, H)], includes[K], positions[H], "tr")
-        if nm is not None:
-            # x = unit_K x forces nm(x) = nm(unit_K) nm(x) = unit_H nm(x),
-            # so the raw norm already lands in the target ideal
-            nm[(K, H)] = cut(T.nm[(K, H)], includes[K], positions[H], "nm")
-    for g in T.group.elements():
-        for H in subs:
-            conj[(g, H)] = cut(T.conj[(g, H)], includes[H], positions[H.conjugate(g)], "conj")
-    sliced = TambaraData(T.group, levels, res, tr, nm, conj,
-                         has_norms=T.has_norms, label=label)
-    return sliced, includes
+    return TambaraData.build(T.group, levels, cut, T.has_norms, label), includes
 
 
 def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
@@ -149,7 +136,7 @@ def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
         factors.append(sliced)
         includes_per.append(includes)
 
-    P = fold_product(factors)
+    P = product(*factors)
     maps = {}
     for H in subs:
         sizes = [f.levels[H].size for f in factors]
@@ -250,7 +237,7 @@ def detect_coinduction(T: TambaraData
 @dataclass
 class DecompositionResult:
     """factors[i] = (subgroup representative H_i, clarified H_i-functor);
-    factor_coinductions[i] = Coind_{H_i}(factor i), whose fold is
+    factor_coinductions[i] = Coind_{H_i}(factor i), whose product is
     reassembled; witness maps reassembled isomorphically onto the input."""
 
     factors: List[Tuple[Subgroup, TambaraData]]
@@ -283,7 +270,7 @@ def full_decomposition(T: TambaraData) -> DecompositionResult:
         coinductions.append(w.target)
         inverses.append(w.inverse())
 
-    reassembled = fold_product(coinductions)
+    reassembled = product(*coinductions)
     P = split_witness.source
     maps = {}
     for K in subgroups(G):
@@ -320,7 +307,7 @@ def clarify(T: TambaraData, lam: UpwardClosedSet
         maps = {K: np.zeros(T.levels[K].size, dtype=np.int64)
                 for K in subgroups(G)}
         return Z, TambaraMorphism(T, Z, maps)
-    target = fold_product([dec.factor_coinductions[i] for i in kept])
+    target = product(*[dec.factor_coinductions[i] for i in kept])
     maps = {}
     for K in subgroups(G):
         sizes = [c.levels[K].size for c in dec.factor_coinductions]

@@ -14,7 +14,8 @@ mutation fixtures can be represented and rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,29 @@ from .rings import (
 )
 
 
+def structure_maps(G: FiniteGroup, has_norms: bool
+                   ) -> Iterator[Tuple[str, tuple, Subgroup, Subgroup]]:
+    """Every structure table of a functor over G as (name, key, source
+    level, target level): for each pair K <= H in subgroup_pairs order,
+    res (H -> K), tr (K -> H) and, with norms, nm (K -> H), keyed (K, H);
+    then for each g, for each H, conj (H -> gHg^-1), keyed (g, H)."""
+    for K, H in G.subgroup_pairs:
+        yield "res", (K, H), H, K
+        yield "tr", (K, H), K, H
+        if has_norms:
+            yield "nm", (K, H), K, H
+    subs = subgroups(G)
+    for g in G.elements():
+        for H in subs:
+            yield "conj", (g, H), H, H.conjugate(g)
+
+
+def _where(name: str, key: tuple) -> str:
+    """Where a structure map sits, as error messages name it."""
+    a, H = key
+    return f"g={a}, H={H.elements}" if name == "conj" else f"{a.elements}<={H.elements}"
+
+
 class TambaraData:
     """A Green functor (has_norms=False) or Tambara functor (True).
 
@@ -76,34 +100,42 @@ class TambaraData:
 
     # -- structural bookkeeping ---------------------------------------
 
+    @classmethod
+    def build(cls, group: FiniteGroup, levels, table, has_norms: bool,
+              label: str = "T") -> "TambaraData":
+        """The functor whose structure map (name, key) from level src to
+        level dst is table(name, key, src, dst), called in the order of
+        structure_maps."""
+        tables = {"res": {}, "tr": {}, "nm": {}, "conj": {}}
+        for name, key, src, dst in structure_maps(group, has_norms):
+            tables[name][key] = table(name, key, src, dst)
+        return cls(group, levels, tables["res"], tables["tr"],
+                   tables["nm"] if has_norms else None, tables["conj"],
+                   has_norms=has_norms, label=label)
+
     def _shape_check(self) -> None:
         """Every table is present, has one entry per source element and
         lands in the target level."""
-        subs = subgroups(self.group)
-        for s in subs:
+        for s in subgroups(self.group):
             if s not in self.levels:
                 raise DefinitionError(f"missing level for subgroup {s.elements}")
-        tables = []  # (name, where, table, source level, target level)
-        for (K, H) in self.sub_pairs():
-            where = f"{K.elements}<={H.elements}"
-            tables.append(("res", where, self.res.get((K, H)), H, K))
-            for name, table in [("tr", self.tr)] + ([("nm", self.nm)] if self.has_norms else []):
-                tables.append((name, where, table.get((K, H)), K, H))
-        for g in self.group.elements():
-            for H in subs:
-                tables.append(("conj", f"g={g}, H={H.elements}", self.conj.get((g, H)),
-                               H, H.conjugate(g)))
-        for name, where, t, src, _ in tables:
+        tables = [(name, key, getattr(self, name).get(key), src, dst)
+                  for name, key, src, dst in structure_maps(self.group, self.has_norms)]
+        for name, key, t, src, _ in tables:
             if t is None or t.shape != (self.levels[src].size,):
-                raise DefinitionError(f"{name} table missing/misshaped for {where}")
+                raise DefinitionError(f"{name} table missing/misshaped for {_where(name, key)}")
         # all entries at once, each against the size of its table's target
         lengths = [len(t) for _, _, t, _, _ in tables]
         entries = np.concatenate([t for _, _, t, _, _ in tables])
         limits = np.repeat([self.levels[dst].size for *_, dst in tables], lengths)
         bad = np.flatnonzero((entries < 0) | (entries >= limits))
         if bad.size:
-            name, where = tables[np.searchsorted(np.cumsum(lengths), bad[0], side="right")][:2]
-            raise DefinitionError(f"{name} table out of range for {where}")
+            name, key = tables[np.searchsorted(np.cumsum(lengths), bad[0], side="right")][:2]
+            raise DefinitionError(f"{name} table out of range for {_where(name, key)}")
+
+    def table(self, name: str, key) -> np.ndarray:
+        """The structure map (name, key) as listed by structure_maps."""
+        return getattr(self, name)[key]
 
     def sub_pairs(self) -> Tuple[Tuple[Subgroup, Subgroup], ...]:
         return self.group.subgroup_pairs
@@ -284,19 +316,10 @@ class TambaraMorphism:
             if img is None or img.shape != (src.levels[H].size,):
                 raise DefinitionError(f"missing/misshaped map at level {H.elements}")
             RingHom(src.levels[H], tgt.levels[H], tuple(int(x) for x in img))
-        for (K, H) in src.sub_pairs():
-            if not np.array_equal(self.maps[K][src.res[(K, H)]], tgt.res[(K, H)][self.maps[H]]):
-                raise DefinitionError(f"morphism breaks res at {K.elements}<={H.elements}")
-            if not np.array_equal(self.maps[H][src.tr[(K, H)]], tgt.tr[(K, H)][self.maps[K]]):
-                raise DefinitionError(f"morphism breaks tr at {K.elements}<={H.elements}")
-            if src.has_norms and tgt.has_norms:
-                if not np.array_equal(self.maps[H][src.nm[(K, H)]], tgt.nm[(K, H)][self.maps[K]]):
-                    raise DefinitionError(f"morphism breaks nm at {K.elements}<={H.elements}")
-        for g in src.group.elements():
-            for H in subgroups(src.group):
-                if not np.array_equal(self.maps[H.conjugate(g)][src.conj[(g, H)]],
-                                      tgt.conj[(g, H)][self.maps[H]]):
-                    raise DefinitionError(f"morphism breaks conj at g={g}, H={H.elements}")
+        for name, key, a, b in structure_maps(src.group, src.has_norms and tgt.has_norms):
+            if not np.array_equal(self.maps[b][src.table(name, key)],
+                                  tgt.table(name, key)[self.maps[a]]):
+                raise DefinitionError(f"morphism breaks {name} at {_where(name, key)}")
 
     def is_isomorphism(self) -> bool:
         return all(len(set(v.tolist())) == self.target.levels[K].size == len(v)
@@ -391,56 +414,41 @@ def constant_functor(R: FiniteRing, G: FiniteGroup) -> TambaraData:
 
 
 def zero_functor(G: FiniteGroup, has_norms: bool = True) -> TambaraData:
-    subs = subgroups(G)
     Z = zero_ring()
-    levels = {H: Z for H in subs}
-    pairs = G.subgroup_pairs
     one = np.zeros(1, dtype=np.int32)
-    res = {p: one for p in pairs}
-    tr = {p: one for p in pairs}
-    nm = {p: one for p in pairs} if has_norms else None
-    conj = {(g, H): one for g in G.elements() for H in subs}
-    return TambaraData(G, levels, res, tr, nm, conj, has_norms=has_norms, label="0")
+    return TambaraData.build(G, {H: Z for H in subgroups(G)}, lambda *_: one,
+                             has_norms, label="0")
 
 
-def product(T1: TambaraData, T2: TambaraData, label: Optional[str] = None) -> TambaraData:
-    """Levelwise product with componentwise structure maps."""
-    if T1.group is not T2.group:
-        raise GroupMismatch("product needs a common group")
-    if T1.has_norms != T2.has_norms:
-        raise GroupMismatch("product needs matching norm flags")
-    G = T1.group
-    subs = subgroups(G)
-    sizes = {H: [T1.levels[H].size, T2.levels[H].size] for H in subs}
-    levels = {H: product_ring([T1.levels[H], T2.levels[H]]) for H in subs}
+def product(*factors: TambaraData, label: Optional[str] = None) -> TambaraData:
+    """Levelwise product with componentwise structure maps.
 
-    def combine(tbl1, tbl2, src_H, dst_H):
-        a, b = prod_components(sizes[src_H])
-        return prod_encode(sizes[dst_H], [tbl1[a], tbl2[b]])
+    Element indices are C-order over the factors (prod_encode), so the
+    product of k factors equals the left fold of binary products, label
+    included: "((A x B) x C)" unless label is given.  One factor is its own
+    product.
+    """
+    if not factors:
+        raise DefinitionError("need at least one factor")
+    first = factors[0]
+    for T in factors[1:]:
+        if T.group is not first.group:
+            raise GroupMismatch("product needs a common group")
+        if T.has_norms != first.has_norms:
+            raise GroupMismatch("product needs matching norm flags")
+    G = first.group
+    if len(factors) == 1:
+        return first if label is None else _reindex(first, G, G.elements(), label)
+    levels = {H: product_ring([T.levels[H] for T in factors]) for H in subgroups(G)}
+    sizes = {H: [T.levels[H].size for T in factors] for H in levels}
+    comps = {H: prod_components(s) for H, s in sizes.items()}
 
-    res, tr, conj = {}, {}, {}
-    nm = {} if T1.has_norms else None
-    for (K, H) in T1.sub_pairs():
-        res[(K, H)] = combine(T1.res[(K, H)], T2.res[(K, H)], H, K)
-        tr[(K, H)] = combine(T1.tr[(K, H)], T2.tr[(K, H)], K, H)
-        if nm is not None:
-            nm[(K, H)] = combine(T1.nm[(K, H)], T2.nm[(K, H)], K, H)
-    for g in G.elements():
-        for H in subs:
-            conj[(g, H)] = combine(T1.conj[(g, H)], T2.conj[(g, H)], H, H.conjugate(g))
-    return TambaraData(G, levels, res, tr, nm, conj, has_norms=T1.has_norms,
-                       label=label or f"({T1.label} x {T2.label})")
+    def table(name, key, src, dst):
+        return prod_encode(sizes[dst], [T.table(name, key)[c]
+                                        for T, c in zip(factors, comps[src])])
 
-
-def fold_product(factors: Sequence[TambaraData], label: Optional[str] = None) -> TambaraData:
-    """Left fold of binary products (the flat C-order encodings agree); the
-    result is named label when one is given."""
-    out = factors[0]
-    for i, f in enumerate(factors[1:], start=2):
-        out = product(out, f, label=label if i == len(factors) else None)
-    if len(factors) == 1 and label is not None:
-        out = _reindex(out, out.group, out.group.elements(), label)
-    return out
+    nested = reduce(lambda a, b: f"({a} x {b})", (T.label for T in factors))
+    return TambaraData.build(G, levels, table, first.has_norms, label or nested)
 
 
 def _coset_projection(G: FiniteGroup, K1: Subgroup, K2: Subgroup) -> GSetMap:
@@ -471,17 +479,14 @@ def _over_subgroup(H: Subgroup, T: TambaraData) -> TambaraData:
 def _reindex(T: TambaraData, K: FiniteGroup, elem: Sequence[int], label: str) -> TambaraData:
     """T read over K along the injective homomorphism i -> elem[i] into
     T.group: the level at S <= K is T's level at the image of S."""
-    G = T.group
-    subs = subgroups(K)
-    lift = {S: G.subgroup(elem[i] for i in S.elements) for S in subs}
+    lift = {S: T.group.subgroup(elem[i] for i in S.elements) for S in subgroups(K)}
 
-    def pull(tables):
-        return {(A, B): tables[(lift[A], lift[B])] for (A, B) in K.subgroup_pairs}
+    def table(name, key, src, dst):
+        a, S = key
+        return T.table(name, (elem[a] if name == "conj" else lift[a], lift[S]))
 
-    conj = {(i, S): T.conj[(elem[i], lift[S])] for i in K.elements() for S in subs}
-    return TambaraData(K, {S: T.levels[lift[S]] for S in subs}, pull(T.res), pull(T.tr),
-                       pull(T.nm) if T.has_norms else None, conj,
-                       has_norms=T.has_norms, label=label)
+    return TambaraData.build(K, {S: T.levels[L] for S, L in lift.items()}, table,
+                             T.has_norms, label)
 
 
 def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
@@ -849,7 +854,7 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
         Sd = restrict(Hd.local_subgroups[M], transport(T, H, d))
         M_in_K = K.local_subgroups[M]
         blocks.append((d, M_in_K, coinduce(Kg, M_in_K, Sd)))
-    rhs = fold_product([b[2] for b in blocks], label=f"MackeyRHS({T.label})")
+    rhs = product(*[b[2] for b in blocks], label=f"MackeyRHS({T.label})")
 
     maps = {}
     for L in subgroups(Kg):
@@ -895,16 +900,10 @@ def _functor_structure(T: TambaraData) -> _search.OpStructure:
         constants.append((f"one{i}", i, T.levels[H].one))
         binary.append((f"add{i}", i, T.levels[H].add.tolist()))
         binary.append((f"mul{i}", i, T.levels[H].mul.tolist()))
-    for (K, H) in T.sub_pairs():
-        a, b = index[K], index[H]
-        unary.append((f"res{b}->{a}", b, a, T.res[(K, H)].tolist()))
-        unary.append((f"tr{a}->{b}", a, b, T.tr[(K, H)].tolist()))
-        if T.has_norms:
-            unary.append((f"nm{a}->{b}", a, b, T.nm[(K, H)].tolist()))
-    for g in T.group.elements():
-        for H in subs:
-            unary.append((f"c{g}@{index[H]}", index[H], index[H.conjugate(g)],
-                          T.conj[(g, H)].tolist()))
+    for name, key, src, dst in structure_maps(T.group, T.has_norms):
+        a, b = index[src], index[dst]
+        op = f"c{key[0]}@{a}" if name == "conj" else f"{name}{a}->{b}"
+        unary.append((op, a, b, T.table(name, key).tolist()))
     return _search.OpStructure(sorts=sorts, constants=constants, unary=unary, binary=binary)
 
 

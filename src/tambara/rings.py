@@ -277,10 +277,8 @@ def frobenius(R: FiniteRing) -> np.ndarray:
 
 
 def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> FiniteRing:
-    """Componentwise product; index is C-order over factor indices.
-
-    The result carries factor_sizes for encode/decode.
-    """
+    """Componentwise product; index is C-order over factor indices
+    (prod_encode)."""
     if not factors:
         raise DefinitionError("need at least one factor")
     sizes = [f.size for f in factors]
@@ -295,10 +293,8 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
     mul = prod_encode(sizes, (f.mul[np.ix_(a, a)] for f, a in zip(factors, comps)))
     zero = prod_encode(sizes, [f.zero for f in factors])
     one = prod_encode(sizes, [f.one for f in factors])
-    R = FiniteRing(add, mul, zero, one,
-                   label=label or " x ".join(f.label for f in factors))
-    R.factor_sizes = tuple(sizes)
-    return R
+    return FiniteRing(add, mul, zero, one,
+                      label=label or " x ".join(f.label for f in factors))
 
 
 # -- the mixed-radix codec of product indices -----------------------------
@@ -360,7 +356,9 @@ def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
     """The first (a, b) in row-major order with img[a o b] != img[a] o img[b],
     where src_op and dst_op are the tables of o on the map's source and
     target; None when the map img preserves o."""
-    bad = img[src_op] != dst_op[img[:, None], img[None, :]]
+    # dst_op[u, v] is dst_op.flat[u*n + v]; n*n <= RING_SIZE_CAP**2 < 2**31
+    n = dst_op.shape[0]
+    bad = img[src_op] != np.take(dst_op, img[:, None] * n + img)
     if not bad.any():
         return None
     a, b = np.argwhere(bad)[0]
@@ -558,10 +556,7 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
         action[gamma] = prod_encode(sizes, [
             S.action[H.local_index[G.mul(G.mul(G.inv(r), gamma), reps[src])]][comps[src]]
             for r, src in zip(reps, srcs)])
-    out_ring = GRing(ring, G, action)
-    out_ring.coind_cosets = tuple(cosets)
-    out_ring.coind_reps = tuple(reps)
-    return out_ring
+    return GRing(ring, G, action)
 
 
 def gring_restrict(K: Subgroup, R: GRing) -> GRing:
@@ -572,15 +567,22 @@ def gring_restrict(K: Subgroup, R: GRing) -> GRing:
     return GRing(R.ring, Kg, R.action[list(embed)])
 
 
-def gring_product(R: GRing, S: GRing) -> GRing:
-    if R.group is not S.group:
+def gring_product(*rings: GRing) -> GRing:
+    """Componentwise product, indexed like product_ring; it equals the left
+    fold of binary products, and one G-ring is its own product."""
+    if not rings:
+        raise DefinitionError("need at least one factor")
+    G = rings[0].group
+    if any(R.group is not G for R in rings):
         raise GroupMismatch("product needs a common group")
-    ring = product_ring([R.ring, S.ring])
-    sizes = [R.ring.size, S.ring.size]
-    a, b = prod_components(sizes)
-    action = [prod_encode(sizes, [R.action[g][a], S.action[g][b]])
-              for g in R.group.elements()]
-    return GRing(ring, R.group, action)
+    if len(rings) == 1:
+        return rings[0]
+    ring = product_ring([R.ring for R in rings])
+    sizes = [R.ring.size for R in rings]
+    comps = prod_components(sizes)
+    action = [prod_encode(sizes, [R.action[g][c] for R, c in zip(rings, comps)])
+              for g in G.elements()]
+    return GRing(ring, G, action)
 
 
 def gring_transport(S: GRing, H: Subgroup, g: int) -> GRing:
@@ -695,9 +697,7 @@ def decompose_gring(R: GRing) -> GRingDecomposition:
         coinduced.append(coinduce_gring(G, rep, S_class))
         witness_parts.append((rep, bases, includes, sizes))
 
-    reassembled = coinduced[0]
-    for c in coinduced[1:]:
-        reassembled = gring_product(reassembled, c)
+    reassembled = gring_product(*coinduced)
 
     # witness: sum of translated components
     ring = R.ring
@@ -749,9 +749,7 @@ def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing
         M_in_K = K.local_subgroups[M]
         blocks.append((d, M_in_K, coinduce_gring(Kg, M_in_K, S_M)))
 
-    rhs = blocks[0][2]
-    for _, _, b in blocks[1:]:
-        rhs = gring_product(rhs, b)
+    rhs = gring_product(*[b for _, _, b in blocks])
 
     # iso per derivation: component (d, coset c' of K/(K cap dH)) of the image
     # of f reads tau . f(c) with c = (rep'(c') d) H, tau = (rep'(c') d)^-1 rep(c)

@@ -18,7 +18,7 @@ from .errors import DefinitionError
 from .groups import FiniteGroup, Subgroup, subgroups
 from .gsets import GSet
 from .rings import FiniteRing, GRing, fq, product_ring, zero_ring, zn
-from .functors import TambaraData
+from .functors import TambaraData, structure_maps
 from ._burnside import burnside_mod
 
 SCHEMA_VERSION = 1
@@ -143,36 +143,25 @@ def parse_gset(block: dict, G: FiniteGroup) -> GSet:
 # -- functors ---------------------------------------------------------------
 
 
-def _edge_key(G: FiniteGroup, K: Subgroup, H: Subgroup) -> str:
-    return f"{subgroup_id(G, K)}<{subgroup_id(G, H)}"
-
-
-def _conj_key(G: FiniteGroup, g: int, H: Subgroup) -> str:
-    return f"g{g}|{subgroup_id(G, H)}"
+def _table_key(G: FiniteGroup, name: str, key: tuple) -> str:
+    """A structure table's key in its block: "H<i><H<j>" for the pair
+    K <= H, "g<g>|H<i>" for conj at (g, H)."""
+    a, H = key
+    if name == "conj":
+        return f"g{a}|{subgroup_id(G, H)}"
+    return f"{subgroup_id(G, a)}<{subgroup_id(G, H)}"
 
 
 def functor_to_json(T: TambaraData) -> dict:
     G = T.group
-    out = {
-        "schema": SCHEMA_VERSION,
-        "group": group_to_json(G),
-        "functor": {
-            "green_only": not T.has_norms,
-            "levels": {subgroup_id(G, H): ring_to_json(T.levels[H])
-                       for H in subgroups(G)},
-            "res": {_edge_key(G, K, H): T.res[(K, H)].tolist()
-                    for (K, H) in T.sub_pairs()},
-            "tr": {_edge_key(G, K, H): T.tr[(K, H)].tolist()
-                   for (K, H) in T.sub_pairs()},
-            "conj": {_conj_key(G, g, H): T.conj[(g, H)].tolist()
-                     for g in G.elements() for H in subgroups(G)},
-        },
-        "label": T.label,
+    body = {
+        "green_only": not T.has_norms,
+        "levels": {subgroup_id(G, H): ring_to_json(T.levels[H]) for H in subgroups(G)},
     }
-    if T.has_norms:
-        out["functor"]["nm"] = {_edge_key(G, K, H): T.nm[(K, H)].tolist()
-                                for (K, H) in T.sub_pairs()}
-    return out
+    for name, key, _, _ in structure_maps(G, T.has_norms):
+        body.setdefault(name, {})[_table_key(G, name, key)] = T.table(name, key).tolist()
+    return {"schema": SCHEMA_VERSION, "group": group_to_json(G), "functor": body,
+            "label": T.label}
 
 
 def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraData:
@@ -208,32 +197,22 @@ def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraD
 
 
 def _parse_explicit(block: dict, G: FiniteGroup, label: str) -> TambaraData:
-    subs = subgroups(G)
     green_only = bool(block.get("green_only", False))
     levels = {}
-    for H in subs:
+    for H in subgroups(G):
         key = subgroup_id(G, H)
         if key not in block.get("levels", {}):
             raise DefinitionError(f"missing level {key}")
         levels[H] = parse_ring(block["levels"][key])
-    res, tr, conj = {}, {}, {}
-    nm = None if green_only else {}
-    for (K, H) in G.subgroup_pairs:
-        key = _edge_key(G, K, H)
-        for name, store in (("res", res), ("tr", tr)) + (() if green_only else (("nm", nm),)):
-            table = block.get(name, {}).get(key)
-            if table is None:
-                raise DefinitionError(f"missing {name} table {key}")
-            store[(K, H)] = table
-    for g in G.elements():
-        for H in subs:
-            key = _conj_key(G, g, H)
-            table = block.get("conj", {}).get(key)
-            if table is None:
-                raise DefinitionError(f"missing conj table {key}")
-            conj[(g, H)] = table
-    return TambaraData(G, levels, res, tr, nm, conj,
-                       has_norms=not green_only, label=label)
+
+    def table(name, key, src, dst):
+        ident = _table_key(G, name, key)
+        found = block.get(name, {}).get(ident)
+        if found is None:
+            raise DefinitionError(f"missing {name} table {ident}")
+        return found
+
+    return TambaraData.build(G, levels, table, not green_only, label)
 
 
 def load_document(path: str, over: Optional[str] = None

@@ -1,7 +1,8 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
 fixtures, the row-by-row ring-axiom reference, the every-element action
-references, the point-by-point dependent product reference, and the
-randomized assembly sampler for round-trip tests."""
+references, the point-by-point dependent product reference, the binary
+product references, and the randomized assembly sampler for round-trip
+tests."""
 
 import random
 from itertools import product as iproduct
@@ -9,11 +10,11 @@ from itertools import product as iproduct
 import numpy as np
 
 import corpus
-from tambara.errors import DefinitionError, SizeLimitExceeded
+from tambara.errors import DefinitionError, GroupMismatch, SizeLimitExceeded
 from tambara.functors import TambaraData, coinduce, constant_functor, fixed_point_functor, product
 from tambara.groups import subgroups
 from tambara.gsets import SECTION_CAP, ExponentialDiagram, GSet, GSetMap, pullback
-from tambara.rings import product_ring
+from tambara.rings import GRing, prod_components, prod_encode, product_ring
 
 
 def additive_span(ring, gens):
@@ -164,6 +165,55 @@ def reference_dependent_product(f, p, section_cap=SECTION_CAP):
                               corner_projection=to_pi)
 
 
+def reference_product(T1, T2, label=None):
+    """The binary functor product, table family by table family."""
+    if T1.group is not T2.group:
+        raise GroupMismatch("product needs a common group")
+    if T1.has_norms != T2.has_norms:
+        raise GroupMismatch("product needs matching norm flags")
+    G = T1.group
+    subs = subgroups(G)
+    sizes = {H: [T1.levels[H].size, T2.levels[H].size] for H in subs}
+    levels = {H: product_ring([T1.levels[H], T2.levels[H]]) for H in subs}
+
+    def combine(tbl1, tbl2, src_H, dst_H):
+        a, b = prod_components(sizes[src_H])
+        return prod_encode(sizes[dst_H], [tbl1[a], tbl2[b]])
+
+    res, tr, conj = {}, {}, {}
+    nm = {} if T1.has_norms else None
+    for (K, H) in G.subgroup_pairs:
+        res[(K, H)] = combine(T1.res[(K, H)], T2.res[(K, H)], H, K)
+        tr[(K, H)] = combine(T1.tr[(K, H)], T2.tr[(K, H)], K, H)
+        if nm is not None:
+            nm[(K, H)] = combine(T1.nm[(K, H)], T2.nm[(K, H)], K, H)
+    for g in G.elements():
+        for H in subs:
+            conj[(g, H)] = combine(T1.conj[(g, H)], T2.conj[(g, H)], H, H.conjugate(g))
+    return TambaraData(G, levels, res, tr, nm, conj, has_norms=T1.has_norms,
+                       label=label or f"({T1.label} x {T2.label})")
+
+
+def reference_fold_product(factors, label=None):
+    """Left fold of reference_product; the last step takes the label."""
+    out = factors[0]
+    for i, f in enumerate(factors[1:], start=2):
+        out = reference_product(out, f, label=label if i == len(factors) else None)
+    return out
+
+
+def reference_gring_product(R, S):
+    """The binary G-ring product."""
+    if R.group is not S.group:
+        raise GroupMismatch("product needs a common group")
+    ring = product_ring([R.ring, S.ring])
+    sizes = [R.ring.size, S.ring.size]
+    a, b = prod_components(sizes)
+    action = [prod_encode(sizes, [R.action[g][a], S.action[g][b]])
+              for g in R.group.elements()]
+    return GRing(ring, R.group, action)
+
+
 def proper_transfer_images(T, L):
     gens = set()
     for M in subgroups(T.group):
@@ -263,7 +313,4 @@ def random_assembly(G, rng, max_bottom=2048):
         ell = constant_functor(corpus.F2, Hg)
         expected.append((G.full_subgroup, ell))
         parts.append(coinduce(G, G.full_subgroup, ell))
-    T = parts[0]
-    for p in parts[1:]:
-        T = product(T, p)
-    return T, expected
+    return product(*parts), expected

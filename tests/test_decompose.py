@@ -32,7 +32,6 @@ from tambara.decompose import (
     detect_coinduction,
     diagonalize_automorphism,
     factor_through_clarification,
-    fold_product,
     full_decomposition,
     split_by_bottom_idempotents,
 )
@@ -458,7 +457,6 @@ def test_every_upward_closed_set_is_realized():
     # products of coinduced rings realize each upward closure as the exact
     # set of idempotent types
     from tambara.rings import classify_idempotent, coinduce_gring, trivial_gring
-    from tambara.rings import gring_product as _gp
 
     for G in (C4, S3):
         for L in subgroups(G):

@@ -14,11 +14,11 @@ from corpus import (
     V4,
     galois_gring,
 )
+from helpers import copy_functor
 from tambara.errors import GroupMismatch, NoNorms, SearchTimeout
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups
 from tambara.gsets import GSetMap, coset_gset, disjoint_union
 from tambara.functors import (
-    TambaraData,
     TambaraMorphism,
     check_axioms,
     coinduce,
@@ -36,14 +36,6 @@ from tambara.functors import (
 )
 from tambara.rings import idempotents, trivial_gring
 from tambara._burnside import burnside_mod
-
-
-def _copy_functor(T):
-    return TambaraData(T.group, dict(T.levels), {k: v.copy() for k, v in T.res.items()},
-                       {k: v.copy() for k, v in T.tr.items()},
-                       None if T.nm is None else {k: v.copy() for k, v in T.nm.items()},
-                       {k: v.copy() for k, v in T.conj.items()},
-                       has_norms=T.has_norms, label=T.label + "*")
 
 
 # -- fixed-point functors ---------------------------------------------------
@@ -325,7 +317,7 @@ def test_exponential_family_propagates_internal_errors(monkeypatch):
 
 
 def test_exponential_failure_names_plain_ints():
-    T = _copy_functor(corpus.BURNSIDE_CORPUS["burnside_C2_4"])
+    T = copy_functor(corpus.BURNSIDE_CORPUS["burnside_C2_4"])
     e, full = C2.trivial_subgroup, C2.full_subgroup
     nm = T.nm[(e, full)]
     T.nm[(e, full)] = T.levels[full].mul[nm, nm]
@@ -337,7 +329,7 @@ def test_exponential_failure_names_plain_ints():
 
 
 def test_mutation_contracts():
-    T = _copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
+    T = copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
     e, full = C2.trivial_subgroup, C2.full_subgroup
     nm = T.nm[(e, full)].copy()
     nm[2] = T.levels[full].zero  # kill one unit value: breaks multiplicativity
@@ -346,7 +338,7 @@ def test_mutation_contracts():
 
 
 def test_mutation_conjugation():
-    T = _copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
+    T = copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
     full = C2.full_subgroup
     # 1 lies in C2, so c_1 on the top level must be the identity
     T.conj[(1, full)] = np.array([1, 0])
@@ -354,7 +346,7 @@ def test_mutation_conjugation():
 
 
 def test_mutation_mackey_additive():
-    T = _copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
+    T = copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
     e, full = C2.trivial_subgroup, C2.full_subgroup
     tr = T.tr[(e, full)]
     doubled = T.levels[full].add[tr, tr]
@@ -364,7 +356,7 @@ def test_mutation_mackey_additive():
 
 
 def test_mutation_mackey_norm():
-    T = _copy_functor(corpus.FP_CORPUS["F9_galois_C2"])
+    T = copy_functor(corpus.FP_CORPUS["F9_galois_C2"])
     e, full = C2.trivial_subgroup, C2.full_subgroup
     nm = T.nm[(e, full)]
     squared = T.levels[full].mul[nm, nm]
@@ -373,7 +365,7 @@ def test_mutation_mackey_norm():
 
 
 def test_mutation_frobenius():
-    T = _copy_functor(corpus.GREEN_CORPUS["green_cex_2_F2"])
+    T = copy_functor(corpus.GREEN_CORPUS["green_cex_2_F2"])
     G = T.group
     e, full = G.trivial_subgroup, G.full_subgroup
     # (sum, 0) -> (sum, sum): still additive, same res-comp, breaks Frobenius
@@ -387,7 +379,7 @@ def test_mutation_frobenius():
 
 
 def test_mutation_exponential():
-    T = _copy_functor(corpus.BURNSIDE_CORPUS["burnside_C2_4"])
+    T = copy_functor(corpus.BURNSIDE_CORPUS["burnside_C2_4"])
     e, full = C2.trivial_subgroup, C2.full_subgroup
     top, bot = T.levels[full], T.levels[e]
     k = top.vector_to_index((1, 2))  # x + 2: a kernel element of res

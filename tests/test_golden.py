@@ -14,6 +14,7 @@ import pytest
 import corpus
 from tambara import serialize
 from tambara.cli import main
+from tambara.functors import product
 
 FUNCTORS = ["F4_galois_C2", "coind_C2_C4_FPF4", "coind_C2a_S3_FPF4", "FPF4_x_coindF2"]
 
@@ -36,6 +37,13 @@ SHORTHAND_COMMANDS = {
     "coinduce_e": ["coinduce", "in.json", "--from", "e"],
     "coinduce_H1": ["coinduce", "in.json", "--from", "H1"],
 }
+
+# products of corpus functors, one factor of the decomposition each (here
+# the classes of C2, C3 and S3): they pin the nested default label
+# "((A x B) x C)" and the C-order encoding of three factors
+PRODUCTS = {"S3_three_factors": ("coind_C2a_S3_constF2", "coind_C3_S3_constF3",
+                                 "F4_sign_S3")}
+PRODUCT_COMMANDS = ["decompose", "lambda", "iso"]
 
 GOLDEN = {
     ('F4_galois_C2', 'check'): '2f1c0b81e1da7afabdf8963ee9e7fc0d6cf591fa795871d477fc80accbdc4158',
@@ -71,6 +79,9 @@ GOLDEN = {
     ('burnside_S3_2', 'coinduce_e'): '6345a3f50907b0868d5ff1dead4d39f8fbcf8e19e48aab945b72e051e6b72d7e',
     ('burnside_S3_2', 'coinduce_H1'): '6cbdce2b26003e4696f66f85057ceec4186f4a5001b67e4c8036d553832e6dad',
     ('burnside_D4_2', 'check'): '5276a6d26d1cf2497cfe6bf2866a8f9f380083899693c2ea453890f2bd0f2144',
+    ('S3_three_factors', 'decompose'): '448443a8690b4b1550a12c1547f3a686c292cbac80de1ccdbf88a68a8e6a3737',
+    ('S3_three_factors', 'lambda'): '6b95478d6a9fcd95b8e5f202fc00a8e514b902bc4b0626929ed587246c1ae1a5',
+    ('S3_three_factors', 'iso'): '2e762febd93e490c026ebd80a382a1bcd7285aff48a44515b688ebd8e4e591e3',
 }
 
 
@@ -89,7 +100,8 @@ def _digest(tmp_path, capsys, argv):
 
 CASES = ([(f, c) for f in FUNCTORS for c in COMMANDS]
          + [(b, c) for b in SHORTHAND for c in SHORTHAND_COMMANDS
-            if b != "burnside_D4_2" or c == "check"])
+            if b != "burnside_D4_2" or c == "check"]
+         + [(p, c) for p in PRODUCTS for c in PRODUCT_COMMANDS])
 
 
 @pytest.mark.parametrize("name,command", CASES, ids=lambda x: x)
@@ -101,6 +113,8 @@ def test_cli_output_is_byte_stable(tmp_path, capsys, monkeypatch, name, command)
         (tmp_path / "in.json").write_text(json.dumps(doc))
         argv = SHORTHAND_COMMANDS[command]
     else:
-        serialize.dump_functor(corpus.TAMBARA_CORPUS[name], str(tmp_path / "in.json"))
+        T = (product(*(corpus.TAMBARA_CORPUS[f] for f in PRODUCTS[name]))
+             if name in PRODUCTS else corpus.TAMBARA_CORPUS[name])
+        serialize.dump_functor(T, str(tmp_path / "in.json"))
         argv = COMMANDS[command]
     assert _digest(tmp_path, capsys, argv) == GOLDEN[(name, command)]

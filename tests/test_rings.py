@@ -29,6 +29,7 @@ from tambara.rings import (
     is_equivariant,
     is_lambda_clarified,
     mackey_gring_iso,
+    op_failure,
     primitive_idempotents,
     prod_components,
     prod_decode,
@@ -390,6 +391,23 @@ def test_ring_size_caps():
 
     with pytest.raises(SizeLimitExceeded):
         burnside_mod(FiniteGroup.dihedral(4), 4)  # 4^8 top level
+
+
+def test_op_failure_names_first_failing_pair():
+    # against the pair-by-pair scan in row-major order, on maps that are
+    # homomorphisms, maps that are not, and maps into a smaller ring
+    rng = np.random.default_rng(7)
+    cases = [(F4, F4), (Z6, Z6), (product_ring([F3, F3]), F3), (F2, Z6)]
+    for src, dst in cases:
+        maps = [rng.integers(0, dst.size, src.size) for _ in range(4)]
+        if src is dst:
+            maps.append(np.arange(src.size))
+        for img in maps:
+            img = img.astype(np.int32)
+            for s_op, d_op in ((src.add, dst.add), (src.mul, dst.mul)):
+                want = next(((a, b) for a in range(src.size) for b in range(src.size)
+                             if img[s_op[a, b]] != d_op[img[a], img[b]]), None)
+                assert op_failure(img, s_op, d_op) == want
 
 
 def test_ring_hom_compose_and_inverse():
