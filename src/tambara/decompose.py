@@ -31,18 +31,21 @@ from .errors import (
     ZeroFunctor,
 )
 from .groups import Subgroup, UpwardClosedSet, is_subconjugate, subgroups
+from .gsets import coset_gset
 from .functors import (
     TambaraData,
     TambaraMorphism,
     coinduce,
+    evaluate_gset,
     identity_morphism,
     product,
     restrict,
     zero_functor,
 )
 from .rings import (
+    GRing,
     classify_idempotent,
-    decompose_gring,
+    idempotent_classes,
     idempotents,
     is_clarified,
     is_lambda_clarified,
@@ -77,20 +80,15 @@ def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int], label: str
     return TambaraData.build(T.group, levels, cut, T.has_norms, label), includes
 
 
-def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
-                                ) -> Tuple[List[TambaraData], TambaraMorphism]:
-    """Split T along a complete family of G-fixed orthogonal idempotents of
-    the bottom level; factor i lives on the ideals nm_e^H(d_i) level(H).
-
-    Returns (factors, witness) with witness an isomorphism from the product
-    of the factors onto T.
-    """
-    if not T.has_norms:
-        raise NoNorms("splitting requires norms; the statement fails for Green functors")
+def _split(T: TambaraData, ds: Sequence[int], B: GRing
+           ) -> Tuple[List[TambaraData], List[Dict[Subgroup, np.ndarray]]]:
+    """Check that ds is a complete family of G-fixed orthogonal idempotents
+    of T's bottom level B, whose norms are complete and orthogonal at every
+    level, and slice T along it.  Returns (factors, includes) with
+    includes[i][H] the inclusion of factor i's level H into T's."""
     G = T.group
     e = G.trivial_subgroup
     bottom = T.bottom
-    B = T.bottom_gring()
     for d in ds:
         if int(bottom.mul[d, d]) != d:
             raise NotIdempotent(f"{d} is not idempotent at the bottom level")
@@ -102,25 +100,18 @@ def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
         for b in ds[i + 1:]:
             if int(bottom.mul[a, b]) != bottom.zero:
                 raise NotOrthogonal(f"{a} and {b} are not orthogonal")
-    total = bottom.zero
-    for d in ds:
-        total = int(bottom.add[total, d])
-    if total != bottom.one:
+    if bottom.add_many(ds) != bottom.one:
         raise NotComplete("idempotents do not sum to 1")
 
     subs = subgroups(G)
-    unit_families = []
-    for d in ds:
-        unit_families.append({H: int(T.nm[(e, H)][d]) for H in subs})
+    unit_families = [{H: int(T.nm[(e, H)][d]) for H in subs} for d in ds]
     for H in subs:
         ring = T.levels[H]
-        acc = ring.zero
         for fam in unit_families:
             u = fam[H]
             if int(ring.mul[u, u]) != u:
                 raise VerificationFailed("norm of an idempotent is not idempotent")
-            acc = int(ring.add[acc, u])
-        if acc != ring.one:
+        if ring.add_many(fam[H] for fam in unit_families) != ring.one:
             raise VerificationFailed(
                 f"norms of the family are not complete at level {H.elements}")
         for i, f1 in enumerate(unit_families):
@@ -129,24 +120,40 @@ def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
                     raise VerificationFailed(
                         f"norms of the family are not orthogonal at level {H.elements}")
 
-    factors = []
-    includes_per = []
-    for fam in unit_families:
-        sliced, includes = _idempotent_slice(T, fam, f"{T.label}|slice")
-        factors.append(sliced)
-        includes_per.append(includes)
+    slices = [_idempotent_slice(T, fam, f"{T.label}|slice") for fam in unit_families]
+    return [f for f, _ in slices], [inc for _, inc in slices]
 
-    P = product(*factors)
+
+def _sum_of_includes(T: TambaraData, includes: Sequence[Dict[Subgroup, np.ndarray]],
+                     parts: Dict[Subgroup, Sequence[np.ndarray]]
+                     ) -> Dict[Subgroup, np.ndarray]:
+    """The levelwise map (x_1, ..., x_k) -> sum_i include_i(x_i) into T,
+    where parts[H][i] lists the i-th components x_i at level H."""
     maps = {}
-    for H in subs:
-        sizes = [f.levels[H].size for f in factors]
-        comps = prod_components(sizes)
+    for H, xs in parts.items():
         ring = T.levels[H]
-        acc = np.full(P.levels[H].size, ring.zero, dtype=np.int64)
-        for inc, comp in zip(includes_per, comps):
-            acc = ring.add[acc, inc[H][comp]]
+        acc = np.full(len(xs[0]), ring.zero, dtype=np.int64)
+        for inc, x in zip(includes, xs):
+            acc = ring.add[acc, inc[H][x]]
         maps[H] = acc
-    witness = TambaraMorphism(P, T, maps)
+    return maps
+
+
+def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
+                                ) -> Tuple[List[TambaraData], TambaraMorphism]:
+    """Split T along a complete family of G-fixed orthogonal idempotents of
+    the bottom level; factor i lives on the ideals nm_e^H(d_i) level(H).
+
+    Returns (factors, witness) with witness an isomorphism from the product
+    of the factors onto T.
+    """
+    if not T.has_norms:
+        raise NoNorms("splitting requires norms; the statement fails for Green functors")
+    factors, includes = _split(T, ds, T.bottom_gring())
+    P = product(*factors)
+    parts = {H: prod_components([f.levels[H].size for f in factors])
+             for H in subgroups(T.group)}
+    witness = TambaraMorphism(P, T, _sum_of_includes(T, includes, parts))
     if not witness.is_isomorphism():
         raise VerificationFailed("idempotent splitting witness is not bijective")
     return factors, witness
@@ -179,10 +186,7 @@ def detect_coinduction(T: TambaraData
         if rep.type is None:
             continue
         orbit = sorted({B.act(g, d) for g in G.elements()})
-        acc = bottom.zero
-        for p in orbit:
-            acc = int(bottom.add[acc, p])
-        if acc == bottom.one:
+        if bottom.add_many(orbit) == bottom.one:
             candidates.append((rep.type, d))
     if not candidates:
         raise VerificationFailed("no complete-orbit idempotent found (not even 1)")
@@ -205,9 +209,6 @@ def detect_coinduction(T: TambaraData
 
     # unit map T -> Coind_H(ell): the component at the orbit of the coset rK
     # is the ideal projection of res to H cap rKr^-1 after conjugating by r
-    from .functors import evaluate_gset
-    from .gsets import coset_gset
-
     maps = {}
     for K in subgroups(G):
         X = coset_gset(G, K).restricted(H)
@@ -255,9 +256,8 @@ def full_decomposition(T: TambaraData) -> DecompositionResult:
         raise ZeroFunctor("cannot decompose the zero functor")
     G = T.group
 
-    ring_dec = decompose_gring(T.bottom_gring())
-    split_factors, split_witness = split_by_bottom_idempotents(
-        T, ring_dec.class_units)
+    B = T.bottom_gring()
+    split_factors, includes = _split(T, [c.unit for c in idempotent_classes(B)], B)
 
     factors = []
     coinductions = []
@@ -270,16 +270,13 @@ def full_decomposition(T: TambaraData) -> DecompositionResult:
         coinductions.append(w.target)
         inverses.append(w.inverse())
 
+    # reassembled -> T sends (y_1, ..., y_k) to sum_i include_i(w_i^-1(y_i))
     reassembled = product(*coinductions)
-    P = split_witness.source
-    maps = {}
+    parts = {}
     for K in subgroups(G):
-        sizes = [c.levels[K].size for c in coinductions]
-        comps = prod_components(sizes)
-        maps[K] = prod_encode([f.levels[K].size for f in split_factors],
-                              [w_inv.maps[K][comp] for w_inv, comp in zip(inverses, comps)])
-    to_split_product = TambaraMorphism(reassembled, P, maps)
-    witness = split_witness.compose(to_split_product)
+        comps = prod_components([c.levels[K].size for c in coinductions])
+        parts[K] = [w_inv.maps[K][comp] for w_inv, comp in zip(inverses, comps)]
+    witness = TambaraMorphism(reassembled, T, _sum_of_includes(T, includes, parts))
     if not witness.is_isomorphism():
         raise VerificationFailed("decomposition witness is not bijective")
     return DecompositionResult(factors=factors, factor_coinductions=coinductions,
@@ -325,16 +322,12 @@ def factor_through_clarification(f: TambaraMorphism, lam: UpwardClosedSet
     clarified, proj = clarify(f.source, lam)
     maps = {}
     for K in subgroups(f.source.group):
-        n = clarified.levels[K].size
-        out = -np.ones(n, dtype=np.int64)
-        for x in range(f.source.levels[K].size):
-            c = int(proj.maps[K][x])
-            v = int(f.maps[K][x])
-            if out[c] < 0:
-                out[c] = v
-            elif out[c] != v:
-                raise FactorizationFailed(
-                    f"f does not kill the kernel of clarification at level {K.elements}")
+        c, v = proj.maps[K], f.maps[K]
+        out = -np.ones(clarified.levels[K].size, dtype=np.int64)
+        out[c] = v
+        if (v != out[c]).any():
+            raise FactorizationFailed(
+                f"f does not kill the kernel of clarification at level {K.elements}")
         if (out < 0).any():
             raise FactorizationFailed("clarification projection is not surjective")
         maps[K] = out

@@ -140,9 +140,6 @@ class TambaraData:
     def sub_pairs(self) -> Tuple[Tuple[Subgroup, Subgroup], ...]:
         return self.group.subgroup_pairs
 
-    def level(self, H: Subgroup) -> FiniteRing:
-        return self.levels[H]
-
     @property
     def bottom(self) -> FiniteRing:
         return self.levels[self.group.trivial_subgroup]

@@ -25,7 +25,7 @@ from .errors import (
     VerificationFailed,
     ZeroRing,
 )
-from .groups import FiniteGroup, Subgroup, UpwardClosedSet, double_cosets
+from .groups import FiniteGroup, Subgroup, UpwardClosedSet, double_cosets, upward_closure
 
 RING_SIZE_CAP = 20000
 
@@ -506,12 +506,7 @@ def is_lambda_clarified(R: GRing, lam: UpwardClosedSet) -> bool:
 
 def is_clarified(R: GRing) -> bool:
     """No type-H idempotent for H a proper subgroup."""
-    full = R.group.full_subgroup
-    for d in idempotents(R.ring):
-        rep = classify_idempotent(R, d)
-        if rep.type is not None and rep.type.order != full.order:
-            return False
-    return True
+    return is_lambda_clarified(R, upward_closure(R.group, R.group.full_subgroup))
 
 
 # -- coinduction, restriction, product, transport -----------------------
@@ -611,24 +606,21 @@ def is_equivariant(hom: RingHom, src: GRing, tgt: GRing) -> bool:
 # -- decomposition into coinductions of clarified pieces -----------------
 
 
-@dataclass
-class GRingDecomposition:
-    """factors[i] = (subgroup representative H, clarified H-ring); the
-    witness maps the reassembled product of coinductions onto the input.
-    class_units[i] is the G-fixed idempotent of the input cutting out the
-    i-th factor (the sum of the primitive idempotents in its orbits)."""
+@dataclass(frozen=True)
+class IdempotentClass:
+    """The primitive idempotents of a G-ring whose stabilizers are conjugate
+    to rep: bases holds one point of each orbit, stabilized by exactly rep,
+    and unit is the sum of every orbit, the G-fixed idempotent cutting out
+    the class."""
 
-    factors: List[Tuple[Subgroup, GRing]]
-    reassembled: GRing
-    witness: RingHom
-    class_units: List[int]
+    rep: Subgroup
+    bases: List[int]
+    unit: int
 
 
-def decompose_gring(R: GRing) -> GRingDecomposition:
-    """Split a G-ring as a product over conjugacy classes of coinductions of
-    clarified pieces, with an explicit equivariant isomorphism witness."""
-    if R.ring.is_zero_ring():
-        raise ZeroRing("cannot decompose the zero ring")
+def idempotent_classes(R: GRing) -> List[IdempotentClass]:
+    """The primitive idempotents of R grouped by conjugacy class of
+    stabilizer, classes ordered by representative (order, then elements)."""
     G = R.group
     prims = primitive_idempotents(R.ring)
     prim_set = set(prims)
@@ -657,19 +649,33 @@ def decompose_gring(R: GRing) -> GRingDecomposition:
         classes.setdefault(rep.elements, []).append((base, orbit))
         class_reps[rep.elements] = rep
 
+    return [IdempotentClass(rep=class_reps[key], bases=[b for b, _ in classes[key]],
+                            unit=R.ring.add_many(p for _, orbit in classes[key] for p in orbit))
+            for key in sorted(classes, key=lambda e: (len(e), e))]
+
+
+@dataclass
+class GRingDecomposition:
+    """factors[i] = (subgroup representative H, clarified H-ring); the
+    witness maps the reassembled product of coinductions onto the input."""
+
+    factors: List[Tuple[Subgroup, GRing]]
+    reassembled: GRing
+    witness: RingHom
+
+
+def decompose_gring(R: GRing) -> GRingDecomposition:
+    """Split a G-ring as a product over conjugacy classes of coinductions of
+    clarified pieces, with an explicit equivariant isomorphism witness."""
+    if R.ring.is_zero_ring():
+        raise ZeroRing("cannot decompose the zero ring")
+    G = R.group
     factors: List[Tuple[Subgroup, GRing]] = []
     coinduced: List[GRing] = []
-    class_units: List[int] = []
-    witness_parts = []  # per class: (rep, cosets, orbit_bases, includes)
-    for key in sorted(classes, key=lambda e: (len(e), e)):
-        rep = class_reps[key]
-        unit = R.ring.zero
-        for _, orbit in classes[key]:
-            for p in orbit:
-                unit = int(R.ring.add[unit, p])
-        class_units.append(unit)
+    witness_parts = []  # per class: (rep, bases, includes, sizes)
+    for cls in idempotent_classes(R):
+        rep, bases = cls.rep, cls.bases
         Kg, embed = rep.as_group
-        bases = [b for b, _ in classes[key]]
         subrings = []
         includes = []
         for b in bases:
@@ -723,7 +729,7 @@ def decompose_gring(R: GRing) -> GRingDecomposition:
     if not is_equivariant(witness, reassembled, R):
         raise VerificationFailed("decomposition witness is not equivariant")
     return GRingDecomposition(factors=factors, reassembled=reassembled,
-                              witness=witness, class_units=class_units)
+                              witness=witness)
 
 
 def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing

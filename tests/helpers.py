@@ -1,8 +1,8 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
 fixtures, the row-by-row ring-axiom reference, the every-element action
 references, the point-by-point dependent product reference, the binary
-product references, and the randomized assembly sampler for round-trip
-tests."""
+product references, the two-step decomposition witness reference, and
+the randomized assembly sampler for round-trip tests."""
 
 import random
 from itertools import product as iproduct
@@ -11,10 +11,18 @@ import numpy as np
 
 import corpus
 from tambara.errors import DefinitionError, GroupMismatch, SizeLimitExceeded
-from tambara.functors import TambaraData, coinduce, constant_functor, fixed_point_functor, product
+from tambara.decompose import detect_coinduction, split_by_bottom_idempotents
+from tambara.functors import (
+    TambaraData,
+    TambaraMorphism,
+    coinduce,
+    constant_functor,
+    fixed_point_functor,
+    product,
+)
 from tambara.groups import subgroups
 from tambara.gsets import SECTION_CAP, ExponentialDiagram, GSet, GSetMap, pullback
-from tambara.rings import GRing, prod_components, prod_encode, product_ring
+from tambara.rings import GRing, primitive_idempotents, prod_components, prod_encode, product_ring
 
 
 def additive_span(ring, gens):
@@ -212,6 +220,53 @@ def reference_gring_product(R, S):
     action = [prod_encode(sizes, [R.action[g][a], S.action[g][b]])
               for g in R.group.elements()]
     return GRing(ring, R.group, action)
+
+
+def reference_class_units(R):
+    """The G-fixed idempotent of each class of the G-ring R, worked out
+    inline: the primitive idempotents' orbits, grouped by the conjugacy
+    class of their stabilizers, each class summed in the canonical order
+    (by representative order, then elements)."""
+    G, ring = R.group, R.ring
+    classes = {}
+    seen = set()
+    for d in primitive_idempotents(ring):
+        if d in seen:
+            continue
+        orbit = sorted({int(R.act(g, d)) for g in G.elements()})
+        seen.update(orbit)
+        stab = G.subgroup(g for g in G.elements() if R.act(g, d) == d)
+        classes.setdefault(G.conjugacy_class_rep(stab).elements, []).append(orbit)
+    units = []
+    for key in sorted(classes, key=lambda e: (len(e), e)):
+        unit = ring.zero
+        for orbit in classes[key]:
+            for p in orbit:
+                unit = int(ring.add[unit, p])
+        units.append(unit)
+    return units
+
+
+def reference_decomposition(T):
+    """(reassembled, witness) of full_decomposition, built in two steps:
+    the split witness P -> T from the product P of the idempotent slices,
+    after the map reassembled -> P, each validated on its own; the
+    single witness reassembled -> T is tested against it."""
+    split_factors, split_witness = split_by_bottom_idempotents(
+        T, reference_class_units(T.bottom_gring()))
+    coinductions, inverses = [], []
+    for Ti in split_factors:
+        _, _, w = detect_coinduction(Ti)
+        coinductions.append(w.target)
+        inverses.append(w.inverse())
+    reassembled = product(*coinductions)
+    maps = {}
+    for K in subgroups(T.group):
+        comps = prod_components([c.levels[K].size for c in coinductions])
+        maps[K] = prod_encode([f.levels[K].size for f in split_factors],
+                              [w_inv.maps[K][comp] for w_inv, comp in zip(inverses, comps)])
+    to_split_product = TambaraMorphism(reassembled, split_witness.source, maps)
+    return reassembled, split_witness.compose(to_split_product)
 
 
 def proper_transfer_images(T, L):

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 import corpus
+import helpers
 from corpus import C2, C3, C4, F2, F3, F4, S3, V4
 from tambara.errors import (
     CrossTermFound,
@@ -35,7 +38,7 @@ from tambara.decompose import (
     full_decomposition,
     split_by_bottom_idempotents,
 )
-from tambara.rings import idempotents, is_clarified, is_lambda_clarified
+from tambara.rings import idempotent_classes, idempotents, is_clarified, is_lambda_clarified
 from tambara import _search
 
 
@@ -250,6 +253,40 @@ def test_full_decomposition_merges_same_class():
     assert ell.bottom.size == 6
 
 
+def _assert_same_decomposition(T):
+    """full_decomposition gives the reference's class units, reassembled
+    tables and witness maps."""
+    B = T.bottom_gring()
+    assert [c.unit for c in idempotent_classes(B)] == helpers.reference_class_units(B)
+    dec = full_decomposition(T)
+    want, want_witness = helpers.reference_decomposition(T)
+    got = dec.reassembled
+    assert got.label == want.label
+    for H in subgroups(T.group):
+        a, b = got.levels[H], want.levels[H]
+        assert (a.zero, a.one) == (b.zero, b.one)
+        assert np.array_equal(a.add, b.add) and np.array_equal(a.mul, b.mul)
+        assert np.array_equal(dec.witness.maps[H], want_witness.maps[H])
+    for name in ("res", "tr", "nm", "conj"):
+        tables = getattr(got, name)
+        assert tables.keys() == getattr(want, name).keys()
+        for key, tbl in tables.items():
+            assert np.array_equal(tbl, want.table(name, key))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.TAMBARA_CORPUS))
+def test_full_decomposition_matches_two_step_reference(name):
+    _assert_same_decomposition(corpus.TAMBARA_CORPUS[name])
+
+
+def test_full_decomposition_matches_reference_on_random_assemblies():
+    rng = random.Random(20261018)
+    for i in range(20):
+        G = corpus.SMALL_GROUPS[i % len(corpus.SMALL_GROUPS)]
+        T, _ = helpers.random_assembly(G, rng)
+        _assert_same_decomposition(T)
+
+
 def test_full_decomposition_errors():
     from tambara.functors import zero_functor
 
@@ -340,6 +377,21 @@ def test_factor_through_projection():
     comp = g.compose(proj)
     for H in subgroups(C2):
         assert np.array_equal(comp.maps[H], proj.maps[H])
+
+
+def test_factor_through_rejects_map_not_constant_on_the_kernel():
+    # an unchecked map that separates two elements with the same image
+    # under the clarification projection cannot factor through it
+    T = corpus.PRODUCT_CORPUS["FPF4_x_coindF2"]
+    C, proj = clarify(T, LAM_G_C2)
+    e = C2.trivial_subgroup
+    maps = {H: v.copy() for H, v in proj.maps.items()}
+    x = next(x for x in range(1, T.levels[e].size) if proj.maps[e][x] == proj.maps[e][0])
+    maps[e][x] = (maps[e][x] + 1) % C.levels[e].size
+    f = TambaraMorphism(T, C, maps, check=False)
+    with pytest.raises(FactorizationFailed,
+                       match=r"f does not kill the kernel of clarification at level \(0,\)"):
+        factor_through_clarification(f, LAM_G_C2)
 
 
 def test_factor_through_rejects_unclarified_target():

@@ -38,11 +38,15 @@ SHORTHAND_COMMANDS = {
     "coinduce_H1": ["coinduce", "in.json", "--from", "H1"],
 }
 
-# products of corpus functors, one factor of the decomposition each (here
-# the classes of C2, C3 and S3): they pin the nested default label
-# "((A x B) x C)" and the C-order encoding of three factors
+# products of corpus functors.  S3_three_factors has one factor of the
+# decomposition per product factor (the classes of C2, C3 and S3) and pins
+# the nested default label "((A x B) x C)" and the C-order encoding of
+# three factors; in S3_merged_class both factors are coinduced from the
+# same order-2 subgroup, so two orbits of primitive idempotents of its
+# 512-element bottom level merge into one factor
 PRODUCTS = {"S3_three_factors": ("coind_C2a_S3_constF2", "coind_C3_S3_constF3",
-                                 "F4_sign_S3")}
+                                 "F4_sign_S3"),
+            "S3_merged_class": ("coind_C2a_S3_constF2", "coind_C2a_S3_FPF4")}
 PRODUCT_COMMANDS = ["decompose", "lambda", "iso"]
 
 GOLDEN = {
@@ -82,6 +86,9 @@ GOLDEN = {
     ('S3_three_factors', 'decompose'): '448443a8690b4b1550a12c1547f3a686c292cbac80de1ccdbf88a68a8e6a3737',
     ('S3_three_factors', 'lambda'): '6b95478d6a9fcd95b8e5f202fc00a8e514b902bc4b0626929ed587246c1ae1a5',
     ('S3_three_factors', 'iso'): '2e762febd93e490c026ebd80a382a1bcd7285aff48a44515b688ebd8e4e591e3',
+    ('S3_merged_class', 'decompose'): '980993bb3ce9ac33fb498c923d47c754c877a2969de2596459f46cacdbd5244c',
+    ('S3_merged_class', 'lambda'): 'dc27760010208275de7bb5462c7c1acca65a54264a4b9062dc50dfc4a4b71024',
+    ('S3_merged_class', 'iso'): '385c628963379698f28b611b3b7dcba57be846c4bb6ebb420ce71d84d3643f1c',
 }
 
 
