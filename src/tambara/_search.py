@@ -15,8 +15,11 @@ raises SearchTimeout, which callers must treat as distinct from "none".
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import SearchTimeout
 
@@ -30,10 +33,10 @@ class OpStructure:
     sorts: Dict[object, int]
     constants: List[Tuple[object, object, int]] = field(default_factory=list)
     # (name, sort, index)
-    unary: List[Tuple[object, object, object, Sequence[int]]] = field(default_factory=list)
-    # (name, src_sort, dst_sort, table)
-    binary: List[Tuple[object, object, Sequence[Sequence[int]]]] = field(default_factory=list)
-    # (name, sort, table)  -- operations within one sort
+    unary: List[Tuple[object, object, object, np.ndarray]] = field(default_factory=list)
+    # (name, src_sort, dst_sort, table): an int array, one entry per element
+    binary: List[Tuple[object, object, np.ndarray]] = field(default_factory=list)
+    # (name, sort, table): a square int array -- operations within one sort
 
     def signature(self):
         # ops must align positionally between the two structures, so the
@@ -60,59 +63,80 @@ def _build_steps(A: OpStructure) -> Tuple[List[_Step], List[int]]:
     """Closure of the constants under all ops, extending with greedily chosen
     generators until every element of every sort is produced.
 
+    The closure runs in rounds, each scanning every unary op and then every
+    binary op in list order, until a round produces nothing; a scan emits
+    each element not yet produced at the first source element, or pair in
+    row-major order, of the elements produced when it starts (README, "The
+    isomorphism search in arrays").  A unary op only scans the elements
+    produced since its last scan, because it has already produced the images
+    of the others, and a binary op is skipped when its sort has gained
+    nothing since its last scan.
+
     Returns (steps, generator_positions)."""
-    produced: Dict[Tuple[object, int], int] = {}
     steps: List[_Step] = []
     gens: List[int] = []
+    # per sort: each element's step position (-1 until produced) and the
+    # produced elements in emit order
+    position = {s: [-1] * n for s, n in A.sorts.items()}
+    order: Dict[object, List[int]] = {s: [] for s in A.sorts}
 
     def emit(step: _Step) -> None:
-        key = (step.sort, step.index)
-        if key not in produced:
-            produced[key] = len(steps)
+        if position[step.sort][step.index] < 0:
+            position[step.sort][step.index] = len(steps)
+            order[step.sort].append(step.index)
             steps.append(step)
 
     for name, sort, idx in A.constants:
         emit(_Step("const", sort, idx, op=name))
 
+    unary_tables = [table.tolist() for *_, table in A.unary]
+    unary_seen = [0] * len(A.unary)    # source elements scanned per op
+    binary_seen = [0] * len(A.binary)  # size of the sort at the last scan
+
     def close() -> None:
         changed = True
         while changed:
-            changed = False
             before = len(steps)
-            for ui, (name, ssort, dsort, table) in enumerate(A.unary):
-                for key, pos in list(produced.items()):
-                    if key[0] != ssort:
-                        continue
-                    out = (dsort, table[key[1]])
-                    if out not in produced:
-                        emit(_Step("unary", dsort, out[1], op=ui, args=(pos,)))
-            for bi, (name, sort, table) in enumerate(A.binary):
-                items = [(k, p) for k, p in list(produced.items()) if k[0] == sort]
-                for (k1, p1) in items:
-                    for (k2, p2) in items:
-                        out = (sort, table[k1[1]][k2[1]])
-                        if out not in produced:
-                            emit(_Step("binary", sort, out[1], op=bi, args=(p1, p2)))
+            for ui, (_, ssort, dsort, _) in enumerate(A.unary):
+                table, src, dst = unary_tables[ui], position[ssort], position[dsort]
+                new = order[ssort][unary_seen[ui]:]
+                unary_seen[ui] += len(new)
+                for x in new:
+                    if dst[table[x]] < 0:
+                        emit(_Step("unary", dsort, table[x], op=ui, args=(src[x],)))
+            for bi, (_, sort, table) in enumerate(A.binary):
+                pos, items = position[sort], order[sort][:]
+                m = len(items)
+                if m == binary_seen[bi]:
+                    continue
+                binary_seen[bi] = m
+                idx = np.asarray(items)
+                vals = np.take(table, idx[:, None] * table.shape[1] + idx).ravel()
+                fresh = np.flatnonzero(np.asarray(pos)[vals] < 0)
+                if not fresh.size:
+                    continue
+                # each value's first row-major pair, in row-major order
+                _, first = np.unique(vals[fresh], return_index=True)
+                for f in np.sort(fresh[first]).tolist():
+                    r, c = divmod(f, m)
+                    emit(_Step("binary", sort, int(vals[f]), op=bi,
+                               args=(pos[items[r]], pos[items[c]])))
             changed = len(steps) > before
 
     close()
     for sort in sorted(A.sorts, key=repr):
-        while True:
-            missing = [i for i in range(A.sorts[sort]) if (sort, i) not in produced]
-            if not missing:
-                break
-            g = missing[0]
+        while len(order[sort]) < A.sorts[sort]:
             gens.append(len(steps))
-            emit(_Step("gen", sort, g))
+            emit(_Step("gen", sort, position[sort].index(-1)))
             close()
     return steps, gens
 
 
-def _replay(steps: List[_Step], A: OpStructure, B: OpStructure,
-            gen_images: Dict[int, int], injective: bool) -> Optional[Dict[Tuple[object, int], int]]:
+def _replay(steps: List[_Step], B: "_Target", gen_images: Dict[int, int],
+            injective: bool) -> Optional[Dict[Tuple[object, int], int]]:
     """Replay the closure in B; return the partial map or None on conflict."""
     image: Dict[Tuple[object, int], int] = {}
-    used: Dict[object, set] = {s: set() for s in A.sorts}
+    used: Dict[object, set] = defaultdict(set)
 
     def assign(sort, src, dst) -> bool:
         key = (sort, src)
@@ -124,24 +148,31 @@ def _replay(steps: List[_Step], A: OpStructure, B: OpStructure,
         used[sort].add(dst)
         return True
 
-    bconst = {(name, sort): idx for name, sort, idx in B.constants}
     for pos, step in enumerate(steps):
         if step.kind == "const":
-            dst = bconst[(step.op, step.sort)]
+            dst = B.constants[(step.op, step.sort)]
         elif step.kind == "gen":
             dst = gen_images[pos]
         elif step.kind == "unary":
-            _, ssort, dsort, table = B.unary[step.op]
             src_step = steps[step.args[0]]
-            dst = table[image[(src_step.sort, src_step.index)]]
+            dst = B.unary[step.op][image[(src_step.sort, src_step.index)]]
         else:
-            _, sort, table = B.binary[step.op]
             s1 = steps[step.args[0]]
             s2 = steps[step.args[1]]
-            dst = table[image[(s1.sort, s1.index)]][image[(s2.sort, s2.index)]]
+            dst = B.binary[step.op][image[(s1.sort, s1.index)]][image[(s2.sort, s2.index)]]
         if not assign(step.sort, step.index, dst):
             return None
     return image
+
+
+class _Target:
+    """The target structure as the replay reads it, listed once per search:
+    constants by (name, sort) and every table as nested Python lists."""
+
+    def __init__(self, B: OpStructure) -> None:
+        self.constants = {(name, sort): idx for name, sort, idx in B.constants}
+        self.unary = [table.tolist() for *_, table in B.unary]
+        self.binary = [table.tolist() for *_, table in B.binary]
 
 
 class _Budget:
@@ -168,6 +199,7 @@ def search_homomorphisms(A: OpStructure, B: OpStructure, *, injective: bool,
     if injective and any(A.sorts[s] > B.sorts[s] for s in A.sorts):
         return
     steps, gens = _build_steps(A)
+    target = _Target(B)
     bud = _Budget(budget)
     found = [0]
 
@@ -175,7 +207,7 @@ def search_homomorphisms(A: OpStructure, B: OpStructure, *, injective: bool,
         if limit is not None and found[0] >= limit:
             return
         if k == len(gens):
-            image = _replay(steps, A, B, partial, injective)
+            image = _replay(steps, target, partial, injective)
             if image is not None and len(image) == sum(A.sorts.values()):
                 out = {s: [0] * A.sorts[s] for s in A.sorts}
                 for (sort, i), j in image.items():
@@ -193,7 +225,7 @@ def search_homomorphisms(A: OpStructure, B: OpStructure, *, injective: bool,
             partial[pos] = cand
             # replay up to and including this generator's consequences:
             # full replay is cheap at our sizes and catches conflicts early
-            if _replay(steps[: _cutoff(steps, gens, k)], A, B, partial, injective) is None:
+            if _replay(steps[: _cutoff(steps, gens, k)], target, partial, injective) is None:
                 continue
             yield from rec(k + 1, partial)
             if limit is not None and found[0] >= limit:
@@ -209,18 +241,13 @@ def _cutoff(steps: List[_Step], gens: List[int], k: int) -> int:
 
 
 def _is_full_hom(A: OpStructure, B: OpStructure, out: Dict[object, List[int]]) -> bool:
-    import numpy as np
-
-    for (aun, bun) in zip(A.unary, B.unary):
-        img_s = np.asarray(out[aun[1]])
-        img_d = np.asarray(out[aun[2]])
-        if not np.array_equal(img_d[np.asarray(aun[3])], np.asarray(bun[3])[img_s]):
+    img = {sort: np.asarray(images) for sort, images in out.items()}
+    for (_, ssort, dsort, at), (*_, bt) in zip(A.unary, B.unary):
+        if not np.array_equal(img[dsort][at], bt[img[ssort]]):
             return False
-    for (abin, bbin) in zip(A.binary, B.binary):
-        img = np.asarray(out[abin[1]])
-        at = np.asarray(abin[2])
-        bt = np.asarray(bbin[2])
-        if not np.array_equal(img[at], bt[img[:, None], img[None, :]]):
+    for (_, sort, at), (*_, bt) in zip(A.binary, B.binary):
+        i = img[sort]
+        if not np.array_equal(i[at], np.take(bt, i[:, None] * bt.shape[1] + i)):
             return False
     return True
 

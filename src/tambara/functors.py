@@ -895,12 +895,12 @@ def _functor_structure(T: TambaraData) -> _search.OpStructure:
         i = index[H]
         constants.append((f"zero{i}", i, T.levels[H].zero))
         constants.append((f"one{i}", i, T.levels[H].one))
-        binary.append((f"add{i}", i, T.levels[H].add.tolist()))
-        binary.append((f"mul{i}", i, T.levels[H].mul.tolist()))
+        binary.append((f"add{i}", i, T.levels[H].add))
+        binary.append((f"mul{i}", i, T.levels[H].mul))
     for name, key, src, dst in structure_maps(T.group, T.has_norms):
         a, b = index[src], index[dst]
         op = f"c{key[0]}@{a}" if name == "conj" else f"{name}{a}->{b}"
-        unary.append((op, a, b, T.table(name, key).tolist()))
+        unary.append((op, a, b, T.table(name, key)))
     return _search.OpStructure(sorts=sorts, constants=constants, unary=unary, binary=binary)
 
 

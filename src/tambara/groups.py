@@ -280,6 +280,15 @@ class Subgroup:
                 if self.parent.mul(a, b) not in els:
                     raise DefinitionError("subgroup not closed under multiplication")
 
+    def __hash__(self) -> int:
+        # subgroups key every table of a functor; the dataclass __hash__
+        # would hash (parent, elements) anew on each lookup
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.parent, self.elements))
+
     @property
     def order(self) -> int:
         return len(self.elements)

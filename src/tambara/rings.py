@@ -789,15 +789,15 @@ def _ring_structure(R: FiniteRing) -> _search.OpStructure:
     return _search.OpStructure(
         sorts={"r": R.size},
         constants=[("zero", "r", R.zero), ("one", "r", R.one)],
-        unary=[("neg", "r", "r", [int(x) for x in R.neg])],
-        binary=[("add", "r", R.add.tolist()), ("mul", "r", R.mul.tolist())],
+        unary=[("neg", "r", "r", R.neg)],
+        binary=[("add", "r", R.add), ("mul", "r", R.mul)],
     )
 
 
 def _gring_structure(R: GRing) -> _search.OpStructure:
     s = _ring_structure(R.ring)
     for g in R.group.elements():
-        s.unary.append((f"act{g}", "r", "r", [int(x) for x in R.action[g]]))
+        s.unary.append((f"act{g}", "r", "r", R.action[g]))
     return s
 
 

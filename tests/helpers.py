@@ -1,8 +1,10 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
 fixtures, the row-by-row ring-axiom reference, the every-element action
 references, the point-by-point dependent product reference, the binary
-product references, the two-step decomposition witness reference, and
-the randomized assembly sampler for round-trip tests."""
+product references, the two-step decomposition witness reference, the
+pair-loop closure reference of the isomorphism search, relabelled copies
+of rings and functors, and the randomized assembly sampler for round-trip
+tests."""
 
 import random
 from itertools import product as iproduct
@@ -20,9 +22,17 @@ from tambara.functors import (
     fixed_point_functor,
     product,
 )
+from tambara._search import _Step
 from tambara.groups import subgroups
 from tambara.gsets import SECTION_CAP, ExponentialDiagram, GSet, GSetMap, pullback
-from tambara.rings import GRing, primitive_idempotents, prod_components, prod_encode, product_ring
+from tambara.rings import (
+    FiniteRing,
+    GRing,
+    primitive_idempotents,
+    prod_components,
+    prod_encode,
+    product_ring,
+)
 
 
 def additive_span(ring, gens):
@@ -284,6 +294,88 @@ def copy_functor(T):
                        None if T.nm is None else {k: v.copy() for k, v in T.nm.items()},
                        {k: v.copy() for k, v in T.conj.items()},
                        has_norms=T.has_norms, label=T.label + "*")
+
+
+def relabel_ring(R, perm):
+    """R with element x renamed perm[x]."""
+    p = np.asarray(perm)
+    q = np.argsort(p)
+    return FiniteRing(p[R.add[np.ix_(q, q)]], p[R.mul[np.ix_(q, q)]],
+                      int(p[R.zero]), int(p[R.one]), label=R.label + "'")
+
+
+def relabel_gring(R, seed):
+    """The G-ring R with its elements renamed by a seeded random permutation."""
+    p = np.random.default_rng(seed).permutation(R.ring.size)
+    return GRing(relabel_ring(R.ring, p), R.group, p[R.action[:, np.argsort(p)]])
+
+
+def relabel_functor(T, seed):
+    """T with the elements of every level renamed by a seeded random
+    permutation: a functor isomorphic to T, with every table renamed."""
+    rng = np.random.default_rng(seed)
+    perms = {H: rng.permutation(R.size) for H, R in T.levels.items()}
+    inverses = {H: np.argsort(p) for H, p in perms.items()}
+    levels = {H: relabel_ring(R, perms[H]) for H, R in T.levels.items()}
+    return TambaraData.build(
+        T.group, levels,
+        lambda name, key, src, dst: perms[dst][T.table(name, key)[inverses[src]]],
+        T.has_norms, label=T.label + "'")
+
+
+def reference_build_steps(A):
+    """The isomorphism search's closure as a pair loop that rescans every
+    produced element and every pair on every round: the reference
+    _search._build_steps is tested against.  Closure of the constants under
+    all ops, extending with greedily chosen generators until every element
+    of every sort is produced.
+
+    Returns (steps, generator_positions)."""
+    produced = {}
+    steps = []
+    gens = []
+
+    def emit(step):
+        key = (step.sort, step.index)
+        if key not in produced:
+            produced[key] = len(steps)
+            steps.append(step)
+
+    for name, sort, idx in A.constants:
+        emit(_Step("const", sort, idx, op=name))
+
+    def close():
+        changed = True
+        while changed:
+            changed = False
+            before = len(steps)
+            for ui, (name, ssort, dsort, table) in enumerate(A.unary):
+                for key, pos in list(produced.items()):
+                    if key[0] != ssort:
+                        continue
+                    out = (dsort, table[key[1]])
+                    if out not in produced:
+                        emit(_Step("unary", dsort, out[1], op=ui, args=(pos,)))
+            for bi, (name, sort, table) in enumerate(A.binary):
+                items = [(k, p) for k, p in list(produced.items()) if k[0] == sort]
+                for (k1, p1) in items:
+                    for (k2, p2) in items:
+                        out = (sort, table[k1[1]][k2[1]])
+                        if out not in produced:
+                            emit(_Step("binary", sort, out[1], op=bi, args=(p1, p2)))
+            changed = len(steps) > before
+
+    close()
+    for sort in sorted(A.sorts, key=repr):
+        while True:
+            missing = [i for i in range(A.sorts[sort]) if (sort, i) not in produced]
+            if not missing:
+                break
+            g = missing[0]
+            gens.append(len(steps))
+            emit(_Step("gen", sort, g))
+            close()
+    return steps, gens
 
 
 def mutation_fixtures():

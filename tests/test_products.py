@@ -153,6 +153,6 @@ def test_structure_maps_list_every_table_in_search_order(name):
         for H in subs:
             want.append((f"c{g}@{index[H]}", index[H], index[H.conjugate(g)],
                           T.conj[(g, H)].tolist()))
-    unary = _functor_structure(T).unary
+    unary = [(op, a, b, table.tolist()) for op, a, b, table in _functor_structure(T).unary]
     assert unary == want
     assert [(index[src], index[dst]) for _, _, src, dst in listed] == [u[1:3] for u in unary]
