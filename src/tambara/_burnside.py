@@ -291,18 +291,11 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
         ring.vector_to_index = partial(_vector_to_index, radix[H], rep_index[H])
         rings[H] = ring
 
-    res = {}
-    tr = {}
-    nm = {}
-    for (K, H) in pairs:
-        res[(K, H)] = rep_index[K][res_code[(K, H)][reps[H]]]
-        tr[(K, H)] = rep_index[H][tr_code[(K, H)][reps[K]]]
-        nm[(K, H)] = rep_index[H][encode(H, nm_of_vectors(K, H, vectors[K][reps[K]]))]
-    conj = {}
-    for g in G.elements():
-        for H in subs:
-            conj[(g, H)] = rep_index[H.conjugate(g)][conj_code[(g, H)][reps[H]]]
+    code = {"res": res_code, "tr": tr_code, "conj": conj_code}
 
-    return TambaraData(G, rings, res, tr, nm, conj, has_norms=True,
-                       label=f"Burnside({G.name}) mod {N}")
+    def table(name, key, src, dst):
+        if name == "nm":
+            return rep_index[dst][encode(dst, nm_of_vectors(src, dst, vectors[src][reps[src]]))]
+        return rep_index[dst][code[name][key][reps[src]]]
 
+    return TambaraData.build(G, rings, table, True, label=f"Burnside({G.name}) mod {N}")

@@ -5,7 +5,7 @@ files; every emitted file re-ingests through the same loader.
 
 Exit codes are stable contracts:
   0 pass / definite answer
-  1 input or parse error
+  1 input, parse or usage error
   2 axiom failure (cmd_check)
   3 unsupported structure (Green-only input where norms are required)
   4 presentation constraint (non-chain lattice without --chain)
@@ -164,13 +164,22 @@ def cmd_iso(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors do: 2 means an axiom failure.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tambara",
         description="Equivariant algebra toolkit: check, decompose, and "
                     "transform Mackey/Green/Tambara functor definition files.")
     ap.add_argument("--fiber-bound", type=int, default=2,
-                    help="fiber size bound for exponential-diagram checks")
+                    help="fiber size bound for exponential-diagram checks (at least 2)")
     ap.add_argument("--budget", type=int, default=10 ** 6,
                     help="node budget for isomorphism search")
     sub = ap.add_subparsers(dest="command", required=True)

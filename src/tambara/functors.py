@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations_with_replacement
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -257,21 +258,16 @@ def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
     G = T.group
     X_val = evaluate_gset(T, f.source)
     Y_val = evaluate_gset(T, f.target)
-
-    point_orbit = {}
-    for j, o in enumerate(Y_val.orbits):
-        for p in o.points:
-            point_orbit[p] = j
+    orbit_of, carrier = f.target.orbit_of, f.target.carrier
 
     # factor each source orbit through its target orbit
     factored = []
     for i, o in enumerate(X_val.orbits):
         A = o.stabilizer
         q = f(o.base)
-        j = point_orbit[q]
-        oy = Y_val.orbits[j]
-        B = oy.stabilizer
-        u = oy.rep_for(q)
+        j = orbit_of[q]
+        B = Y_val.orbits[j].stabilizer
+        u = carrier[q]
         M = A.conjugate(G.inv(u))
         factored.append((i, j, A, B, u, M))
 
@@ -372,36 +368,29 @@ def fixed_point_functor(R: GRing, green_only: bool = False,
                           label=f"{R.ring.label}^{H.elements}")
         includes[H], positions[H], levels[H] = inc, pos, ring
 
-    res = {}
-    tr = {}
-    nm = {}
     e = G.trivial_subgroup
-    for (K, H) in G.subgroup_pairs:
-        res[(K, H)] = positions[K][includes[H]]
-        # left coset representatives of K in H: the double cosets e\H/K
-        reps = [h for h, _ in double_cosets(G, e, K, within=H)]
-        src = includes[K]
-        acc_t = np.full(len(src), R.ring.zero, dtype=np.int64)
-        acc_n = np.full(len(src), R.ring.one, dtype=np.int64)
-        for h in reps:
-            moved = R.action[h][src]
-            acc_t = R.ring.add[acc_t, moved]
-            acc_n = R.ring.mul[acc_n, moved]
-        tr[(K, H)] = positions[H][acc_t]
-        nm[(K, H)] = positions[H][acc_n]
-        if (tr[(K, H)] < 0).any() or (nm[(K, H)] < 0).any():
-            raise VerificationFailed("transfer/norm left the fixed subring")
 
-    conj = {}
-    for g in G.elements():
-        for H in subs:
-            conj[(g, H)] = positions[H.conjugate(g)][R.action[g][includes[H]]]
-            if (conj[(g, H)] < 0).any():
+    def table(name, key, src, dst):
+        if name == "res":
+            return positions[dst][includes[src]]
+        if name == "conj":
+            out = positions[dst][R.action[key[0]][includes[src]]]
+            if (out < 0).any():
                 raise VerificationFailed("conjugation left the fixed subring")
+            return out
+        # the sum or product over left coset representatives of src in dst:
+        # the double cosets e\dst/src
+        op = R.ring.add if name == "tr" else R.ring.mul
+        acc = np.full(len(includes[src]), R.ring.zero if name == "tr" else R.ring.one)
+        for h, _ in double_cosets(G, e, src, within=dst):
+            acc = op[acc, R.action[h][includes[src]]]
+        out = positions[dst][acc]
+        if (out < 0).any():
+            raise VerificationFailed("transfer/norm left the fixed subring")
+        return out
 
-    return TambaraData(G, levels, res, tr, None if green_only else nm, conj,
-                       has_norms=not green_only,
-                       label=label or f"FP({R.ring.label})")
+    return TambaraData.build(G, levels, table, not green_only,
+                             label=label or f"FP({R.ring.label})")
 
 
 def constant_functor(R: FiniteRing, G: FiniteGroup) -> TambaraData:
@@ -454,17 +443,6 @@ def _coset_projection(G: FiniteGroup, K1: Subgroup, K2: Subgroup) -> GSetMap:
                    tuple(K2.coset_index[c[0]] for c in K1.left_cosets()))
 
 
-def _coset_conj_map(G: FiniteGroup, K: Subgroup, g: int) -> GSetMap:
-    """The G-iso G/(gKg^-1) -> G/K sending x(gKg^-1) to xg K."""
-    Kg = K.conjugate(g)
-    return GSetMap(coset_gset(G, Kg), coset_gset(G, K),
-                   tuple(K.coset_index[G.mul(c[0], g)] for c in Kg.left_cosets()))
-
-
-def _restrict_gmap(f: GSetMap, H: Subgroup) -> GSetMap:
-    return GSetMap(f.source.restricted(H), f.target.restricted(H), f.images)
-
-
 def _over_subgroup(H: Subgroup, T: TambaraData) -> TambaraData:
     """T keyed over H.as_group; T's group must have the same table."""
     Hg, _ = H.as_group
@@ -491,29 +469,20 @@ def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
     """Coinduction: the level at K is T's value on the restricted H-set G/K,
     with structure maps evaluated along restricted coset maps."""
     T = _over_subgroup(H, T)
-    subs = subgroups(G)
-    values: Dict[Subgroup, LeveledValue] = {}
-    levels: Dict[Subgroup, FiniteRing] = {}
-    for K in subs:
-        values[K] = evaluate_gset(T, coset_gset(G, K).restricted(H))
-        levels[K] = values[K].materialize()
+    levels = {K: evaluate_gset(T, coset_gset(G, K).restricted(H)).materialize()
+              for K in subgroups(G)}
 
-    res, tr, conj = {}, {}, {}
-    nm = {} if T.has_norms else None
-    for (K1, K2) in G.subgroup_pairs:
-        proj = _restrict_gmap(_coset_projection(G, K1, K2), H)
-        res[(K1, K2)] = eval_along(T, proj, "res").as_table()
-        tr[(K1, K2)] = eval_along(T, proj, "tr").as_table()
-        if nm is not None:
-            nm[(K1, K2)] = eval_along(T, proj, "nm").as_table()
-    for g in G.elements():
-        for K in subs:
-            # c_g : level(K) -> level(gKg^-1) is restriction along the iso
-            # G/(gKg^-1) -> G/K, x -> xg
-            cmap = _restrict_gmap(_coset_conj_map(G, K, g), H)
-            conj[(g, K)] = eval_along(T, cmap, "res").as_table()
-    return TambaraData(G, levels, res, tr, nm, conj, has_norms=T.has_norms,
-                       label=label or f"Coind[{H.elements}]({T.label})")
+    def table(name, key, src, dst):
+        # evaluated along the coset map G/A -> G/B, xA -> xgB: for conj
+        # (g, K) the iso G/(gKg^-1) -> G/K, along which c_g is a
+        # restriction; otherwise the projection G/K1 -> G/K2
+        g, (A, B) = (key[0], (dst, src)) if name == "conj" else (G.identity, key)
+        f = GSetMap(coset_gset(G, A).restricted(H), coset_gset(G, B).restricted(H),
+                    tuple(B.coset_index[G.mul(c[0], g)] for c in A.left_cosets()))
+        return eval_along(T, f, "res" if name == "conj" else name).as_table()
+
+    return TambaraData.build(G, levels, table, T.has_norms,
+                             label=label or f"Coind[{H.elements}]({T.label})")
 
 
 def restrict(K: Subgroup, T: TambaraData, label: Optional[str] = None) -> TambaraData:
@@ -614,8 +583,12 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     Families: contracts (ring/additive/multiplicative contracts and
     functoriality), conjugation (identity on the own level, composition,
     intertwining), mackey_additive, mackey_norm, frobenius, exponential;
-    the exponential family has every fiber of size <= fiber_bound.
+    the exponential family has every fiber of size <= fiber_bound, which
+    must be at least 2: a smaller bound drops the norm-of-sum and
+    norm-of-transfer diagrams, and a PASS would no longer cover them.
     """
+    if fiber_bound < 2:
+        raise DefinitionError(f"fiber bound must be at least 2, got {fiber_bound}")
     G = T.group
     subs = subgroups(G)
     failures: List[CheckFailure] = []
@@ -788,43 +761,22 @@ def _exponential_family(G: FiniteGroup, K: Subgroup, fiber_bound: int):
     summand contributes fiber size [K:L].  Bound 2 yields the norm-of-zero,
     norm-of-sum, and norm-of-transfer diagrams.
     """
-    X = coset_gset(G, K)
-    options = []
-    for L in subgroups(G):
-        if L.is_subgroup_of(K) and K.order // L.order <= fiber_bound:
-            options.append((L, K.order // L.order))
-
-    def assemble(summands):
-        if not summands:
-            A = GSet(G, [[] for _ in G.elements()])
-            return A, tuple()
-        parts = []
-        images = []
-        for L in summands:
-            pm = _coset_projection(G, L, K)
-            parts.append(pm.source)
-            images.extend(pm.images)
-        A, _ = disjoint_union(parts)
-        return A, tuple(images)
-
-    # multisets of summands with total fiber size <= bound
+    options = [(L, K.order // L.order) for L in subgroups(G)
+               if L.is_subgroup_of(K) and K.order // L.order <= fiber_bound]
+    # multisets of at most three summands with total fiber size <= bound
     out = [([], "empty A (norm of zero)")]
-    singles = [([L], f"A = G/{L.elements} (fiber {ix})") for (L, ix) in options]
-    out.extend(singles)
-    for i, (L1, ix1) in enumerate(options):
-        for (L2, ix2) in options[i:]:
-            if ix1 + ix2 <= fiber_bound:
-                out.append(([L1, L2], f"A = G/{L1.elements} + G/{L2.elements}"))
-    if fiber_bound >= 3:
-        for i, (L1, ix1) in enumerate(options):
-            for j, (L2, ix2) in enumerate(options[i:], start=i):
-                for (L3, ix3) in options[j:]:
-                    if ix1 + ix2 + ix3 <= fiber_bound:
-                        out.append(([L1, L2, L3],
-                                    f"A = G/{L1.elements} + G/{L2.elements} + G/{L3.elements}"))
+    out += [([L], f"A = G/{L.elements} (fiber {ix})") for L, ix in options]
+    for r in (2, 3):
+        out += [([L for L, _ in combo], "A = " + " + ".join(f"G/{L.elements}" for L, _ in combo))
+                for combo in combinations_with_replacement(options, r)
+                if sum(ix for _, ix in combo) <= fiber_bound]
     for summands, desc in out:
-        A, images = assemble(summands)
-        yield A, images, desc
+        if not summands:
+            yield GSet(G, [[] for _ in G.elements()]), (), desc
+            continue
+        projections = [_coset_projection(G, L, K) for L in summands]
+        A, _ = disjoint_union([pm.source for pm in projections])
+        yield A, tuple(x for pm in projections for x in pm.images), desc
 
 
 # -- Mackey decomposition isomorphism ------------------------------------
@@ -856,12 +808,8 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
     maps = {}
     for L in subgroups(Kg):
         Ltilde = K.subgroup_in_parent(L.elements)
-        val = evaluate_gset(T, coset_gset(G, Ltilde).restricted(H))
-        point_orbit = {}
-        for i, o in enumerate(val.orbits):
-            for pt in o.points:
-                point_orbit[pt] = i
-
+        X = coset_gset(G, Ltilde).restricted(H)
+        val = evaluate_gset(T, X)
         arr = prod_components(val.sizes).T
         tables, sizes = [], []
         for d, M_in_K, _ in blocks:
@@ -869,8 +817,8 @@ def mackey_decomposition_iso(K: Subgroup, H: Subgroup, T: TambaraData
             for o in orbit_decomposition(XK):
                 k0 = kembed[L.left_cosets()[o.base][0]]      # rep of the base coset, in G
                 x = Ltilde.coset_index[G.mul(G.inv(d), k0)]  # the LHS point d^-1 k0 Ltilde
-                i = point_orbit[x]
-                h = val.orbits[i].rep_for(x)          # H-local transversal element
+                i = X.orbit_of[x]
+                h = X.carrier[x]                             # H-local carrier of x
                 stab = val.orbits[i].stabilizer
                 tables.append(T.conj[(h, stab)][arr[:, i]])
                 sizes.append(T.levels[stab.conjugate(h)].size)

@@ -45,6 +45,8 @@ class GSet:
         if bad is not None:
             raise DefinitionError("action not a homomorphism at g={}, h={}, x={}".format(*bad))
         self._orbits: Optional[Tuple["Orbit", ...]] = None
+        self._orbit_of: Tuple[int, ...] = ()
+        self._carrier: Tuple[int, ...] = ()
         self._restrictions: Dict[Subgroup, "GSet"] = {}
 
     def act(self, g: int, x: int) -> int:
@@ -52,6 +54,21 @@ class GSet:
 
     def stabilizer(self, x: int) -> Subgroup:
         return self.group.subgroup(np.flatnonzero(self.action[:, x] == x).tolist())
+
+    @property
+    def orbit_of(self) -> Tuple[int, ...]:
+        """orbit_of[x] is the index of x's orbit in orbit_decomposition."""
+        if self._orbits is None:
+            orbit_decomposition(self)
+        return self._orbit_of
+
+    @property
+    def carrier(self) -> Tuple[int, ...]:
+        """carrier[x] is the least g with g.base = x, base the minimal
+        point of x's orbit."""
+        if self._orbits is None:
+            orbit_decomposition(self)
+        return self._carrier
 
     def restricted(self, H: Subgroup) -> "GSet":
         """This G-set as an H.as_group-set; built once per subgroup."""
@@ -133,44 +150,37 @@ def disjoint_union(parts: Sequence[GSet]) -> Tuple[GSet, List[Tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class Orbit:
-    """One orbit: sorted points, base point (minimal), its stabilizer, and a
-    transversal mapping each point to a group element carrying base there."""
+    """One orbit: sorted points, base point (minimal) and its stabilizer."""
 
     points: Tuple[int, ...]
     base: int
     stabilizer: Subgroup
-    transversal: Tuple[Tuple[int, int], ...]  # (point, g) with g.base == point
-
-    def rep_for(self, x: int) -> int:
-        for p, g in self.transversal:
-            if p == x:
-                return g
-        raise KeyError(x)
 
 
 def orbit_decomposition(X: GSet) -> Tuple[Orbit, ...]:
     """Orbits in increasing order of their minimal point.
 
-    Each orbit carries the stabilizer of its minimal point and an explicit
-    transversal; together these give the equivariant bijection with the
-    coset G-set of the stabilizer (point g.base <-> coset g.Stab).
-    Computed once per G-set.
+    Each orbit carries the stabilizer of its minimal point.  The same pass
+    records X.orbit_of and X.carrier; together they give the equivariant
+    bijection with the coset G-set of the stabilizer (point g.base <->
+    coset g.Stab).  Computed once per G-set.
     """
     if X._orbits is not None:
         return X._orbits
-    seen = set()
+    orbit_of = [-1] * X.size
+    carrier = [0] * X.size
     orbits = []
     for x in range(X.size):
-        if x in seen:
+        if orbit_of[x] >= 0:
             continue
-        trans: Dict[int, int] = {}
+        pts = []
         for g, y in enumerate(X.action[:, x].tolist()):  # increasing g keeps
-            if y not in trans:                           # the minimal representative
-                trans[y] = g
-        pts = tuple(sorted(trans))
-        seen.update(pts)
-        orbits.append(Orbit(points=pts, base=x, stabilizer=X.stabilizer(x),
-                            transversal=tuple(sorted(trans.items()))))
+            if orbit_of[y] < 0:                          # the least carrier
+                orbit_of[y] = len(orbits)
+                carrier[y] = g
+                pts.append(y)
+        orbits.append(Orbit(points=tuple(sorted(pts)), base=x, stabilizer=X.stabilizer(x)))
+    X._orbit_of, X._carrier = tuple(orbit_of), tuple(carrier)
     X._orbits = tuple(orbits)
     return X._orbits
 
@@ -298,11 +308,7 @@ def equivariant_maps(X: GSet, Y: GSet) -> Iterator[GSetMap]:
     candidates = [np.flatnonzero((Y.action[list(orb.stabilizer.elements)] == np.arange(Y.size))
                                  .all(axis=0)).tolist() for orb in orbits]
     for choice in iproduct(*candidates):
-        images = [0] * X.size
-        for orb, y0 in zip(orbits, choice):
-            for pt, g in orb.transversal:
-                images[pt] = Y.act(g, y0)
-        yield GSetMap(X, Y, tuple(images))
+        yield GSetMap(X, Y, tuple(Y.act(g, choice[i]) for g, i in zip(X.carrier, X.orbit_of)))
 
 
 def gset_isomorphism(X: GSet, Y: GSet) -> Optional[GSetMap]:
@@ -317,7 +323,7 @@ def gset_isomorphism(X: GSet, Y: GSet) -> Optional[GSetMap]:
     xorbs = orbit_decomposition(X)
     yorbs = orbit_decomposition(Y)
     used = [False] * len(yorbs)
-    images = [0] * X.size
+    target_bases = []
     for xo in xorbs:
         match = None
         for j, yo in enumerate(yorbs):
@@ -333,11 +339,11 @@ def gset_isomorphism(X: GSet, Y: GSet) -> Optional[GSetMap]:
             return None
         j, yo, u = match
         used[j] = True
-        target_base = Y.act(u, yo.base)  # stabilizer u Stab(yo.base) u^-1 == Stab(xo.base)
-        for pt, g in xo.transversal:
-            images[pt] = Y.act(g, target_base)
+        # stabilizer u Stab(yo.base) u^-1 == Stab(xo.base)
+        target_bases.append(Y.act(u, yo.base))
     try:
-        m = GSetMap(X, Y, tuple(images))
+        m = GSetMap(X, Y, tuple(Y.act(g, target_bases[i])
+                                for g, i in zip(X.carrier, X.orbit_of)))
     except DefinitionError:
         return None
     if sorted(m.images) != list(range(Y.size)):

@@ -37,7 +37,11 @@ S3 = FiniteGroup.symmetric(3)
 D4 = FiniteGroup.dihedral(4)
 Q8 = FiniteGroup.quaternion()
 
+A4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")
+
 SMALL_GROUPS = [C2, C3, C4, V4, C5, C6, S3, C8, D4, Q8]
+# groups whose subgroup lattices are not chains
+LATTICE_GROUPS = [C4, S3, D4, Q8, A4]
 
 F2, F3, F4, F5, F8, F9, F16 = fq(2), fq(3), fq(4), fq(5), fq(8), fq(9), fq(16)
 Z4, Z6, Z9 = zn(4), zn(6), zn(9)

@@ -1,10 +1,11 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
 fixtures, the row-by-row ring-axiom reference, the every-element action
-references, the point-by-point dependent product reference, the binary
-product references, the two-step decomposition witness reference, the
-pair-loop closure reference of the isomorphism search, relabelled copies
-of rings and functors, and the randomized assembly sampler for round-trip
-tests."""
+references, the transversal-loop orbit reference, the point-by-point
+dependent product reference, the binary product references, the per-map
+coinduction and fixed-point references, the two-step decomposition witness
+reference, the pair-loop closure reference of the isomorphism search,
+relabelled copies of rings and functors, the table-by-table functor
+comparison, and the randomized assembly sampler for round-trip tests."""
 
 import random
 from itertools import product as iproduct
@@ -12,19 +13,36 @@ from itertools import product as iproduct
 import numpy as np
 
 import corpus
-from tambara.errors import DefinitionError, GroupMismatch, SizeLimitExceeded
+from tambara.errors import (
+    DefinitionError,
+    GroupMismatch,
+    SizeLimitExceeded,
+    VerificationFailed,
+)
 from tambara.decompose import detect_coinduction, split_by_bottom_idempotents
 from tambara.functors import (
     TambaraData,
     TambaraMorphism,
+    _coset_projection,
+    _over_subgroup,
     coinduce,
     constant_functor,
+    eval_along,
+    evaluate_gset,
     fixed_point_functor,
     product,
 )
 from tambara._search import _Step
-from tambara.groups import subgroups
-from tambara.gsets import SECTION_CAP, ExponentialDiagram, GSet, GSetMap, pullback
+from tambara.groups import double_cosets, subgroups
+from tambara.gsets import (
+    SECTION_CAP,
+    ExponentialDiagram,
+    GSet,
+    GSetMap,
+    coset_gset,
+    orbit_decomposition,
+    pullback,
+)
 from tambara.rings import (
     FiniteRing,
     GRing,
@@ -126,6 +144,36 @@ def reference_gring_validate(ring, G, action):
                 raise DefinitionError(f"action not a homomorphism at ({g},{h})")
 
 
+def reference_orbits(X):
+    """The orbits of X as the transversal loop lists them, in increasing
+    order of their minimal point: (points, base, stabilizer, transversal)
+    with transversal[y] the least g carrying base to y.  The reference
+    orbit_decomposition, X.orbit_of and X.carrier are tested against."""
+    G = X.group
+    seen = set()
+    orbits = []
+    for x in range(X.size):
+        if x in seen:
+            continue
+        trans = {}
+        for g in G.elements():
+            trans.setdefault(X.act(g, x), g)
+        seen.update(trans)
+        stab = G.subgroup(g for g in G.elements() if X.act(g, x) == x)
+        orbits.append((tuple(sorted(trans)), x, stab, trans))
+    return orbits
+
+
+def assert_orbits_match_reference(X):
+    orbits = orbit_decomposition(X)
+    ref = reference_orbits(X)
+    assert [(o.points, o.base, o.stabilizer) for o in orbits] == [r[:3] for r in ref]
+    for i, (_, _, _, trans) in enumerate(ref):
+        for y, g in trans.items():
+            assert (X.orbit_of[y], X.carrier[y]) == (i, g)
+    assert len(X.orbit_of) == len(X.carrier) == X.size
+
+
 def reference_dependent_product(f, p, section_cap=SECTION_CAP):
     """Pi_f A built point by point from the definition: every section of p
     over every fiber, sorted, and g(y, sigma) = (gy, g sigma) worked out for
@@ -210,6 +258,94 @@ def reference_product(T1, T2, label=None):
             conj[(g, H)] = combine(T1.conj[(g, H)], T2.conj[(g, H)], H, H.conjugate(g))
     return TambaraData(G, levels, res, tr, nm, conj, has_norms=T1.has_norms,
                        label=label or f"({T1.label} x {T2.label})")
+
+
+def reference_coinduce(G, H, T, label=None):
+    """Coinduction with every structure map listed by hand: one GSetMap
+    per coset projection or conjugation iso, restricted to H, and one
+    eval_along per table.  The reference coinduce is tested against."""
+    T = _over_subgroup(H, T)
+    subs = subgroups(G)
+    levels = {K: evaluate_gset(T, coset_gset(G, K).restricted(H)).materialize()
+              for K in subs}
+
+    def restricted(f):
+        return GSetMap(f.source.restricted(H), f.target.restricted(H), f.images)
+
+    res, tr, conj = {}, {}, {}
+    nm = {} if T.has_norms else None
+    for (K1, K2) in G.subgroup_pairs:
+        proj = restricted(_coset_projection(G, K1, K2))
+        res[(K1, K2)] = eval_along(T, proj, "res").as_table()
+        tr[(K1, K2)] = eval_along(T, proj, "tr").as_table()
+        if nm is not None:
+            nm[(K1, K2)] = eval_along(T, proj, "nm").as_table()
+    for g in G.elements():
+        for K in subs:
+            # c_g is restriction along the iso G/(gKg^-1) -> G/K, x -> xg
+            Kg = K.conjugate(g)
+            cmap = GSetMap(coset_gset(G, Kg), coset_gset(G, K),
+                           tuple(K.coset_index[G.mul(c[0], g)] for c in Kg.left_cosets()))
+            conj[(g, K)] = eval_along(T, restricted(cmap), "res").as_table()
+    return TambaraData(G, levels, res, tr, nm, conj, has_norms=T.has_norms,
+                       label=label or f"Coind[{H.elements}]({T.label})")
+
+
+def reference_fixed_point_functor(R, green_only=False, label=None):
+    """The fixed-point functor with its res/tr/nm/conj loops written out;
+    the reference fixed_point_functor is tested against.  Its levels come
+    from fixed_point_functor itself."""
+    levels = fixed_point_functor(R, green_only=True).levels
+    G, ring = R.group, R.ring
+    includes, positions = {}, {}
+    for H in subgroups(G):
+        fixed = np.arange(ring.size)
+        for h in H.elements:
+            fixed = fixed[R.action[h][fixed] == fixed]
+        includes[H] = fixed.astype(np.int32)
+        positions[H] = -np.ones(ring.size, dtype=np.int32)
+        positions[H][includes[H]] = np.arange(len(fixed))
+    res, tr, nm, conj = {}, {}, {}, {}
+    e = G.trivial_subgroup
+    for (K, H) in G.subgroup_pairs:
+        res[(K, H)] = positions[K][includes[H]]
+        src = includes[K]
+        acc_t = np.full(len(src), ring.zero, dtype=np.int64)
+        acc_n = np.full(len(src), ring.one, dtype=np.int64)
+        for h, _ in double_cosets(G, e, K, within=H):
+            moved = R.action[h][src]
+            acc_t = ring.add[acc_t, moved]
+            acc_n = ring.mul[acc_n, moved]
+        tr[(K, H)] = positions[H][acc_t]
+        nm[(K, H)] = positions[H][acc_n]
+        if (tr[(K, H)] < 0).any() or (nm[(K, H)] < 0).any():
+            raise VerificationFailed("transfer/norm left the fixed subring")
+    for g in G.elements():
+        for H in subgroups(G):
+            conj[(g, H)] = positions[H.conjugate(g)][R.action[g][includes[H]]]
+            if (conj[(g, H)] < 0).any():
+                raise VerificationFailed("conjugation left the fixed subring")
+    return TambaraData(G, levels, res, tr, None if green_only else nm, conj,
+                       has_norms=not green_only, label=label or f"FP({ring.label})")
+
+
+def assert_same_functor(A, B):
+    """The same group, flags, label, level rings and, byte for byte, the
+    same structure tables."""
+    assert A.group is B.group
+    assert (A.has_norms, A.label) == (B.has_norms, B.label)
+    for H in subgroups(A.group):
+        ra, rb = A.levels[H], B.levels[H]
+        assert (ra.label, ra.zero, ra.one) == (rb.label, rb.zero, rb.one)
+        assert np.array_equal(ra.add, rb.add) and np.array_equal(ra.mul, rb.mul)
+    for name in ("res", "tr", "nm", "conj"):
+        ta, tb = getattr(A, name), getattr(B, name)
+        if ta is None or tb is None:
+            assert ta is tb is None
+            continue
+        assert ta.keys() == tb.keys()
+        for key in ta:
+            assert ta[key].dtype == tb[key].dtype and np.array_equal(ta[key], tb[key])
 
 
 def reference_fold_product(factors, label=None):

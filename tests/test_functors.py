@@ -14,8 +14,13 @@ from corpus import (
     V4,
     galois_gring,
 )
-from helpers import copy_functor
-from tambara.errors import GroupMismatch, NoNorms, SearchTimeout
+from helpers import (
+    assert_same_functor,
+    copy_functor,
+    reference_coinduce,
+    reference_fixed_point_functor,
+)
+from tambara.errors import DefinitionError, GroupMismatch, NoNorms, SearchTimeout
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups
 from tambara.gsets import GSetMap, coset_gset, disjoint_union
 from tambara.functors import (
@@ -263,6 +268,42 @@ def test_axioms_on_nonabelian_order8_coinduction():
 def test_axioms_at_higher_fiber_bound():
     B = corpus.BURNSIDE_CORPUS["burnside_C4_4"]
     assert check_axioms(B, fiber_bound=3).passed
+
+
+@pytest.mark.parametrize("bound", [1, 0, -1])
+def test_check_axioms_refuses_fiber_bound_below_2(bound):
+    # a smaller bound would check fewer exponential identities, yet PASS
+    with pytest.raises(DefinitionError, match="fiber bound must be at least 2"):
+        check_axioms(corpus.BURNSIDE_CORPUS["burnside_C2_4"], fiber_bound=bound)
+
+
+@pytest.mark.parametrize("name", sorted({**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}))
+def test_coinduce_matches_per_map_reference_on_corpus(name):
+    T = {**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}[name]
+    full = T.group.full_subgroup
+    assert_same_functor(coinduce(T.group, full, T), reference_coinduce(T.group, full, T))
+
+
+@pytest.mark.parametrize("G", corpus.LATTICE_GROUPS, ids=lambda g: g.name)
+def test_coinduce_matches_per_map_reference_on_lattice_groups(G):
+    for H in subgroups(G):
+        index = G.order // H.order
+        if 2 ** index > 256:
+            continue  # only (A4, e): a 4096-element bottom level
+        Hg = H.as_group[0]
+        if H.order == 2 and index <= 4:
+            inner = fixed_point_functor(galois_gring(F4, Hg))
+        else:
+            inner = constant_functor(F3 if index <= 4 else F2, Hg)
+        assert_same_functor(coinduce(G, H, inner), reference_coinduce(G, H, inner))
+
+
+@pytest.mark.parametrize("green_only", [False, True])
+@pytest.mark.parametrize("name", sorted(corpus.GRING_CORPUS))
+def test_fixed_point_functor_matches_per_map_reference(name, green_only):
+    R = corpus.GRING_CORPUS[name]
+    assert_same_functor(fixed_point_functor(R, green_only=green_only),
+                        reference_fixed_point_functor(R, green_only=green_only))
 
 
 def test_burnside_a4_order12_spot_check():

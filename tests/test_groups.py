@@ -1,6 +1,8 @@
 import pytest
 from itertools import combinations
 
+from corpus import LATTICE_GROUPS
+
 from tambara.errors import DefinitionError
 from tambara.groups import (
     FiniteGroup,
@@ -106,10 +108,6 @@ def test_double_cosets_partition(G):
             dcs = double_cosets(G, K, H)
             covered = [g for _, c in dcs for g in c]
             assert sorted(covered) == list(range(G.order))
-
-
-LATTICE_GROUPS = [C4, S3, FiniteGroup.dihedral(4), FiniteGroup.quaternion(),
-                  FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")]
 
 
 @pytest.mark.parametrize("G", LATTICE_GROUPS + [C2, V4, FiniteGroup.cyclic(1)],

@@ -1,6 +1,9 @@
 import pytest
 
+import corpus
+from helpers import assert_orbits_match_reference
 from tambara.errors import DefinitionError, SizeLimitExceeded
+from tambara.functors import _coset_projection, _exponential_family
 from tambara.groups import FiniteGroup, subgroups
 from tambara.gsets import (
     GSet,
@@ -233,6 +236,19 @@ def test_orbit_decomposition_is_computed_once(monkeypatch):
     assert orbit_decomposition(X) == first
     assert stabilized == [0, 6]
     assert isinstance(first, tuple)
+
+
+@pytest.mark.parametrize("G", [corpus.C2, corpus.C4, corpus.V4, corpus.S3, corpus.D4],
+                         ids=lambda g: g.name)
+def test_orbit_data_matches_reference_on_exponential_diagrams(G):
+    for K, H in G.subgroup_pairs:
+        if K == H:
+            continue
+        f = _coset_projection(G, K, H)
+        for A, p, _ in _exponential_family(G, K, 2):
+            diag = dependent_product(f, GSetMap(A, f.source, p))
+            for X in (A, diag.pi, diag.pullback_corner):
+                assert_orbits_match_reference(X)
 
 
 def test_gset_isomorphism():

@@ -6,7 +6,7 @@ import pytest
 
 import corpus
 from corpus import C2, F2, F3, S3, S3_ORDER2
-from helpers import reference_fold_product, reference_gring_product
+from helpers import assert_same_functor, reference_fold_product, reference_gring_product
 from tambara.errors import DefinitionError, GroupMismatch
 from tambara.functors import (
     _functor_structure,
@@ -39,37 +39,20 @@ POOLS = {
 }
 
 
-def _assert_same_functor(A, B):
-    assert A.group is B.group
-    assert (A.has_norms, A.label) == (B.has_norms, B.label)
-    for H in subgroups(A.group):
-        ra, rb = A.levels[H], B.levels[H]
-        assert (ra.label, ra.zero, ra.one) == (rb.label, rb.zero, rb.one)
-        assert np.array_equal(ra.add, rb.add) and np.array_equal(ra.mul, rb.mul)
-    for name in ("res", "tr", "nm", "conj"):
-        ta, tb = getattr(A, name), getattr(B, name)
-        if ta is None or tb is None:
-            assert ta is tb is None
-            continue
-        assert ta.keys() == tb.keys()
-        for key in ta:
-            assert ta[key].dtype == tb[key].dtype and np.array_equal(ta[key], tb[key])
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_product_matches_binary_fold(pool, k):
     factors = POOLS[pool]()
     for fs in (factors[:k], factors[::-1][:k]):
-        _assert_same_functor(product(*fs), reference_fold_product(fs))
+        assert_same_functor(product(*fs), reference_fold_product(fs))
         if k > 1:
-            _assert_same_functor(product(*fs, label="P"),
+            assert_same_functor(product(*fs, label="P"),
                                  reference_fold_product(fs, label="P"))
 
 
 def test_product_of_products_is_the_flat_product():
     A, B, C, D = POOLS["S3_tambara"]()
-    _assert_same_functor(product(product(A, B), C, D), product(A, B, C, D))
+    assert_same_functor(product(product(A, B), C, D), product(A, B, C, D))
 
 
 def test_one_factor_is_its_own_product():

@@ -98,6 +98,14 @@ def test_orbit_decomposition_recovers_summands(data):
     assert covered == list(range(X.size))
 
 
+@given(shuffled_gset())
+@settings(max_examples=40, deadline=None)
+def test_orbit_data_matches_transversal_reference(data):
+    _, _, X, relabeled = data
+    helpers.assert_orbits_match_reference(X)
+    helpers.assert_orbits_match_reference(relabeled)
+
+
 @st.composite
 def cospans(draw):
     """Equivariant maps f : X -> Y <- Z : g between shuffled G-sets; Y has a

@@ -309,6 +309,26 @@ def test_cmd_check_fiber_bound_flag(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bound", ["1", "0", "-1"])
+def test_cmd_check_refuses_fiber_bound_below_2(tmp_path, capsys, bound):
+    p = _write_fixture(tmp_path, "b.json", corpus.BURNSIDE_CORPUS["burnside_C2_4"])
+    assert main([f"--fiber-bound={bound}", "check", p]) == 1
+    out = capsys.readouterr().out
+    assert out == f"error: fiber bound must be at least 2, got {bound}\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["--fiber-bound", "abc", "check", "x.json"],
+                                  ["nosuch", "x.json"]],
+                         ids=["no-path", "non-integer-fiber-bound", "unknown-command"])
+def test_usage_errors_exit_1(capsys, argv):
+    # 2 is the axiom-failure code, so argparse's own exit code is not used
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tambara") and "error: " in err
+
+
 def test_threads_env_is_accepted(tmp_path, capsys, monkeypatch):
     p = _write_fixture(tmp_path, "fp.json", corpus.FP_CORPUS["F2_triv_C2"])
     monkeypatch.setenv("TAMBARA_THREADS", "4")
