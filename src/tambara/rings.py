@@ -1,9 +1,12 @@
 """Explicit finite commutative rings and rings with group action.
 
 Rings are dense numpy tables over 0-based element indices.  The idempotent
-calculus (isotropy, orthogonal orbits, the clarified predicate), coinduction
-of G-rings along a subgroup, and the decomposition of a G-ring into
-coinductions of clarified pieces all live here.
+calculus (isotropy, orthogonal orbits, the clarified predicate), the
+grouping of primitive idempotents into conjugacy classes, and coinduction
+of G-rings along a subgroup live here.  The decomposition of a G-ring into
+coinductions of clarified pieces is read off the functor decomposition of
+its fixed-point Tambara functor (decompose.full_decomposition), whose
+bottom level it is.
 
 The zero ring (size 1) is permitted everywhere and marks the terminal
 object; operations that cannot tolerate it raise ZeroRing.
@@ -25,7 +28,7 @@ from .errors import (
     VerificationFailed,
     ZeroRing,
 )
-from .groups import FiniteGroup, Subgroup, UpwardClosedSet, double_cosets, upward_closure
+from .groups import FiniteGroup, Subgroup, UpwardClosedSet, upward_closure
 
 RING_SIZE_CAP = 20000
 
@@ -228,40 +231,23 @@ def fq(q: int) -> FiniteRing:
         return R
     if (p, k) not in _IRREDUCIBLE:
         raise DefinitionError(f"no irreducible polynomial on file for ({p},{k})")
-    poly = _IRREDUCIBLE[(p, k)]
-    digits = [p] * k
-
-    def decode(i):
-        return prod_decode(digits, i)[::-1]
-
-    def encode(cs):
-        return prod_encode(digits, [c % p for c in reversed(cs)])
-
-    def poly_mul(a, b):
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(k):
-                    prod[d - k + j] = (prod[d - k + j] - c * poly[j]) % p
-        return prod[:k]
-
-    n = q
-    add = np.zeros((n, n), dtype=np.int32)
-    mul = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        a = decode(i)
-        for j in range(n):
-            b = decode(j)
-            add[i, j] = encode([(x + y) % p for x, y in zip(a, b)])
-            mul[i, j] = encode(poly_mul(a, b))
+    poly = np.array(_IRREDUCIBLE[(p, k)][:k])
+    # coef[i, x] is the coefficient of t^i in element x; x = sum coef[i, x] p^i
+    coef = prod_components([p] * k)[::-1]
+    a, b = coef[:, :, None], coef[:, None, :]
+    prod = np.zeros((2 * k - 1, q, q), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += a[i] * b[j]
+    for d in range(2 * k - 2, k - 1, -1):
+        # t^d = t^(d-k) t^k and t^k = -sum_j poly[j] t^j
+        prod[d - k:d] = (prod[d - k:d] - prod[d] * poly[:, None, None]) % p
+    weights = p ** np.arange(k)
+    add = np.tensordot(weights, (a + b) % p, axes=1)
+    mul = np.tensordot(weights, prod[:k] % p, axes=1)
     R = FiniteRing(add, mul, 0, 1, label=f"F{q}")
     R.validate()
-    for x in range(1, n):
+    for x in range(1, q):
         if R.one not in R.mul[x]:
             raise DefinitionError(f"construction of F{q} is not a field (check polynomial)")
     R.char_p, R.deg_k = p, k
@@ -313,14 +299,6 @@ def prod_encode(sizes: Sequence[int], comps):
     for s, c in zip(sizes, comps):
         out = out * s + c
     return out
-
-
-def prod_decode(sizes: Sequence[int], idx: int) -> Tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))
 
 
 def prod_components(sizes: Sequence[int]) -> np.ndarray:
@@ -509,7 +487,7 @@ def is_clarified(R: GRing) -> bool:
     return is_lambda_clarified(R, upward_closure(R.group, R.group.full_subgroup))
 
 
-# -- coinduction, restriction, product, transport -----------------------
+# -- coinduction, restriction, product ----------------------------------
 
 
 def _check_subgroup_ring(H: Subgroup, S: GRing) -> None:
@@ -580,29 +558,6 @@ def gring_product(*rings: GRing) -> GRing:
     return GRing(ring, G, action)
 
 
-def gring_transport(S: GRing, H: Subgroup, g: int) -> GRing:
-    """The gHg^-1-ring obtained from the H-ring S along conjugation by g.
-
-    x in gHg^-1 acts as g^-1 x g does in S.
-    """
-    _check_subgroup_ring(H, S)
-    G = H.parent
-    Hg, embed = H.conjugate(g).as_group
-    rows = [H.local_index[G.conj(G.inv(g), x)] for x in embed]
-    return GRing(S.ring, Hg, S.action[rows])
-
-
-def is_equivariant(hom: RingHom, src: GRing, tgt: GRing) -> bool:
-    """hom commutes with matching group actions (groups must align by index)."""
-    if src.group.order != tgt.group.order:
-        return False
-    img = np.asarray(hom.images)
-    return all(
-        np.array_equal(img[src.action[g]], tgt.action[g][img])
-        for g in src.group.elements()
-    )
-
-
 # -- decomposition into coinductions of clarified pieces -----------------
 
 
@@ -666,120 +621,23 @@ class GRingDecomposition:
 
 def decompose_gring(R: GRing) -> GRingDecomposition:
     """Split a G-ring as a product over conjugacy classes of coinductions of
-    clarified pieces, with an explicit equivariant isomorphism witness."""
+    clarified pieces, with an explicit equivariant isomorphism witness.
+
+    This is the bottom level of full_decomposition(fixed_point_functor(R)),
+    whose bottom G-ring is R element for element: a morphism of Tambara
+    functors commutes with conjugation, the G-action at the bottom level,
+    so the witness at e is equivariant."""
     if R.ring.is_zero_ring():
         raise ZeroRing("cannot decompose the zero ring")
-    G = R.group
-    factors: List[Tuple[Subgroup, GRing]] = []
-    coinduced: List[GRing] = []
-    witness_parts = []  # per class: (rep, bases, includes, sizes)
-    for cls in idempotent_classes(R):
-        rep, bases = cls.rep, cls.bases
-        Kg, embed = rep.as_group
-        subrings = []
-        includes = []
-        for b in bases:
-            S, inc = subring_on_idempotent(R.ring, b)
-            subrings.append(S)
-            includes.append(inc)
-        factor_ring = product_ring(subrings) if len(subrings) > 1 else subrings[0]
-        sizes = [s.size for s in subrings]
-        action = np.zeros((Kg.order, factor_ring.size), dtype=np.int64)
-        pos_tables = []
-        for S, inc in zip(subrings, includes):
-            pos = -np.ones(R.ring.size, dtype=np.int64)
-            pos[inc] = np.arange(S.size)
-            pos_tables.append(pos)
-        comps = prod_components(sizes)
-        for i, k in enumerate(embed):
-            moved = [pos[R.action[k][inc[c]]] for pos, inc, c in zip(pos_tables, includes, comps)]
-            if any((m < 0).any() for m in moved):
-                raise VerificationFailed("class representative does not preserve a factor")
-            action[i] = prod_encode(sizes, moved)
-        S_class = GRing(factor_ring, Kg, action)
-        if not is_clarified(S_class):
-            raise VerificationFailed("decomposition factor is not clarified")
-        factors.append((rep, S_class))
-        coinduced.append(coinduce_gring(G, rep, S_class))
-        witness_parts.append((rep, bases, includes, sizes))
+    from .decompose import full_decomposition
+    from .functors import fixed_point_functor
 
-    reassembled = gring_product(*coinduced)
-
-    # witness: sum of translated components
-    ring = R.ring
-    images = []
-    outer_sizes = [c.ring.size for c in coinduced]
-    for idx in range(reassembled.ring.size):
-        outer = prod_decode(outer_sizes, idx)
-        total = ring.zero
-        for (rep, bases, includes, sizes), block in zip(witness_parts, outer):
-            cosets = rep.left_cosets()
-            m = len(cosets)
-            per_coset = prod_decode([int(np.prod(sizes))] * m, block) if m > 1 else (block,)
-            for j, coset in enumerate(cosets):
-                comps = prod_decode(sizes, per_coset[j])
-                summand = ring.zero
-                for inc, comp in zip(includes, comps):
-                    summand = int(ring.add[summand, inc[comp]])
-                total = int(ring.add[total, R.act(coset[0], summand)])
-        images.append(total)
-    witness = RingHom(reassembled.ring, ring, tuple(images))
-    if not witness.is_bijective():
-        raise VerificationFailed("decomposition witness is not bijective")
-    if not is_equivariant(witness, reassembled, R):
-        raise VerificationFailed("decomposition witness is not equivariant")
-    return GRingDecomposition(factors=factors, reassembled=reassembled,
-                              witness=witness)
-
-
-def mackey_gring_iso(G: FiniteGroup, K: Subgroup, H: Subgroup, S: GRing
-                     ) -> Tuple[GRing, GRing, RingHom]:
-    """Res_K Coind_H S  ~=  prod over K\\G/H of Coind over K of the
-    restricted conjugates, as K-rings, with an explicit isomorphism.
-
-    Returns (lhs, rhs, iso : lhs.ring -> rhs.ring); the identity double
-    coset factor comes first.
-    """
-    _check_subgroup_ring(H, S)
-    Kg, kembed = K.as_group
-    lhs = gring_restrict(K, coinduce_gring(G, H, S))
-
-    reps_H = [c[0] for c in H.left_cosets()]
-
-    blocks = []
-    for d, _ in double_cosets(G, K, H):
-        Hd = H.conjugate(d)
-        M = K.intersect(Hd)              # K cap dHd^-1, subgroup of G
-        # restrict the dHd^-1-ring to M, then coinduce from M inside K
-        S_M = gring_restrict(Hd.local_subgroups[M], gring_transport(S, H, d))
-        M_in_K = K.local_subgroups[M]
-        blocks.append((d, M_in_K, coinduce_gring(Kg, M_in_K, S_M)))
-
-    rhs = gring_product(*[b for _, _, b in blocks])
-
-    # iso per derivation: component (d, coset c' of K/(K cap dH)) of the image
-    # of f reads tau . f(c) with c = (rep'(c') d) H, tau = (rep'(c') d)^-1 rep(c)
-    lhs_sizes = [S.ring.size] * len(reps_H)
-    rhs_sizes = [b.ring.size for _, _, b in blocks]
-    images = []
-    for idx in range(lhs.ring.size):
-        f = prod_decode(lhs_sizes, idx)
-        outs = []
-        for d, M_in_K, _ in blocks:
-            cosets = M_in_K.left_cosets()  # cosets inside Kg (subgroup-local indices)
-            vals = []
-            for c in cosets:
-                kk = kembed[c[0]]          # representative of c' in G
-                w = G.mul(kk, d)
-                cH = H.coset_index[w]
-                tau = G.mul(G.inv(w), reps_H[cH])
-                vals.append(int(S.action[H.local_index[tau], f[cH]]))
-            outs.append(prod_encode([S.ring.size] * len(cosets), vals))
-        images.append(prod_encode(rhs_sizes, outs))
-    iso = RingHom(lhs.ring, rhs.ring, tuple(images))
-    if not iso.is_bijective() or not is_equivariant(iso, lhs, rhs):
-        raise VerificationFailed("Mackey decomposition witness failed")
-    return lhs, rhs, iso
+    dec = full_decomposition(fixed_point_functor(R))
+    reassembled = dec.reassembled.bottom_gring()
+    witness = dec.witness.maps[R.group.trivial_subgroup]
+    return GRingDecomposition(factors=[(H, ell.bottom_gring()) for H, ell in dec.factors],
+                              reassembled=reassembled,
+                              witness=RingHom(reassembled.ring, R.ring, tuple(witness.tolist())))
 
 
 # -- homomorphism and isomorphism search ---------------------------------

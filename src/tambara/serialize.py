@@ -228,7 +228,7 @@ def load_document(path: str, over: Optional[str] = None
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (RecursionError, ValueError) as exc:  # bad JSON, bad UTF-8 or too deep
             raise DefinitionError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise DefinitionError("definition file must hold a JSON object")

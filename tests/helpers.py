@@ -3,7 +3,8 @@ fixtures, the row-by-row ring-axiom reference, the every-element action
 references, the transversal-loop orbit reference, the point-by-point
 dependent product reference, the binary product references, the per-map
 coinduction and fixed-point references, the two-step decomposition witness
-reference, the pair-loop closure reference of the isomorphism search,
+reference, the pair-by-pair finite field and element-by-element G-ring
+decomposition references, the pair-loop closure reference of the isomorphism search,
 relabelled copies of rings and functors, the table-by-table functor
 comparison, and the randomized assembly sampler for round-trip tests."""
 
@@ -44,12 +45,20 @@ from tambara.gsets import (
     pullback,
 )
 from tambara.rings import (
+    _IRREDUCIBLE,
     FiniteRing,
     GRing,
+    GRingDecomposition,
+    RingHom,
+    coinduce_gring,
+    gring_product,
+    idempotent_classes,
+    is_clarified,
     primitive_idempotents,
     prod_components,
     prod_encode,
     product_ring,
+    subring_on_idempotent,
 )
 
 
@@ -413,6 +422,120 @@ def reference_decomposition(T):
                               [w_inv.maps[K][comp] for w_inv, comp in zip(inverses, comps)])
     to_split_product = TambaraMorphism(reassembled, split_witness.source, maps)
     return reassembled, split_witness.compose(to_split_product)
+
+
+def prod_decode(sizes, idx):
+    """The components of product index idx, one per factor (C order)."""
+    out = []
+    for s in reversed(sizes):
+        out.append(idx % s)
+        idx //= s
+    return tuple(reversed(out))
+
+
+def reference_fq(p, k):
+    """The field with p^k elements (k >= 2) built element pair by element
+    pair: polynomials of degree < k over F_p modulo the irreducible
+    _IRREDUCIBLE[(p, k)], element index sum(c_i * p^i)."""
+    poly = _IRREDUCIBLE[(p, k)]
+    digits = [p] * k
+
+    def decode(i):
+        return prod_decode(digits, i)[::-1]
+
+    def encode(cs):
+        return prod_encode(digits, [c % p for c in reversed(cs)])
+
+    def poly_mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d]
+            if c:
+                prod[d] = 0
+                for j in range(k):
+                    prod[d - k + j] = (prod[d - k + j] - c * poly[j]) % p
+        return prod[:k]
+
+    n = p ** k
+    add = np.zeros((n, n), dtype=np.int32)
+    mul = np.zeros((n, n), dtype=np.int32)
+    for i in range(n):
+        a = decode(i)
+        for j in range(n):
+            b = decode(j)
+            add[i, j] = encode([(x + y) % p for x, y in zip(a, b)])
+            mul[i, j] = encode(poly_mul(a, b))
+    return add, mul
+
+
+def is_equivariant(hom, src, tgt):
+    """hom commutes with the actions of src's and tgt's groups, matched by
+    element index."""
+    if src.group.order != tgt.group.order:
+        return False
+    img = np.asarray(hom.images)
+    return all(np.array_equal(img[src.action[g]], tgt.action[g][img])
+               for g in src.group.elements())
+
+
+def reference_decompose_gring(R):
+    """decompose_gring worked out on the G-ring itself: each class's factor
+    is the product of the subrings at its base points, acted on through the
+    inclusions, and the witness sends each element of the reassembled
+    product to the sum of its translated components, element by element."""
+    G = R.group
+    factors, coinduced, witness_parts = [], [], []
+    for cls in idempotent_classes(R):
+        rep, bases = cls.rep, cls.bases
+        Kg, embed = rep.as_group
+        subrings, includes = [], []
+        for b in bases:
+            S, inc = subring_on_idempotent(R.ring, b)
+            subrings.append(S)
+            includes.append(inc)
+        factor_ring = product_ring(subrings) if len(subrings) > 1 else subrings[0]
+        sizes = [S.size for S in subrings]
+        pos_tables = []
+        for S, inc in zip(subrings, includes):
+            pos = -np.ones(R.ring.size, dtype=np.int64)
+            pos[inc] = np.arange(S.size)
+            pos_tables.append(pos)
+        comps = prod_components(sizes)
+        action = np.zeros((Kg.order, factor_ring.size), dtype=np.int64)
+        for i, k in enumerate(embed):
+            moved = [pos[R.action[k][inc[c]]] for pos, inc, c in zip(pos_tables, includes, comps)]
+            if any((m < 0).any() for m in moved):
+                raise VerificationFailed("class representative does not preserve a factor")
+            action[i] = prod_encode(sizes, moved)
+        S_class = GRing(factor_ring, Kg, action)
+        if not is_clarified(S_class):
+            raise VerificationFailed("decomposition factor is not clarified")
+        factors.append((rep, S_class))
+        coinduced.append(coinduce_gring(G, rep, S_class))
+        witness_parts.append((rep, includes, sizes))
+    reassembled = gring_product(*coinduced)
+
+    ring = R.ring
+    images = []
+    outer_sizes = [c.ring.size for c in coinduced]
+    for idx in range(reassembled.ring.size):
+        total = ring.zero
+        for (rep, includes, sizes), block in zip(witness_parts, prod_decode(outer_sizes, idx)):
+            cosets = rep.left_cosets()
+            per_coset = prod_decode([int(np.prod(sizes))] * len(cosets), block)
+            for coset, value in zip(cosets, per_coset):
+                summand = ring.zero
+                for inc, comp in zip(includes, prod_decode(sizes, value)):
+                    summand = int(ring.add[summand, inc[comp]])
+                total = int(ring.add[total, R.act(coset[0], summand)])
+        images.append(total)
+    witness = RingHom(reassembled.ring, ring, tuple(images))
+    if not witness.is_bijective() or not is_equivariant(witness, reassembled, R):
+        raise VerificationFailed("decomposition witness is not an equivariant bijection")
+    return GRingDecomposition(factors=factors, reassembled=reassembled, witness=witness)
 
 
 def proper_transfer_images(T, L):

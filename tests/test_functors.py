@@ -20,7 +20,13 @@ from helpers import (
     reference_coinduce,
     reference_fixed_point_functor,
 )
-from tambara.errors import DefinitionError, GroupMismatch, NoNorms, SearchTimeout
+from tambara.errors import (
+    DefinitionError,
+    GroupMismatch,
+    NoNorms,
+    SearchTimeout,
+    SizeLimitExceeded,
+)
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups
 from tambara.gsets import GSetMap, coset_gset, disjoint_union
 from tambara.functors import (
@@ -346,7 +352,7 @@ def _failing_families(T):
 
 
 def test_exponential_family_propagates_internal_errors(monkeypatch):
-    # only a size cap may become a reported failure; anything else is a bug
+    # an error while building a diagram is never reported as an axiom failure
     import tambara.functors as functors
 
     def broken(f, p, section_cap=None):
@@ -354,6 +360,19 @@ def test_exponential_family_propagates_internal_errors(monkeypatch):
 
     monkeypatch.setattr(functors, "dependent_product", broken)
     with pytest.raises(RuntimeError):
+        check_axioms(corpus.FP_CORPUS["F4_galois_C2"])
+
+
+def test_exponential_diagram_past_size_cap_raises(monkeypatch):
+    # a diagram too large to build shows no identity failing: the check
+    # raises, naming the diagram, instead of reporting a failure
+    import tambara.functors as functors
+
+    def capped(f, p, section_cap=None):
+        raise SizeLimitExceeded("dependent product would have more than 4096 points")
+
+    monkeypatch.setattr(functors, "dependent_product", capped)
+    with pytest.raises(SizeLimitExceeded, match=r"^exponential diagram .* over .*: dependent product"):
         check_axioms(corpus.FP_CORPUS["F4_galois_C2"])
 
 

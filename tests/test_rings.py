@@ -10,8 +10,10 @@ from tambara.errors import (
     SearchTimeout,
     ZeroRing,
 )
+from tambara.functors import fixed_point_functor, mackey_decomposition_iso
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups, upward_closure
 from tambara.rings import (
+    _IRREDUCIBLE,
     FiniteRing,
     GRing,
     RingHom,
@@ -26,13 +28,10 @@ from tambara.rings import (
     gring_restrict,
     idempotents,
     is_clarified,
-    is_equivariant,
     is_lambda_clarified,
-    mackey_gring_iso,
     op_failure,
     primitive_idempotents,
     prod_components,
-    prod_decode,
     prod_encode,
     product_ring,
     ring_isomorphism,
@@ -73,6 +72,15 @@ def swap_gring_c2(field):
 @pytest.mark.parametrize("R", [F2, F3, F4, F5, F9, fq(8), fq(27), Z4, Z6, zn(9)])
 def test_ring_axioms(R):
     R.validate()
+
+
+@pytest.mark.parametrize("p,k", sorted(_IRREDUCIBLE))
+def test_fq_matches_pair_by_pair_reference(p, k):
+    R = fq(p ** k)
+    add, mul = helpers.reference_fq(p, k)
+    assert np.array_equal(R.add, add)
+    assert np.array_equal(R.mul, mul)
+    assert (R.zero, R.one, R.label) == (0, 1, f"F{p ** k}")
 
 
 def test_field_inverses():
@@ -329,7 +337,7 @@ def test_decompose_coinduced_round_trip():
     H, S = dec.factors[0]
     assert H.order == 1
     assert S.ring.size == 3
-    assert is_equivariant(dec.witness, dec.reassembled, R)
+    assert helpers.is_equivariant(dec.witness, dec.reassembled, R)
 
 
 def test_decompose_mixed():
@@ -359,6 +367,51 @@ def test_decompose_zero_ring():
         decompose_gring(trivial_gring(zero_ring(), C2))
 
 
+def _coind_s3(H, field):
+    return coinduce_gring(S3, H, trivial_gring(field, H.as_group[0]))
+
+
+_S3_ORDER2 = [H for H in subgroups(S3) if H.order == 2]
+
+DECOMPOSE_CASES = {
+    **corpus.GRING_CORPUS,
+    "galois_F4_C2": galois_gring(F4, C2),
+    "swap_F3_C2": swap_gring_c2(F3),
+    "galois_F4_x_swap_F3_C2": gring_product(galois_gring(F4, C2), swap_gring_c2(F3)),
+    "swap_F3_x_swap_F2_C2": gring_product(swap_gring_c2(F3), swap_gring_c2(F2)),
+    "sign_F4_x_coind_e_F2_S3": gring_product(corpus.sign_gring(F4, S3, corpus.s3_parity),
+                                             _coind_s3(S3.trivial_subgroup, F2)),
+    # two orbits whose stabilizers are distinct conjugates merge into one class
+    "coind_C2a_F2_x_coind_C2b_F3_S3": gring_product(_coind_s3(_S3_ORDER2[0], F2),
+                                                    _coind_s3(_S3_ORDER2[1], F3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_CASES))
+def test_decompose_gring_matches_elementwise_reference(name):
+    R = DECOMPOSE_CASES[name]
+    dec, ref = decompose_gring(R), helpers.reference_decompose_gring(R)
+    assert [H for H, _ in dec.factors] == [H for H, _ in ref.factors]
+    for (_, S), (_, S_ref) in zip(dec.factors, ref.factors):
+        assert is_clarified(S)
+        assert gring_isomorphism(S, S_ref) is not None
+    assert gring_isomorphism(dec.reassembled, ref.reassembled) is not None
+    for d in (dec, ref):
+        assert d.witness.is_bijective()
+        assert helpers.is_equivariant(d.witness, d.reassembled, R)
+
+
+def _assert_mackey_gring_iso(K, H, S):
+    """The Mackey isomorphism of FP(S), read at the bottom level, is a
+    K-equivariant ring isomorphism Res_K Coind_H S -> the product over
+    K\\G/H of the coinduced restricted conjugates."""
+    lhs, rhs, iso = mackey_decomposition_iso(K, H, fixed_point_functor(S))
+    e = lhs.group.trivial_subgroup
+    hom = RingHom(lhs.bottom, rhs.bottom, tuple(iso.maps[e].tolist()))
+    assert hom.is_bijective()
+    assert helpers.is_equivariant(hom, lhs.bottom_gring(), rhs.bottom_gring())
+
+
 @pytest.mark.parametrize("G,R", [(C4, F3), (S3, F3),
                                  (FiniteGroup.direct_product(C2, C2), F3),
                                  (FiniteGroup.dihedral(4), F2)])
@@ -367,9 +420,7 @@ def test_mackey_gring_iso_all_pairs(G, R):
         Hg, _ = H.as_group
         S = galois_gring(F4, Hg) if H.order == 2 else trivial_gring(R, Hg)
         for K in subgroups(G):
-            lhs, rhs, iso = mackey_gring_iso(G, K, H, S)
-            assert iso.is_bijective()
-            assert is_equivariant(iso, lhs, rhs)
+            _assert_mackey_gring_iso(K, H, S)
 
 
 def test_mackey_gring_iso_with_galois_action():
@@ -377,9 +428,7 @@ def test_mackey_gring_iso_with_galois_action():
     Hg, _ = H.as_group
     S = galois_gring(F4, Hg)
     for K in subgroups(S3):
-        lhs, rhs, iso = mackey_gring_iso(S3, K, H, S)
-        assert iso.is_bijective()
-        assert is_equivariant(iso, lhs, rhs)
+        _assert_mackey_gring_iso(K, H, S)
 
 
 def test_ring_size_caps():
@@ -495,10 +544,9 @@ def test_mixed_radix_codec_round_trip(sizes):
     rows = prod_components(sizes)
     assert rows.shape == (len(sizes), n)
     cols = rows.T
-    # ints: every index decodes to in-range components and encodes back
+    # ints: every element's components are in range and encode back
     for idx in range(n):
-        comps = prod_decode(sizes, idx)
-        assert comps == tuple(cols[idx])
+        comps = tuple(int(c) for c in cols[idx])
         assert all(0 <= c < s for c, s in zip(comps, sizes))
         assert prod_encode(sizes, comps) == idx
     # arrays: a list of component arrays, and the (k, n) component array

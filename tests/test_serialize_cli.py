@@ -317,6 +317,28 @@ def test_cmd_check_refuses_fiber_bound_below_2(tmp_path, capsys, bound):
     assert out == f"error: fiber bound must be at least 2, got {bound}\n"
 
 
+def test_fiber_bound_past_diagram_cap_exits_1(tmp_path, capsys):
+    # over D4 a fiber bound of 3 asks for a dependent product of 3^8 points
+    p = _write_fixture(tmp_path, "constD4.json", constant_functor(F2, corpus.D4))
+    assert main(["--fiber-bound", "3", "check", p]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: exponential diagram A = ")
+    assert "more than 4096 points" in out
+
+
+def test_deeply_nested_json_exits_1_without_traceback(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text('{"schema":1,"group":' + "[" * 100000 + "]" * 100000 + "}")
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "tambara.cli", "check", str(p)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith(b"error: invalid JSON: ")
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["check"], ["--fiber-bound", "abc", "check", "x.json"],
                                   ["nosuch", "x.json"]],
                          ids=["no-path", "non-integer-fiber-bound", "unknown-command"])
