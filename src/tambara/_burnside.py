@@ -139,7 +139,7 @@ def _vector_to_index(radix: List[int], rep_index: np.ndarray, vec: Sequence[int]
     return int(rep_index[prod_encode(radix, v % radix[0])])
 
 
-def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
+def burnside_mod(G: FiniteGroup, N: int):
     """The mod-N Burnside Tambara functor of G (order <= 12)."""
     from .functors import TambaraData
 
@@ -150,7 +150,7 @@ def burnside_mod(G: FiniteGroup, N: int, level_cap: int = BURNSIDE_LEVEL_CAP):
     subs = subgroups(G)
     levels = {H: _Level(G, H) for H in subs}
     for H, lv in levels.items():
-        if N ** lv.nclasses > level_cap:
+        if N ** lv.nclasses > BURNSIDE_LEVEL_CAP:
             raise SizeLimitExceeded(
                 f"level at {H.elements} would have {N ** lv.nclasses} elements")
 

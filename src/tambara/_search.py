@@ -15,7 +15,6 @@ raises SearchTimeout, which callers must treat as distinct from "none".
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -132,39 +131,6 @@ def _build_steps(A: OpStructure) -> Tuple[List[_Step], List[int]]:
     return steps, gens
 
 
-def _replay(steps: List[_Step], B: "_Target", gen_images: Dict[int, int],
-            injective: bool) -> Optional[Dict[Tuple[object, int], int]]:
-    """Replay the closure in B; return the partial map or None on conflict."""
-    image: Dict[Tuple[object, int], int] = {}
-    used: Dict[object, set] = defaultdict(set)
-
-    def assign(sort, src, dst) -> bool:
-        key = (sort, src)
-        if key in image:
-            return image[key] == dst
-        if injective and dst in used[sort]:
-            return False
-        image[key] = dst
-        used[sort].add(dst)
-        return True
-
-    for pos, step in enumerate(steps):
-        if step.kind == "const":
-            dst = B.constants[(step.op, step.sort)]
-        elif step.kind == "gen":
-            dst = gen_images[pos]
-        elif step.kind == "unary":
-            src_step = steps[step.args[0]]
-            dst = B.unary[step.op][image[(src_step.sort, src_step.index)]]
-        else:
-            s1 = steps[step.args[0]]
-            s2 = steps[step.args[1]]
-            dst = B.binary[step.op][image[(s1.sort, s1.index)]][image[(s2.sort, s2.index)]]
-        if not assign(step.sort, step.index, dst):
-            return None
-    return image
-
-
 class _Target:
     """The target structure as the replay reads it, listed once per search:
     constants by (name, sort) and every table as nested Python lists."""
@@ -193,6 +159,11 @@ def search_homomorphisms(A: OpStructure, B: OpStructure, *, injective: bool,
 
     With injective=True and equal sort sizes this searches isomorphisms.
     Raises SearchTimeout when the node budget is exhausted.
+
+    The partial map is kept across depths: each candidate for generator k
+    replays only the steps from that generator to the next (from step 0 at
+    depth 0) and then undoes them (README, "The isomorphism search in
+    arrays").
     """
     if A.signature() != B.signature():
         return
@@ -202,42 +173,62 @@ def search_homomorphisms(A: OpStructure, B: OpStructure, *, injective: bool,
     target = _Target(B)
     bud = _Budget(budget)
     found = [0]
+    ends = gens[1:] + [len(steps)]
+    # each sort's images (-1 until assigned) and, per target element,
+    # whether an image is on it, which the injective test reads
+    image = {s: [-1] * n for s, n in A.sorts.items()}
+    used = {s: [False] * B.sorts[s] for s in A.sorts}
 
-    def rec(k: int, partial: Dict[int, int]) -> Iterator[Dict[object, List[int]]]:
+    def extend(lo: int, hi: int, gen_image: int) -> int:
+        """Replay steps[lo:hi] in B onto the partial map.  Returns hi, or
+        the position of the first step whose image is already used."""
+        for pos in range(lo, hi):
+            step = steps[pos]
+            if step.kind == "const":
+                dst = target.constants[(step.op, step.sort)]
+            elif step.kind == "gen":
+                dst = gen_image
+            elif step.kind == "unary":
+                a = steps[step.args[0]]
+                dst = target.unary[step.op][image[a.sort][a.index]]
+            else:
+                a, b = steps[step.args[0]], steps[step.args[1]]
+                dst = target.binary[step.op][image[a.sort][a.index]][image[b.sort][b.index]]
+            if injective and used[step.sort][dst]:
+                return pos
+            image[step.sort][step.index] = dst
+            used[step.sort][dst] = True
+        return hi
+
+    def undo(lo: int, hi: int) -> None:
+        # each step assigns a different element, so the steps replayed are
+        # the trail of assignments to take back
+        for step in steps[lo:hi]:
+            used[step.sort][image[step.sort][step.index]] = False
+            image[step.sort][step.index] = -1
+
+    def rec(k: int) -> Iterator[Dict[object, List[int]]]:
         if limit is not None and found[0] >= limit:
             return
         if k == len(gens):
-            image = _replay(steps, target, partial, injective)
-            if image is not None and len(image) == sum(A.sorts.values()):
-                out = {s: [0] * A.sorts[s] for s in A.sorts}
-                for (sort, i), j in image.items():
-                    out[sort][i] = j
-                # the replay only pins the spanning derivations; verify the
-                # map against every op table before accepting it
-                if _is_full_hom(A, B, out):
-                    found[0] += 1
-                    yield out
+            # the replay only pins the spanning derivations; verify the
+            # map against every op table before accepting it
+            if _is_full_hom(A, B, image):
+                found[0] += 1
+                yield {s: list(images) for s, images in image.items()}
             return
-        pos = gens[k]
-        sort = steps[pos].sort
-        for cand in range(B.sorts[sort]):
+        lo, hi = (gens[k] if k else 0), ends[k]
+        for cand in range(B.sorts[steps[gens[k]].sort]):
             bud.spend()
-            partial[pos] = cand
-            # replay up to and including this generator's consequences:
-            # full replay is cheap at our sizes and catches conflicts early
-            if _replay(steps[: _cutoff(steps, gens, k)], target, partial, injective) is None:
-                continue
-            yield from rec(k + 1, partial)
+            done = extend(lo, hi, cand)
+            if done == hi:
+                yield from rec(k + 1)
+            undo(lo, done)
             if limit is not None and found[0] >= limit:
                 return
-        partial.pop(pos, None)
 
-    yield from rec(0, {})
-
-
-def _cutoff(steps: List[_Step], gens: List[int], k: int) -> int:
-    """Steps decidable once generators 0..k have images: up to next gen."""
-    return gens[k + 1] if k + 1 < len(gens) else len(steps)
+    if gens or extend(0, len(steps), -1) == len(steps):
+        yield from rec(0)
 
 
 def _is_full_hom(A: OpStructure, B: OpStructure, out: Dict[object, List[int]]) -> bool:

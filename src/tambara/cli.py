@@ -250,6 +250,10 @@ def _run(args) -> int:
     except (TambaraError, OSError) as exc:
         print(f"error: {exc}")
         return 1
+    except MemoryError:
+        # the size caps bound element counts, not bytes (ROADMAP item 7)
+        print("error: out of memory; the input's rings are too large for this machine")
+        return 1
 
 
 if __name__ == "__main__":

@@ -56,11 +56,15 @@ from .rings import (
 
 
 def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int], label: str
-                      ) -> Tuple[TambaraData, Dict[Subgroup, np.ndarray]]:
+                      ) -> Tuple[TambaraData, Dict[Subgroup, np.ndarray],
+                                 Dict[Subgroup, np.ndarray]]:
     """The sub-Tambara functor on the ideals units[H] * level(H).
 
-    units must be norm-coherent (res/nm/conj carry them to each other);
-    a structure map leaving an ideal raises VerificationFailed.
+    Returns (slice, includes, positions): includes[H] maps the slice's
+    level H into T's, and positions[H] maps each element of T's level H to
+    its index in the slice, or -1 outside the ideal.  units must be
+    norm-coherent (res/nm/conj carry them to each other); a structure map
+    leaving an ideal raises VerificationFailed.
     """
     levels, includes, positions = {}, {}, {}
     for H in subgroups(T.group):
@@ -77,7 +81,7 @@ def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int], label: str
             raise VerificationFailed(f"{name} does not preserve the idempotent ideal")
         return out
 
-    return TambaraData.build(T.group, levels, cut, T.has_norms, label), includes
+    return TambaraData.build(T.group, levels, cut, T.has_norms, label), includes, positions
 
 
 def _split(T: TambaraData, ds: Sequence[int], B: GRing
@@ -121,7 +125,7 @@ def _split(T: TambaraData, ds: Sequence[int], B: GRing
                         f"norms of the family are not orthogonal at level {H.elements}")
 
     slices = [_idempotent_slice(T, fam, f"{T.label}|slice") for fam in unit_families]
-    return [f for f, _ in slices], [inc for _, inc in slices]
+    return [f for f, _, _ in slices], [inc for _, inc, _ in slices]
 
 
 def _sum_of_includes(T: TambaraData, includes: Sequence[Dict[Subgroup, np.ndarray]],
@@ -203,7 +207,7 @@ def detect_coinduction(T: TambaraData
     # the inner H-functor: slice Res_H T along the norm units of d
     TH = restrict(H, T)
     units = {S: int(T.nm[(e, H.subgroup_in_parent(S.elements))][d]) for S in subgroups(TH.group)}
-    ell, includes = _idempotent_slice(TH, units, f"core({T.label})")
+    ell, _, positions = _idempotent_slice(TH, units, f"core({T.label})")
 
     C = coinduce(G, H, ell)
 
@@ -219,10 +223,7 @@ def detect_coinduction(T: TambaraData
             rK = K.conjugate(r)
             Mloc = o.stabilizer
             M = H.subgroup_in_parent(Mloc.elements)
-            ringM = T.levels[M]
-            pos = -np.ones(ringM.size, dtype=np.int64)
-            pos[includes[Mloc]] = np.arange(ell.levels[Mloc].size)
-            tbl = pos[ringM.mul[units[Mloc]][T.res[(M, rK)][T.conj[(r, K)]]]]
+            tbl = positions[Mloc][T.levels[M].mul[units[Mloc]][T.res[(M, rK)][T.conj[(r, K)]]]]
             if (tbl < 0).any():
                 raise VerificationFailed("unit map left the idempotent ideal")
             tables.append(tbl)

@@ -41,7 +41,7 @@ from .gsets import (
 from .rings import (
     FiniteRing,
     GRing,
-    RingHom,
+    hom_failure,
     op_failure,
     prod_components,
     prod_encode,
@@ -166,8 +166,6 @@ class TambaraData:
 class LeveledValue:
     """T's value on an explicit G-set: a product over orbits of level rings."""
 
-    functor: TambaraData
-    gset: GSet
     orbits: Sequence[Orbit]
     rings: List[FiniteRing]
 
@@ -184,7 +182,7 @@ class LeveledValue:
 def evaluate_gset(T: TambaraData, X: GSet) -> LeveledValue:
     orbits = orbit_decomposition(X)
     rings = [T.levels[o.stabilizer] for o in orbits]
-    return LeveledValue(T, X, orbits, rings)
+    return LeveledValue(orbits, rings)
 
 
 @dataclass
@@ -308,7 +306,9 @@ class TambaraMorphism:
             img = self.maps.get(H)
             if img is None or img.shape != (src.levels[H].size,):
                 raise DefinitionError(f"missing/misshaped map at level {H.elements}")
-            RingHom(src.levels[H], tgt.levels[H], tuple(int(x) for x in img))
+            err = hom_failure(img, src.levels[H], tgt.levels[H])
+            if err:
+                raise DefinitionError(f"map at level {H.elements} is not a ring map: {err}")
         for name, key, a, b in structure_maps(src.group, src.has_norms and tgt.has_norms):
             if not np.array_equal(self.maps[b][src.table(name, key)],
                                   tgt.table(name, key)[self.maps[a]]):
@@ -603,22 +603,10 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
         if sum(1 for f in failures if f.family == family) < MAX_FAILURES_PER_FAMILY:
             failures.append(CheckFailure(family, desc))
 
-    def ring_hom_ok(table, src: FiniteRing, dst: FiniteRing) -> Optional[str]:
-        if table[src.zero] != dst.zero:
-            return f"0 -> {table[src.zero]}"
-        if table[src.one] != dst.one:
-            return f"1 -> {table[src.one]}"
-        for name, src_op, dst_op in (("addition", src.add, dst.add),
-                                     ("multiplication", src.mul, dst.mul)):
-            bad = op_failure(table, src_op, dst_op)
-            if bad:
-                return f"{name} broken at ({bad[0]},{bad[1]})"
-        return None
-
     # (1) contracts and functoriality
     for (K, H) in T.sub_pairs():
         rk, rh = T.levels[K], T.levels[H]
-        err = ring_hom_ok(T.res[(K, H)], rh, rk)
+        err = hom_failure(T.res[(K, H)], rh, rk)
         note("contracts")
         if err:
             fail("contracts", f"res {H.elements}->{K.elements}: {err}")

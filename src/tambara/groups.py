@@ -346,7 +346,7 @@ class Subgroup:
         G = self.parent
         reps = [c[0] for c in self.left_cosets()]
         action = [[self.coset_index[G.mul(g, r)] for r in reps] for g in G.elements()]
-        return GSet(G, action, labels=self.left_cosets())
+        return GSet(G, action)
 
     @cached_property
     def as_group(self) -> Tuple[FiniteGroup, Tuple[int, ...]]:

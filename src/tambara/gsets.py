@@ -27,8 +27,7 @@ class GSet:
     read-only (|G|, n) int32 array and validated on construction, at the
     generators of G (FiniteGroup.action_failure)."""
 
-    def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[object]] = None) -> None:
+    def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]]) -> None:
         self.group = group
         if len(action) != group.order:
             raise DefinitionError("need one action row per group element")
@@ -40,7 +39,6 @@ class GSet:
             raise DefinitionError("action table is not a rectangle of integers") from None
         self.action.flags.writeable = False
         self.size = self.action.shape[1]
-        self.labels = list(labels) if labels is not None else None
         bad = group.action_failure(self.action)
         if bad is not None:
             raise DefinitionError("action not a homomorphism at g={}, h={}, x={}".format(*bad))
@@ -125,8 +123,8 @@ def trivial_gset(G: FiniteGroup, n: int) -> GSet:
 
 
 def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
-    """The transitive G-set G/H; point 0 is the identity coset and the
-    labels are H.left_cosets().  Built once per subgroup and shared."""
+    """The transitive G-set G/H; point i is the coset H.left_cosets()[i],
+    so point 0 is the identity coset.  Built once per subgroup and shared."""
     if H.parent is not G:
         raise DefinitionError("H must be a subgroup of G")
     return H.coset_gset
@@ -187,9 +185,9 @@ def orbit_decomposition(X: GSet) -> Tuple[Orbit, ...]:
 
 def orbit_coset_iso(X: GSet, orbit: Orbit) -> GSetMap:
     """The equivariant map G/Stab(base) -> X hitting exactly the orbit."""
-    CH = coset_gset(X.group, orbit.stabilizer)
-    # each label is the sorted coset tuple
-    return GSetMap(CH, X, tuple(X.act(c[0], orbit.base) for c in CH.labels))
+    H = orbit.stabilizer
+    return GSetMap(coset_gset(X.group, H), X,
+                   tuple(X.act(c[0], orbit.base) for c in H.left_cosets()))
 
 
 def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
@@ -201,8 +199,7 @@ def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
     xs, zs = np.nonzero(np.asarray(f.images)[:, None] == np.asarray(g.images)[None, :])
     index = np.zeros((X.size, Z.size), dtype=np.int32)
     index[xs, zs] = np.arange(len(xs))
-    P = GSet(X.group, index[X.action[:, xs], Z.action[:, zs]],
-             labels=list(zip(xs.tolist(), zs.tolist())))
+    P = GSet(X.group, index[X.action[:, xs], Z.action[:, zs]])
     p1 = GSetMap(P, X, tuple(xs.tolist()))
     p2 = GSetMap(P, Z, tuple(zs.tolist()))
     return P, p1, p2
@@ -260,7 +257,6 @@ def dependent_product(f: GSetMap, p: GSetMap,
     weight = np.zeros(X.size, dtype=np.int64)
     sections = np.full((sum(counts), X.size), A.size, dtype=np.int64)
     offset = np.zeros(Y.size, dtype=np.int64)
-    labels: List[Tuple[int, Tuple[int, ...]]] = []
     start = 0
     for y, fib in enumerate(fibers):
         offset[y] = start
@@ -273,7 +269,6 @@ def dependent_product(f: GSetMap, p: GSetMap,
             if counts[y]:
                 block[:, x] = lifts[x][codes // w % radix[x]]
             w *= radix[x]
-        labels.extend((y, tuple(sigma)) for sigma in block[:, fib].tolist())
         start += counts[y]
     point_y = np.repeat(np.arange(Y.size), counts)
 
@@ -284,7 +279,7 @@ def dependent_product(f: GSetMap, p: GSetMap,
     for g in G.elements():
         action[g] = (offset[Y.action[g, point_y]]
                      + moved_rank[g][sections] @ weight[X.action[g]])
-    pi = GSet(G, action, labels=labels)
+    pi = GSet(G, action)
     projection = GSetMap(pi, Y, tuple(point_y.tolist()))
 
     corner, to_x, to_pi = pullback(f, projection)

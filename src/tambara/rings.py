@@ -227,7 +227,7 @@ def fq(q: int) -> FiniteRing:
     p, k = _factor_prime_power(q)
     if k == 1:
         R = zn(p)
-        R.char_p, R.deg_k = p, 1
+        R.char_p = p
         return R
     if (p, k) not in _IRREDUCIBLE:
         raise DefinitionError(f"no irreducible polynomial on file for ({p},{k})")
@@ -250,7 +250,7 @@ def fq(q: int) -> FiniteRing:
     for x in range(1, q):
         if R.one not in R.mul[x]:
             raise DefinitionError(f"construction of F{q} is not a field (check polynomial)")
-    R.char_p, R.deg_k = p, k
+    R.char_p = p
     return R
 
 
@@ -343,6 +343,21 @@ def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
     return int(a), int(b)
 
 
+def hom_failure(img: np.ndarray, src: FiniteRing, dst: FiniteRing) -> Optional[str]:
+    """The first law of a unital ring map that img : src -> dst breaks, in
+    the order 0, 1, addition, multiplication; None when img is one."""
+    if img[src.zero] != dst.zero:
+        return f"0 -> {img[src.zero]}"
+    if img[src.one] != dst.one:
+        return f"1 -> {img[src.one]}"
+    for name, src_op, dst_op in (("addition", src.add, dst.add),
+                                 ("multiplication", src.mul, dst.mul)):
+        bad = op_failure(img, src_op, dst_op)
+        if bad:
+            return f"{name} broken at ({bad[0]},{bad[1]})"
+    return None
+
+
 @dataclass(frozen=True)
 class RingHom:
     """A unital ring homomorphism as an image table."""
@@ -355,14 +370,9 @@ class RingHom:
         img = np.asarray(self.images, dtype=np.int32)
         if img.shape != (self.source.size,):
             raise DefinitionError("image table has wrong length")
-        if img[self.source.zero] != self.target.zero:
-            raise DefinitionError("homomorphism does not preserve 0")
-        if img[self.source.one] != self.target.one:
-            raise DefinitionError("homomorphism does not preserve 1")
-        if op_failure(img, self.source.add, self.target.add):
-            raise DefinitionError("homomorphism does not preserve addition")
-        if op_failure(img, self.source.mul, self.target.mul):
-            raise DefinitionError("homomorphism does not preserve multiplication")
+        err = hom_failure(img, self.source, self.target)
+        if err:
+            raise DefinitionError(f"not a ring homomorphism: {err}")
 
     def __call__(self, x: int) -> int:
         return int(self.images[x])
@@ -496,8 +506,7 @@ def _check_subgroup_ring(H: Subgroup, S: GRing) -> None:
         raise GroupMismatch("S must be a ring with action of H.as_group")
 
 
-def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
-                   rep_choice: Optional[Sequence[int]] = None) -> GRing:
+def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing) -> GRing:
     """The G-ring Fun(G/H, S) with the coset-representative twisted action.
 
     Cosets are ordered canonically (identity coset first) and the chosen
@@ -505,19 +514,10 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing,
     product corresponds to coset i, and gamma sends the value at coset
     gamma^-1 c to the value at c, twisted by rep(c)^-1 gamma rep(gamma^-1 c)
     acting through S.
-
-    rep_choice overrides the representative of each coset (one element per
-    canonical coset); the isomorphism class does not depend on the choice.
     """
     _check_subgroup_ring(H, S)
-    cosets = H.left_cosets()
-    if rep_choice is None:
-        reps = [c[0] for c in cosets]
-    else:
-        reps = [int(r) for r in rep_choice]
-        if len(reps) != len(cosets) or any(r not in c for r, c in zip(reps, cosets)):
-            raise DefinitionError("rep_choice must pick one element of each coset")
-    m = len(cosets)
+    reps = [c[0] for c in H.left_cosets()]
+    m = len(reps)
     ring = product_ring([S.ring] * m, label=f"Fun({G.name}/{H.elements}, {S.ring.label})")
     sizes = [S.ring.size] * m
     n = ring.size

@@ -1,14 +1,19 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
 fixtures, the row-by-row ring-axiom reference, the every-element action
 references, the transversal-loop orbit reference, the point-by-point
-dependent product reference, the binary product references, the per-map
-coinduction and fixed-point references, the two-step decomposition witness
-reference, the pair-by-pair finite field and element-by-element G-ring
-decomposition references, the pair-loop closure reference of the isomorphism search,
-relabelled copies of rings and functors, the table-by-table functor
-comparison, and the randomized assembly sampler for round-trip tests."""
+dependent product reference and the points of a diagram read from its
+maps, the binary product references, the per-map coinduction and
+fixed-point references, the G-ring coinduction with chosen coset
+representatives, the two-step decomposition witness reference, the
+pair-by-pair finite field and element-by-element G-ring decomposition
+references, the pair-loop closure and replay-from-scratch references of
+the isomorphism search, relabelled copies of rings and functors, the
+table-by-table functor comparison, and the randomized assembly sampler
+for round-trip tests."""
 
+import math
 import random
+from collections import defaultdict
 from itertools import product as iproduct
 
 import numpy as np
@@ -33,7 +38,7 @@ from tambara.functors import (
     fixed_point_functor,
     product,
 )
-from tambara._search import _Step
+from tambara._search import DEFAULT_BUDGET, _Budget, _Step, _Target, _build_steps, _is_full_hom
 from tambara.groups import double_cosets, subgroups
 from tambara.gsets import (
     SECTION_CAP,
@@ -223,12 +228,12 @@ def reference_dependent_product(f, p, section_cap=SECTION_CAP):
         return (gy, tuple(a_g[val[x_inv[x]]] for x in fibers[gy]))
 
     action = [[index[act_point(g, pt)] for pt in points] for g in G.elements()]
-    pi = GSet(G, action, labels=points)
+    pi = GSet(G, action)
     projection = GSetMap(pi, Y, tuple(y for y, _ in points))
 
     corner, to_x, to_pi = pullback(f, projection)
     ev_images = []
-    for (x, ipt) in corner.labels:
+    for x, ipt in zip(to_x.images, to_pi.images):
         y, sigma = points[ipt]
         ev_images.append(dict(zip(fibers[y], sigma))[x])
     evaluation = GSetMap(corner, A, tuple(ev_images))
@@ -238,6 +243,19 @@ def reference_dependent_product(f, p, section_cap=SECTION_CAP):
     return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection,
                               pullback_corner=corner, evaluation=evaluation,
                               corner_projection=to_pi)
+
+
+def diagram_points(diag):
+    """Each point of Pi_f A as (y, sigma), read from the diagram's maps:
+    y is its projection, and sigma lists, over the sorted fiber of y, the
+    evaluations at the corner points above it (each corner point lies over
+    the point p(evaluation) of X, as the diagram commutes)."""
+    sigma = [{} for _ in range(diag.pi.size)]
+    for c in range(diag.pullback_corner.size):
+        a = diag.evaluation(c)
+        sigma[diag.corner_projection(c)][diag.p(a)] = a
+    return [(diag.projection(i), tuple(s[x] for x in sorted(s)))
+            for i, s in enumerate(sigma)]
 
 
 def reference_product(T1, T2, label=None):
@@ -375,6 +393,24 @@ def reference_gring_product(R, S):
     action = [prod_encode(sizes, [R.action[g][a], S.action[g][b]])
               for g in R.group.elements()]
     return GRing(ring, R.group, action)
+
+
+def reference_coinduce_gring(G, H, S, reps):
+    """Fun(G/H, S) built as rings.coinduce_gring builds it, but with reps[i]
+    as the representative of the i-th coset of H.left_cosets() in place of
+    its minimal element: the isomorphism class must not depend on the
+    choice."""
+    cosets = H.left_cosets()
+    assert len(reps) == len(cosets) and all(r in c for r, c in zip(reps, cosets))
+    sizes = [S.ring.size] * len(cosets)
+    comps = prod_components(sizes)
+    action = np.zeros((G.order, math.prod(sizes)), dtype=np.int64)
+    for gamma in G.elements():
+        srcs = [H.coset_index[G.mul(G.inv(gamma), r)] for r in reps]
+        action[gamma] = prod_encode(sizes, [
+            S.action[H.local_index[G.mul(G.mul(G.inv(r), gamma), reps[src])]][comps[src]]
+            for r, src in zip(reps, srcs)])
+    return GRing(product_ring([S.ring] * len(cosets)), G, action)
 
 
 def reference_class_units(R):
@@ -635,6 +671,84 @@ def reference_build_steps(A):
             emit(_Step("gen", sort, g))
             close()
     return steps, gens
+
+
+def _reference_replay(steps, B, gen_images, injective):
+    """Replay the closure in B; return the partial map or None on conflict."""
+    image = {}
+    used = defaultdict(set)
+
+    def assign(sort, src, dst):
+        key = (sort, src)
+        if key in image:
+            return image[key] == dst
+        if injective and dst in used[sort]:
+            return False
+        image[key] = dst
+        used[sort].add(dst)
+        return True
+
+    for pos, step in enumerate(steps):
+        if step.kind == "const":
+            dst = B.constants[(step.op, step.sort)]
+        elif step.kind == "gen":
+            dst = gen_images[pos]
+        elif step.kind == "unary":
+            src_step = steps[step.args[0]]
+            dst = B.unary[step.op][image[(src_step.sort, src_step.index)]]
+        else:
+            s1 = steps[step.args[0]]
+            s2 = steps[step.args[1]]
+            dst = B.binary[step.op][image[(s1.sort, s1.index)]][image[(s2.sort, s2.index)]]
+        if not assign(step.sort, step.index, dst):
+            return None
+    return image
+
+
+def reference_search_homomorphisms(A, B, *, injective, budget=DEFAULT_BUDGET, limit=None):
+    """The isomorphism search that replays the closure from step 0 for
+    every candidate: the reference _search.search_homomorphisms is tested
+    against.  Yields the same maps in the same order and spends one
+    _Budget node per candidate tried, as the search does."""
+    if A.signature() != B.signature():
+        return
+    if injective and any(A.sorts[s] > B.sorts[s] for s in A.sorts):
+        return
+    steps, gens = _build_steps(A)
+    target = _Target(B)
+    bud = _Budget(budget)
+    found = [0]
+
+    def cutoff(k):
+        """Steps decidable once generators 0..k have images: up to next gen."""
+        return gens[k + 1] if k + 1 < len(gens) else len(steps)
+
+    def rec(k, partial):
+        if limit is not None and found[0] >= limit:
+            return
+        if k == len(gens):
+            image = _reference_replay(steps, target, partial, injective)
+            if image is not None and len(image) == sum(A.sorts.values()):
+                out = {s: [0] * A.sorts[s] for s in A.sorts}
+                for (sort, i), j in image.items():
+                    out[sort][i] = j
+                if _is_full_hom(A, B, out):
+                    found[0] += 1
+                    yield out
+            return
+        pos = gens[k]
+        sort = steps[pos].sort
+        for cand in range(B.sorts[sort]):
+            bud.spend()
+            partial[pos] = cand
+            if _reference_replay(steps[:cutoff(k)], target, partial, injective) is None:
+                continue
+            yield from rec(k + 1, partial)
+            if limit is not None and found[0] >= limit:
+                return
+        partial.pop(pos, None)
+
+    yield from rec(0, {})
 
 
 def mutation_fixtures():

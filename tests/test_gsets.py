@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import corpus
-from helpers import assert_orbits_match_reference
+from helpers import assert_orbits_match_reference, diagram_points
 from tambara.errors import DefinitionError, SizeLimitExceeded
 from tambara.functors import _coset_projection, _exponential_family
 from tambara.groups import FiniteGroup, subgroups
@@ -185,9 +186,11 @@ def test_exponential_diagram_commutes():
     diag = dependent_product(f, p)
     # corner evaluation then p equals pullback projection to X
     corner = diag.pullback_corner
+    P, to_x, to_pi = pullback(f, diag.projection)
+    assert np.array_equal(P.action, corner.action)
+    assert to_pi.images == diag.corner_projection.images
     for i in range(corner.size):
-        x, ipt = corner.labels[i]
-        assert diag.p(diag.evaluation(i)) == x
+        assert diag.p(diag.evaluation(i)) == to_x(i)
     # f . (p . evaluation) == projection . corner_projection
     for i in range(corner.size):
         assert f(diag.p(diag.evaluation(i))) == diag.projection(diag.corner_projection(i))
@@ -214,11 +217,12 @@ def test_dependent_product_adjunction():
 
     # the mate of r is (x,b) -> sigma_{r(b)}(x); it hits every map over X once
     mates = set()
+    points = diagram_points(diag)
     for r in over_y:
         imgs = []
         for i in range(corner.size):
-            x, b = corner.labels[i]
-            y, sigma = diag.pi.labels[r(b)]
+            x, b = cx(i), cb(i)
+            y, sigma = points[r(b)]
             fiber = tuple(xx for xx in range(X.size) if f(xx) == y)
             imgs.append(dict(zip(fiber, sigma))[x])
         mates.add(tuple(imgs))

@@ -57,7 +57,10 @@ def _is_c2(H):
 def test_coinduction_is_choice_independent(data):
     G, H, S, reps = data
     canonical = coinduce_gring(G, H, S)
-    chosen = coinduce_gring(G, H, S, rep_choice=reps)
+    minimal = helpers.reference_coinduce_gring(G, H, S, [c[0] for c in H.left_cosets()])
+    assert np.array_equal(minimal.action, canonical.action)
+    assert np.array_equal(minimal.ring.mul, canonical.ring.mul)
+    chosen = helpers.reference_coinduce_gring(G, H, S, reps)
     assert gring_isomorphism(canonical, chosen) is not None
 
 
@@ -127,7 +130,7 @@ def test_pullback_is_the_fiber_product(data):
     X, Z = f.source, g.source
     P, p1, p2 = pullback(f, g)
     pairs = sorted((x, z) for x in range(X.size) for z in range(Z.size) if f(x) == g(z))
-    assert P.labels == pairs
+    assert P.size == len(pairs)
     assert p1.images == tuple(x for x, _ in pairs)
     assert p2.images == tuple(z for _, z in pairs)
     for gg in G.elements():
@@ -332,10 +335,9 @@ def gset_over(draw, Y, min_parts, max_parts):
     for _ in range(draw(st.integers(min_value=min_parts, max_value=max_parts))):
         y = draw(st.integers(min_value=0, max_value=Y.size - 1))
         stab = Y.stabilizer(y)
-        C = coset_gset(G, draw(st.sampled_from(
-            [K for K in subgroups(G) if K.is_subgroup_of(stab)])))
-        parts.append(C)
-        images.extend(Y.act(c[0], y) for c in C.labels)
+        K = draw(st.sampled_from([K for K in subgroups(G) if K.is_subgroup_of(stab)]))
+        parts.append(coset_gset(G, K))
+        images.extend(Y.act(c[0], y) for c in K.left_cosets())
     X = disjoint_union(parts)[0] if parts else GSet(G, [[] for _ in G.elements()])
     return X, GSetMap(X, Y, tuple(images))
 
@@ -362,7 +364,8 @@ def test_dependent_product_matches_pointwise_reference(inputs):
         return
     got = dependent_product(f, p)
     assert np.array_equal(got.pi.action, want.pi.action)
-    assert got.pi.labels == want.pi.labels
+    points = helpers.diagram_points(got)
+    assert points == helpers.diagram_points(want) == sorted(set(points))
     assert got.projection.images == want.projection.images
     assert np.array_equal(got.pullback_corner.action, want.pullback_corner.action)
     assert got.evaluation.images == want.evaluation.images

@@ -1,17 +1,29 @@
 """The isomorphism search: its array closure against the pair-loop
-reference, and the node budgets that pin its search path."""
+reference, its per-depth replay against the replay from scratch, and the
+node budgets that pin its search path."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from helpers import reference_build_steps, relabel_functor, relabel_gring
-from tambara._search import OpStructure, _build_steps
+from helpers import (
+    reference_build_steps,
+    reference_search_homomorphisms,
+    relabel_functor,
+    relabel_gring,
+)
+from tambara._search import OpStructure, _Budget, _build_steps, search_homomorphisms
 from tambara.errors import SearchTimeout
 from tambara.functors import _functor_structure, functor_isomorphism
 from tambara.groups import Subgroup
-from tambara.rings import _gring_structure, gring_isomorphism, product_ring, ring_isomorphism
+from tambara.rings import (
+    _gring_structure,
+    gring_isomorphism,
+    gring_product,
+    product_ring,
+    ring_isomorphism,
+)
 
 
 def listed(A):
@@ -76,6 +88,100 @@ def op_structures(draw):
 def test_closure_matches_reference_on_random_structures(A):
     assert_same_closure(A)
 
+
+def searched(search, A, B, **kw):
+    """The maps a search yields until it ends or runs out of budget, whether
+    it ran out, and the number of _Budget.spend calls it made."""
+    spend, nodes = _Budget.spend, []
+
+    def counted(self):
+        nodes.append(None)
+        spend(self)
+
+    maps, timed_out = [], False
+    _Budget.spend = counted
+    try:
+        for image in search(A, B, **kw):
+            maps.append(image)
+    except SearchTimeout:
+        timed_out = True
+    finally:
+        _Budget.spend = spend
+    return maps, timed_out, len(nodes)
+
+
+def assert_same_search(A, B, budget=10 ** 6):
+    """The search yields the reference's maps in the reference's order and
+    spends as many nodes, injective or not, with limit 1 and None."""
+    for injective in (True, False):
+        for limit in (1, None):
+            kw = dict(injective=injective, budget=budget, limit=limit)
+            got = searched(search_homomorphisms, A, B, **kw)
+            assert got == searched(reference_search_homomorphisms, A, B, **kw), kw
+
+
+@pytest.mark.parametrize("name", sorted({**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}))
+def test_search_matches_reference_on_functors(name):
+    T = {**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}[name]
+    assert_same_search(_functor_structure(T), _functor_structure(relabel_functor(T, 0)))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GRING_CORPUS))
+def test_search_matches_reference_on_grings(name):
+    R = corpus.GRING_CORPUS[name]
+    A = _gring_structure(R)
+    assert_same_search(A, _gring_structure(relabel_gring(R, 0)))
+    assert_same_search(A, _gring_structure(gring_product(R, relabel_gring(R, 1))))
+
+
+@st.composite
+def op_structure_pairs(draw):
+    """A from op_structures, and B either A with every sort relabelled or a
+    structure of the same signature with drawn sizes, constants and tables,
+    whose constants often coincide where A's differ."""
+    A = draw(op_structures())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        perm = {s: rng.permutation(n) for s, n in A.sorts.items()}
+        inv = {s: np.argsort(p) for s, p in perm.items()}
+        B = OpStructure(
+            sorts=dict(A.sorts),
+            constants=[(name, s, int(perm[s][i])) for name, s, i in A.constants],
+            unary=[(name, a, b, perm[b][t[inv[a]]]) for name, a, b, t in A.unary],
+            binary=[(name, s, perm[s][t[np.ix_(inv[s], inv[s])]])
+                    for name, s, t in A.binary])
+    else:
+        sizes = {s: draw(st.integers(1, 12)) for s in A.sorts}
+        B = OpStructure(
+            sorts=sizes,
+            constants=[(name, s, draw(st.integers(0, sizes[s] - 1)))
+                       for name, s, _ in A.constants],
+            unary=[(name, a, b, rng.integers(0, sizes[b], sizes[a]))
+                   for name, a, b, _ in A.unary],
+            binary=[(name, s, rng.integers(0, sizes[s], (sizes[s], sizes[s])))
+                    for name, s, _ in A.binary])
+    return A, B
+
+
+@given(op_structure_pairs())
+@settings(max_examples=200, deadline=None)
+def test_search_matches_reference_on_random_pairs(pair):
+    assert_same_search(*pair, budget=300)
+
+
+@pytest.mark.parametrize("sizes", [{"r": 3}, {"r": 3, "free": 2}])
+def test_search_matches_reference_when_constants_conflict(sizes):
+    """Two distinct constants of A with one image in B: every injective
+    candidate fails on the constants, which depth 0 replays once per
+    candidate, and a search without generators spends nothing."""
+    succ = np.array([1, 2, 0])
+    A = OpStructure(sorts=dict(sizes), constants=[("a", "r", 0), ("b", "r", 1)],
+                    unary=[("succ", "r", "r", succ)])
+    B = OpStructure(sorts=dict(sizes), constants=[("a", "r", 0), ("b", "r", 0)],
+                    unary=[("succ", "r", "r", succ)])
+    maps, timed_out, nodes = searched(search_homomorphisms, A, B, injective=True)
+    assert (maps, timed_out, nodes) == ([], False, 2 if "free" in sizes else 0)
+    assert_same_search(A, B)
 
 # The smallest budgets that end without SearchTimeout, taken from the
 # pair-loop closure before it was rewritten: the closure fixes the order in

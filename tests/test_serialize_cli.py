@@ -219,6 +219,23 @@ def test_cmd_coinduce(tmp_path, capsys):
     assert T.bottom.size == 9
 
 
+def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    # a coinduction too large for memory first fails where its level tables
+    # are listed for writing; stand in for that with a raising ring_to_json
+    p = tmp_path / "burnside.json"
+    C4_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    p.write_text(json.dumps({"schema": 1, "group": {"name": "C4", "table": C4_table},
+                             "burnside": {"mod": 3}}))
+    out_path = tmp_path / "coind.json"
+
+    def out_of_memory(R):
+        raise MemoryError
+
+    monkeypatch.setattr(serialize, "ring_to_json", out_of_memory)
+    assert main(["coinduce", str(p), "--from", "e", "--out", str(out_path)]) == 1
+    assert capsys.readouterr().out.startswith("error: out of memory")
+    assert not out_path.exists()
+
 def test_cmd_restrict(tmp_path, capsys):
     p = _write_fixture(tmp_path, "c4.json", corpus.COIND_CORPUS["coind_C2_C4_FPF4"])
     out_path = str(tmp_path / "res.json")
