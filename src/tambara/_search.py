@@ -232,6 +232,11 @@ def search_homomorphisms(A: OpStructure, B: OpStructure, *, injective: bool,
 
 
 def _is_full_hom(A: OpStructure, B: OpStructure, out: Dict[object, List[int]]) -> bool:
+    # the replay produces each source element once, so a constant whose
+    # element an earlier constant produced was never compared with B's
+    for (_, sort, a), (*_, b) in zip(A.constants, B.constants):
+        if out[sort][a] != b:
+            return False
     img = {sort: np.asarray(images) for sort, images in out.items()}
     for (_, ssort, dsort, at), (*_, bt) in zip(A.unary, B.unary):
         if not np.array_equal(img[dsort][at], bt[img[ssort]]):

@@ -53,8 +53,8 @@ def cmd_decompose(args) -> int:
         C, proj = clarify(T, upward_closure(G, H))
         sizes = [C.levels[K].size for K in subgroups(G)]
         print(f"clarification at Lambda_{args.lam}: level sizes {sizes}")
-        doc = serialize.functor_to_json(C)
-        doc["witness"] = {serialize.subgroup_id(G, K): proj.maps[K].tolist()
+        doc = serialize.functor_doc(C)
+        doc["witness"] = {serialize.subgroup_id(G, K): proj.maps[K]
                           for K in subgroups(G)}
         out = args.out or _default_out(args.path, f"clarified.{args.lam}")
     else:
@@ -63,8 +63,8 @@ def cmd_decompose(args) -> int:
             sizes = [ell.levels[K].size for K in subgroups(ell.group)]
             print(f"factor: H={serialize.subgroup_id(G, H)} "
                   f"(order {H.order}), level sizes {sizes}")
-        doc = serialize.functor_to_json(dec.reassembled)
-        doc["witness"] = {serialize.subgroup_id(G, K): dec.witness.maps[K].tolist()
+        doc = serialize.functor_doc(dec.reassembled)
+        doc["witness"] = {serialize.subgroup_id(G, K): dec.witness.maps[K]
                           for K in subgroups(G)}
         doc["factors"] = [serialize.subgroup_id(G, H) for H, _ in dec.factors]
         out = args.out or _default_out(args.path, "decomposed")

@@ -3,7 +3,10 @@
 One file defines a group and a functor over it, either with explicit level
 tables or through a constructor shorthand ("fp", "burnside", "coind").
 All tables are integer indices; output is deterministic (sorted keys), so
-re-serializing an unchanged object is byte-stable.
+re-serializing an unchanged object is byte-stable.  Documents are built
+with their tables left as arrays and written from them row by row, with
+the bytes `json.dumps` would give (README, "Tables are written from their
+arrays").
 
 Subgroup ids are "H<i>" in the canonical subgroup order; the friendly
 aliases "e", "G", and "C<n>" (when unique) are accepted on input.
@@ -11,8 +14,12 @@ aliases "e", "G", and "C<n>" (when unique) are accepted on input.
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Optional, Tuple
+import os
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from .errors import DefinitionError
 from .groups import FiniteGroup, Subgroup, subgroups
@@ -112,13 +119,14 @@ def parse_ring(block: dict) -> FiniteRing:
 
 
 def ring_to_json(R: FiniteRing) -> dict:
+    """The ring's block, its add/mul tables left as arrays for the writer."""
     return {
         "kind": "tables",
         "label": R.label,
         "zero": int(R.zero),
         "one": int(R.one),
-        "add": R.add.tolist(),
-        "mul": R.mul.tolist(),
+        "add": R.add,
+        "mul": R.mul,
     }
 
 
@@ -152,16 +160,30 @@ def _table_key(G: FiniteGroup, name: str, key: tuple) -> str:
     return f"{subgroup_id(G, a)}<{subgroup_id(G, H)}"
 
 
-def functor_to_json(T: TambaraData) -> dict:
+def functor_doc(T: TambaraData) -> dict:
+    """T's document with every table left as an array: the one document
+    builder, for `dump_document` and `functor_to_json`."""
     G = T.group
     body = {
         "green_only": not T.has_norms,
         "levels": {subgroup_id(G, H): ring_to_json(T.levels[H]) for H in subgroups(G)},
     }
     for name, key, _, _ in structure_maps(G, T.has_norms):
-        body.setdefault(name, {})[_table_key(G, name, key)] = T.table(name, key).tolist()
+        body.setdefault(name, {})[_table_key(G, name, key)] = T.table(name, key)
     return {"schema": SCHEMA_VERSION, "group": group_to_json(G), "functor": body,
             "label": T.label}
+
+
+def _listed(x):
+    """x with every array in it as nested lists."""
+    if isinstance(x, dict):
+        return {k: _listed(v) for k, v in x.items()}
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def functor_to_json(T: TambaraData) -> dict:
+    """T's document as plain JSON values: `functor_doc` with nested lists."""
+    return _listed(functor_doc(T))
 
 
 def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraData:
@@ -248,19 +270,94 @@ def load_functor(path: str) -> TambaraData:
     return load_document(path)[2]
 
 
+# sorted keys and no spaces, an array written as its nested lists
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+_dumps = _ENCODER.encode
+
+
+def _is_table(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
+def _holds_table(x) -> bool:
+    return _is_table(x) or isinstance(x, dict) and any(map(_holds_table, x.values()))
+
+
+def _chunks(x) -> Iterator[str]:
+    """The text `_dumps` gives x.  A dict holding a 2-D table is walked,
+    its keys in sorted order, and a table is written row by row; anything
+    else, 1-D arrays included, is one chunk."""
+    if _is_table(x):
+        yield from _table_chunks(x)
+    elif isinstance(x, dict) and _holds_table(x):
+        yield "{"
+        for i, key in enumerate(sorted(x)):
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _chunks(x[key])
+        yield "}"
+    else:
+        yield _dumps(x)
+
+
+def _table_chunks(A: np.ndarray) -> Iterator[str]:
+    """The text `_dumps(A)` of the 2-D array A, one row a chunk."""
+    text = _row_writer(A)
+    yield "["
+    for i, row in enumerate(A):
+        yield ("," if i else "") + text(row)
+    yield "]"
+
+
+def _row_writer(A: np.ndarray):
+    """How to write a row of the 2-D array A.
+
+    An entry is looked up in the strings of 0..A.max(), which are the text
+    `json.dumps` gives a non-negative int.  A negative entry has no string
+    there (vocab[-1] would be the largest entry's), and an entry past the
+    table's size would make the lookup larger than the table, so the rows
+    of such a table, as of one not of integers, are written by `json.dumps`."""
+    if A.dtype.kind not in "iu" or A.size and (A.min() < 0 or A.max() >= A.size):
+        return _dumps
+    vocab = np.array([str(i) for i in range(int(A.max()) + 1 if A.size else 0)], dtype=object)
+    return lambda row: "[" + ",".join(vocab[row].tolist()) + "]"
+
+
 def dumps_document(doc: dict) -> str:
     """The byte-stable text of a document: sorted keys, no spaces, newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(_chunks(doc)) + "\n"
 
 
 def dump_document(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(doc))
+    """Write the text of `dumps_document(doc)` to path, chunk by chunk.
+
+    The text goes to a new file beside path that replaces it only once
+    complete, so a failure (out of memory, a full disk) leaves what was at
+    path as it was.  A path that is not a regular file (/dev/stdout) is
+    written in place."""
+    text = itertools.chain(_chunks(doc), ["\n"])
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(text)
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name path in the message, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.writelines(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def dump_functor(T: TambaraData, path: str) -> None:
-    dump_document(functor_to_json(T), path)
+    dump_document(functor_doc(T), path)
 
 
 def dumps_functor(T: TambaraData) -> str:
-    return dumps_document(functor_to_json(T))
+    return dumps_document(functor_doc(T))

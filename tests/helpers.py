@@ -8,9 +8,10 @@ representatives, the two-step decomposition witness reference, the
 pair-by-pair finite field and element-by-element G-ring decomposition
 references, the pair-loop closure and replay-from-scratch references of
 the isomorphism search, relabelled copies of rings and functors, the
-table-by-table functor comparison, and the randomized assembly sampler
-for round-trip tests."""
+table-by-table functor comparison, the one-pass json.dumps document
+writer, and the randomized assembly sampler for round-trip tests."""
 
+import json
 import math
 import random
 from collections import defaultdict
@@ -749,6 +750,13 @@ def reference_search_homomorphisms(A, B, *, injective, budget=DEFAULT_BUDGET, li
         partial.pop(pos, None)
 
     yield from rec(0, {})
+
+
+def reference_dumps_document(doc):
+    """The writer serialize.dumps_document is tested against: every array
+    listed by tolist() and the whole document through one json.dumps."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      default=lambda a: a.tolist()) + "\n"
 
 
 def mutation_fixtures():

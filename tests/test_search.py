@@ -19,10 +19,13 @@ from tambara.functors import _functor_structure, functor_isomorphism
 from tambara.groups import Subgroup
 from tambara.rings import (
     _gring_structure,
+    gring_homomorphisms,
     gring_isomorphism,
     gring_product,
     product_ring,
     ring_isomorphism,
+    trivial_gring,
+    zero_ring,
 )
 
 
@@ -182,6 +185,25 @@ def test_search_matches_reference_when_constants_conflict(sizes):
     maps, timed_out, nodes = searched(search_homomorphisms, A, B, injective=True)
     assert (maps, timed_out, nodes) == ([], False, 2 if "free" in sizes else 0)
     assert_same_search(A, B)
+
+def test_coinciding_source_constants_need_one_image():
+    """Two constants of A on one element with two images in B: the replay
+    produces the element once, from the first constant, so only the full
+    check can refuse the map.  In the zero ring 0 = 1, so no unital map
+    goes from it to F2, and the search yields none (RingHom refused the
+    map 0 -> 0 it yielded before)."""
+    succ = np.array([1, 2, 0])
+    A = OpStructure(sorts={"r": 3}, constants=[("a", "r", 0), ("b", "r", 0)],
+                    unary=[("succ", "r", "r", succ)])
+    B = OpStructure(sorts={"r": 3}, constants=[("a", "r", 0), ("b", "r", 1)],
+                    unary=[("succ", "r", "r", succ)])
+    for injective in (True, False):
+        assert searched(search_homomorphisms, A, B, injective=injective) == ([], False, 0)
+    assert_same_search(A, B)
+    zero = trivial_gring(zero_ring(), corpus.C2)
+    assert list(gring_homomorphisms(zero, trivial_gring(corpus.F2, corpus.C2))) == []
+    assert [h.images for h in gring_homomorphisms(zero, zero)] == [(0,)]
+
 
 # The smallest budgets that end without SearchTimeout, taken from the
 # pair-loop closure before it was rewritten: the closure fixes the order in

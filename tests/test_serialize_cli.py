@@ -220,8 +220,8 @@ def test_cmd_coinduce(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
-    # a coinduction too large for memory first fails where its level tables
-    # are listed for writing; stand in for that with a raising ring_to_json
+    # stand in for a coinduction too large for memory with a raising
+    # ring_to_json
     p = tmp_path / "burnside.json"
     C4_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     p.write_text(json.dumps({"schema": 1, "group": {"name": "C4", "table": C4_table},
@@ -235,6 +235,28 @@ def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
     assert main(["coinduce", str(p), "--from", "e", "--out", str(out_path)]) == 1
     assert capsys.readouterr().out.startswith("error: out of memory")
     assert not out_path.exists()
+
+
+def test_failed_write_keeps_the_old_out_file(tmp_path, capsys, monkeypatch):
+    """A write that fails part way leaves the --out file as it was and no
+    temporary file behind."""
+    p = tmp_path / "burnside.json"
+    C4_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    p.write_text(json.dumps({"schema": 1, "group": {"name": "C4", "table": C4_table},
+                             "burnside": {"mod": 3}}))
+    out_path = tmp_path / "coind.json"
+    out_path.write_text("old\n")
+    table_chunks = serialize._table_chunks
+
+    def out_of_memory_after_one_chunk(A):
+        yield next(table_chunks(A))
+        raise MemoryError
+
+    monkeypatch.setattr(serialize, "_table_chunks", out_of_memory_after_one_chunk)
+    assert main(["coinduce", str(p), "--from", "e", "--out", str(out_path)]) == 1
+    assert capsys.readouterr().out.startswith("error: out of memory")
+    assert out_path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["burnside.json", "coind.json"]
 
 def test_cmd_restrict(tmp_path, capsys):
     p = _write_fixture(tmp_path, "c4.json", corpus.COIND_CORPUS["coind_C2_C4_FPF4"])
