@@ -20,10 +20,10 @@ import sys
 from typing import List, Optional
 
 from . import serialize
-from .errors import DefinitionError, NoNorms, SearchTimeout, TambaraError
+from .errors import NoNorms, SearchTimeout, TambaraError
 from .functors import (
     TambaraData,
-    _reindex,
+    _over_subgroup,
     check_axioms,
     coinduce,
     functor_isomorphism,
@@ -139,17 +139,9 @@ def cmd_restrict(args) -> int:
     return 0
 
 
-def _rehome(T: TambaraData, target: TambaraData) -> TambaraData:
-    """Re-key T over target's group object (tables must agree)."""
-    G = target.group
-    if T.group.mul_table != G.mul_table:
-        raise DefinitionError("functors live over different groups")
-    return _reindex(T, G, G.elements(), T.label)
-
-
 def cmd_iso(args) -> int:
     T1 = serialize.load_functor(args.path1)
-    T2 = _rehome(serialize.load_functor(args.path2), T1)
+    T2 = _over_subgroup(T1.group.full_subgroup, serialize.load_functor(args.path2))
     if T1.has_norms != T2.has_norms:
         print("not isomorphic (norm flags differ)")
         return 0

@@ -31,7 +31,7 @@ from .errors import (
     ZeroFunctor,
 )
 from .groups import Subgroup, UpwardClosedSet, is_subconjugate, subgroups
-from .gsets import coset_gset
+from .gsets import coset_gset, equivariant_maps, orbit_decomposition
 from .functors import (
     TambaraData,
     TambaraMorphism,
@@ -44,11 +44,10 @@ from .functors import (
 )
 from .rings import (
     GRing,
-    classify_idempotent,
     idempotent_classes,
-    idempotents,
     is_clarified,
     is_lambda_clarified,
+    primitive_gset,
     prod_components,
     prod_encode,
     subring_on_idempotent,
@@ -163,44 +162,44 @@ def split_by_bottom_idempotents(T: TambaraData, ds: Sequence[int]
     return factors, witness
 
 
+def _coinduction_idempotent(B: GRing) -> Tuple[Subgroup, int]:
+    """The least type H of an idempotent of B whose orbit is a complete
+    orthogonal family, and the least such idempotent d of type H.
+
+    Such a d is a G-map phi from the primitive idempotents P of B to G/H,
+    d the sum of phi's fiber over the identity coset (README, "Idempotent
+    types from the primitive idempotents").  A map exists exactly when H
+    contains a conjugate of every stabilizer of P.  These H are upward
+    closed, so the first of them in lattice order is minimal under
+    subconjugacy.  G is always one, with d = 1 when B is not zero.
+    """
+    G = B.group
+    P, prims = primitive_gset(B)
+    stabilizers = [o.stabilizer for o in orbit_decomposition(P)]
+    H = next(K for K in subgroups(G) if all(is_subconjugate(G, S, K) for S in stabilizers))
+    d = min(B.ring.add_many(prims[i] for i in np.flatnonzero(np.asarray(phi.images) == 0))
+            for phi in equivariant_maps(P, coset_gset(G, H)))
+    return H, d
+
+
 def detect_coinduction(T: TambaraData
                        ) -> Tuple[Subgroup, TambaraData, TambaraMorphism]:
     """Detect T as a coinduction from the bottom level alone.
 
-    Scans for typed idempotents whose orbit is a complete orthogonal family,
-    takes the unique minimal conjugacy class of types (the projection
-    idempotent of the coinduced part realizes it), and builds the inner
-    functor on the ideals nm_e^L(d).  Returns (G, T, identity) when only the
-    trivial candidate d = 1 exists.
+    Takes the least type H of a bottom idempotent d whose orbit is a
+    complete orthogonal family (the minimal conjugacy classes of such types
+    need not be unique; H is the first in lattice order), and builds the
+    inner functor on the ideals nm_e^L(d).  Returns (G, T, identity) when
+    H is G, as for a clarified T.
     """
     if not T.has_norms:
         raise NoNorms("coinduction detection needs norms")
     G = T.group
     e = G.trivial_subgroup
-    B = T.bottom_gring()
-    bottom = T.bottom
-    if bottom.is_zero_ring():
+    if T.bottom.is_zero_ring():
         raise ZeroFunctor("cannot detect coinduction on the zero functor")
 
-    candidates = []  # (type subgroup, idempotent)
-    for d in idempotents(bottom):
-        if d == bottom.zero:
-            continue
-        rep = classify_idempotent(B, d)
-        if rep.type is None:
-            continue
-        orbit = sorted({B.act(g, d) for g in G.elements()})
-        if bottom.add_many(orbit) == bottom.one:
-            candidates.append((rep.type, d))
-    if not candidates:
-        raise VerificationFailed("no complete-orbit idempotent found (not even 1)")
-
-    minimal = [c for c in candidates
-               if not any(is_subconjugate(G, other[0], c[0]) and
-                          not is_subconjugate(G, c[0], other[0])
-                          for other in candidates)]
-    minimal.sort(key=lambda c: (c[0].order, c[0].elements, c[1]))
-    H, d = minimal[0]
+    H, d = _coinduction_idempotent(T.bottom_gring())
     if H.order == G.order:
         return G.full_subgroup, T, identity_morphism(T)
 

@@ -447,7 +447,7 @@ def _over_subgroup(H: Subgroup, T: TambaraData) -> TambaraData:
     """T keyed over H.as_group; T's group must have the same table."""
     Hg, _ = H.as_group
     if T.group.order != Hg.order or T.group.mul_table != Hg.mul_table:
-        raise GroupMismatch("functor must live over H.as_group")
+        raise GroupMismatch("functors live over different groups")
     return T if T.group is Hg else _reindex(T, Hg, Hg.elements(), T.label)
 
 

@@ -223,8 +223,7 @@ class ExponentialDiagram:
     corner_projection: GSetMap   # corner -> pi
 
 
-def dependent_product(f: GSetMap, p: GSetMap,
-                      section_cap: int = SECTION_CAP) -> ExponentialDiagram:
+def dependent_product(f: GSetMap, p: GSetMap) -> ExponentialDiagram:
     """Construct Pi_f A and its exponential diagram.
 
     Points of Pi_f A are pairs (y, sigma) with sigma : f^-1(y) -> A a
@@ -249,9 +248,9 @@ def dependent_product(f: GSetMap, p: GSetMap,
     lifts = [np.flatnonzero(p_img == x) for x in range(X.size)]
     radix = [len(lift) for lift in lifts]
     counts = [math.prod(radix[x] for x in fib.tolist()) for fib in fibers]
-    if sum(counts) > section_cap:
+    if sum(counts) > SECTION_CAP:
         raise SizeLimitExceeded(
-            f"dependent product would have more than {section_cap} points")
+            f"dependent product would have more than {SECTION_CAP} points")
 
     rank = np.zeros(A.size + 1, dtype=np.int64)
     weight = np.zeros(X.size, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Explicit finite commutative rings and rings with group action.
 
 Rings are dense numpy tables over 0-based element indices.  The idempotent
-calculus (isotropy, orthogonal orbits, the clarified predicate), the
-grouping of primitive idempotents into conjugacy classes, and coinduction
+calculus (isotropy, orthogonal orbits, the G-set of primitive idempotents
+and the clarified predicate read off it), the grouping of primitive
+idempotents into conjugacy classes, and coinduction
 of G-rings along a subgroup live here.  The decomposition of a G-ring into
 coinductions of clarified pieces is read off the functor decomposition of
 its fixed-point Tambara functor (decompose.full_decomposition), whose
@@ -29,6 +30,7 @@ from .errors import (
     ZeroRing,
 )
 from .groups import FiniteGroup, Subgroup, UpwardClosedSet, upward_closure
+from .gsets import GSet, Orbit, orbit_decomposition
 
 RING_SIZE_CAP = 20000
 
@@ -483,13 +485,28 @@ def classify_idempotent(R: GRing, d: int) -> IdempotentReport:
                             type=isotropy if orth else None)
 
 
+def primitive_gset(R: GRing) -> Tuple[GSet, List[int]]:
+    """The primitive idempotents P of R as a G-set: point i is prims[i], and
+    g.i is the point of g.prims[i].  The zero ring has none.  Every
+    idempotent of R is the sum of a subset of P, so the types of its
+    idempotents are read off this G-set (README, "Idempotent types from
+    the primitive idempotents")."""
+    prims = [] if R.ring.is_zero_ring() else primitive_idempotents(R.ring)
+    pos = np.full(R.ring.size, -1, dtype=np.int64)
+    pos[prims] = np.arange(len(prims))
+    action = pos[R.action[:, prims]]
+    if (action < 0).any():
+        raise VerificationFailed("orbit of a primitive idempotent left the set")
+    return GSet(R.group, action), prims
+
+
 def is_lambda_clarified(R: GRing, lam: UpwardClosedSet) -> bool:
-    """True iff every typed idempotent has its type in lam."""
-    for d in idempotents(R.ring):
-        rep = classify_idempotent(R, d)
-        if rep.type is not None and rep.type not in lam:
-            return False
-    return True
+    """True iff every typed idempotent has its type in lam.  The types are
+    G (the type of 0) and the subgroups above the stabilizer of some
+    primitive idempotent, and lam is upward closed."""
+    X, _ = primitive_gset(R)
+    return R.group.full_subgroup in lam and all(
+        o.stabilizer in lam for o in orbit_decomposition(X))
 
 
 def is_clarified(R: GRing) -> bool:
@@ -577,36 +594,17 @@ def idempotent_classes(R: GRing) -> List[IdempotentClass]:
     """The primitive idempotents of R grouped by conjugacy class of
     stabilizer, classes ordered by representative (order, then elements)."""
     G = R.group
-    prims = primitive_idempotents(R.ring)
-    prim_set = set(prims)
-
-    seen = set()
-    orbits = []
-    for d in prims:
-        if d in seen:
-            continue
-        orbit = sorted({int(R.act(g, d)) for g in G.elements()})
-        if any(p not in prim_set for p in orbit):
-            raise VerificationFailed("orbit of a primitive idempotent left the set")
-        seen.update(orbit)
-        orbits.append(orbit)
-
-    # choose, per orbit, a base point whose stabilizer IS the canonical
-    # conjugacy class representative
-    classes: Dict[Tuple[int, ...], List[Tuple[int, List[int]]]] = {}
-    class_reps: Dict[Tuple[int, ...], Subgroup] = {}
-    for orbit in orbits:
-        stab0 = G.subgroup(g for g in G.elements() if R.act(g, orbit[0]) == orbit[0])
-        rep = G.conjugacy_class_rep(stab0)
-        base = next(p for p in orbit
-                    if all(R.act(g, p) == p for g in rep.elements)
-                    and sum(1 for g in G.elements() if R.act(g, p) == p) == rep.order)
-        classes.setdefault(rep.elements, []).append((base, orbit))
-        class_reps[rep.elements] = rep
-
-    return [IdempotentClass(rep=class_reps[key], bases=[b for b, _ in classes[key]],
-                            unit=R.ring.add_many(p for _, orbit in classes[key] for p in orbit))
-            for key in sorted(classes, key=lambda e: (len(e), e))]
+    X, prims = primitive_gset(R)
+    classes: Dict[Subgroup, List[Orbit]] = {}
+    for orbit in orbit_decomposition(X):
+        classes.setdefault(G.conjugacy_class_rep(orbit.stabilizer), []).append(orbit)
+    out = []
+    for rep, orbits in sorted(classes.items(), key=lambda c: (c[0].order, c[0].elements)):
+        # each base is the first point whose stabilizer IS the representative
+        bases = [prims[next(x for x in o.points if X.stabilizer(x) is rep)] for o in orbits]
+        out.append(IdempotentClass(rep=rep, bases=bases, unit=R.ring.add_many(
+            prims[x] for o in orbits for x in o.points)))
+    return out
 
 
 @dataclass

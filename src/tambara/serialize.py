@@ -50,7 +50,12 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def subgroup_id(G: FiniteGroup, H: Subgroup) -> str:
-    return f"H{subgroups(G).index(G.subgroup(H.elements))}"
+    """H<i>, with i the position of H's elements in subgroups(G); elements
+    that do not form a subgroup of G raise DefinitionError."""
+    idx = G._subgroup_index.get(H.elements)
+    if idx is None:  # unsorted, or not a subgroup
+        idx = G._subgroup_index[G.subgroup(H.elements).elements]
+    return f"H{idx}"
 
 
 def resolve_subgroup(G: FiniteGroup, ident: str) -> Subgroup:

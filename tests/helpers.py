@@ -6,10 +6,12 @@ maps, the binary product references, the per-map coinduction and
 fixed-point references, the G-ring coinduction with chosen coset
 representatives, the two-step decomposition witness reference, the
 pair-by-pair finite field and element-by-element G-ring decomposition
-references, the pair-loop closure and replay-from-scratch references of
-the isomorphism search, relabelled copies of rings and functors, the
-table-by-table functor comparison, the one-pass json.dumps document
-writer, and the randomized assembly sampler for round-trip tests."""
+references, the every-idempotent scans for clarification and for the
+idempotent detect_coinduction picks, the pair-loop closure and
+replay-from-scratch references of the isomorphism search, relabelled
+copies of rings and functors, the table-by-table functor comparison, the
+one-pass json.dumps document writer, and the randomized assembly sampler
+for round-trip tests."""
 
 import json
 import math
@@ -40,7 +42,7 @@ from tambara.functors import (
     product,
 )
 from tambara._search import DEFAULT_BUDGET, _Budget, _Step, _Target, _build_steps, _is_full_hom
-from tambara.groups import double_cosets, subgroups
+from tambara.groups import double_cosets, is_subconjugate, subgroups
 from tambara.gsets import (
     SECTION_CAP,
     ExponentialDiagram,
@@ -56,9 +58,11 @@ from tambara.rings import (
     GRing,
     GRingDecomposition,
     RingHom,
+    classify_idempotent,
     coinduce_gring,
     gring_product,
     idempotent_classes,
+    idempotents,
     is_clarified,
     primitive_idempotents,
     prod_components,
@@ -189,7 +193,7 @@ def assert_orbits_match_reference(X):
     assert len(X.orbit_of) == len(X.carrier) == X.size
 
 
-def reference_dependent_product(f, p, section_cap=SECTION_CAP):
+def reference_dependent_product(f, p):
     """Pi_f A built point by point from the definition: every section of p
     over every fiber, sorted, and g(y, sigma) = (gy, g sigma) worked out for
     each point; the reference gsets.dependent_product is tested against."""
@@ -211,9 +215,9 @@ def reference_dependent_product(f, p, section_cap=SECTION_CAP):
         for x in fib:
             count *= len(lifts[x])
         total += count
-        if total > section_cap:
+        if total > SECTION_CAP:
             raise SizeLimitExceeded(
-                f"dependent product would have more than {section_cap} points")
+                f"dependent product would have more than {SECTION_CAP} points")
         for choice in iproduct(*(lifts[x] for x in fib)):
             points.append((y, tuple(choice)))  # aligned with sorted fiber
     points.sort()
@@ -437,6 +441,41 @@ def reference_class_units(R):
                 unit = int(ring.add[unit, p])
         units.append(unit)
     return units
+
+
+def reference_lambda_clarified(R, lam):
+    """True iff every typed idempotent of the G-ring R has its type in lam,
+    by classify_idempotent on every idempotent; the reference
+    is_lambda_clarified is tested against."""
+    for d in idempotents(R.ring):
+        rep = classify_idempotent(R, d)
+        if rep.type is not None and rep.type not in lam:
+            return False
+    return True
+
+
+def reference_coinduction_idempotent(B):
+    """The (H, d) detect_coinduction slices along, by classify_idempotent on
+    every nonzero idempotent of the bottom G-ring B: the typed d whose orbit
+    sums to 1, kept when no other's type is strictly subconjugate to
+    theirs, the first by (order and elements of the type, d)."""
+    G, bottom = B.group, B.ring
+    candidates = []  # (type subgroup, idempotent)
+    for d in idempotents(bottom):
+        if d == bottom.zero:
+            continue
+        rep = classify_idempotent(B, d)
+        if rep.type is None:
+            continue
+        orbit = sorted({B.act(g, d) for g in G.elements()})
+        if bottom.add_many(orbit) == bottom.one:
+            candidates.append((rep.type, d))
+    minimal = [c for c in candidates
+               if not any(is_subconjugate(G, other[0], c[0]) and
+                          not is_subconjugate(G, c[0], other[0])
+                          for other in candidates)]
+    minimal.sort(key=lambda c: (c[0].order, c[0].elements, c[1]))
+    return minimal[0]
 
 
 def reference_decomposition(T):

@@ -355,7 +355,7 @@ def test_exponential_family_propagates_internal_errors(monkeypatch):
     # an error while building a diagram is never reported as an axiom failure
     import tambara.functors as functors
 
-    def broken(f, p, section_cap=None):
+    def broken(f, p):
         raise RuntimeError("bug in the dependent product")
 
     monkeypatch.setattr(functors, "dependent_product", broken)
@@ -368,7 +368,7 @@ def test_exponential_diagram_past_size_cap_raises(monkeypatch):
     # raises, naming the diagram, instead of reporting a failure
     import tambara.functors as functors
 
-    def capped(f, p, section_cap=None):
+    def capped(f, p):
         raise SizeLimitExceeded("dependent product would have more than 4096 points")
 
     monkeypatch.setattr(functors, "dependent_product", capped)

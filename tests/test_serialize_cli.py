@@ -12,8 +12,8 @@ from corpus import C2, C4, F2, F3, S3
 from tambara import serialize
 from tambara.cli import main
 from tambara.errors import DefinitionError
-from tambara.groups import subgroups
-from tambara.functors import constant_functor, functor_isomorphism
+from tambara.groups import Subgroup, subgroups
+from tambara.functors import _over_subgroup, constant_functor, functor_isomorphism
 from tambara.rings import product_ring
 
 
@@ -40,6 +40,16 @@ def test_ring_parse_kinds():
         # broken tables are rejected by validation
         serialize.parse_ring({"kind": "tables", "add": [[0, 1], [1, 1]],
                               "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1})
+
+
+def test_subgroup_id_is_the_lattice_position():
+    for G in corpus.SMALL_GROUPS + corpus.LATTICE_GROUPS:
+        for i, H in enumerate(subgroups(G)):
+            assert serialize.subgroup_id(G, H) == f"H{i}"
+            assert serialize.resolve_subgroup(G, f"H{i}") is H
+    assert serialize.subgroup_id(C4, Subgroup(C4, (2, 0))) == "H1"  # unsorted elements
+    with pytest.raises(DefinitionError):
+        serialize.subgroup_id(S3, C4.subgroup([0, 2]))  # (0, 2) is not closed in S3
 
 
 def test_resolve_subgroup_aliases():
@@ -153,15 +163,8 @@ def test_cmd_decompose_lambda_keeps_clarified(tmp_path, capsys):
     out_path = str(tmp_path / "cl.json")
     assert main(["decompose", p, "--lambda", "C2", "--out", out_path]) == 0
     T2 = serialize.load_functor(out_path)
-    assert functor_isomorphism(
-        corpus.FP_CORPUS["F4_galois_C2"],
-        T2 if T2.group is corpus.C2 else _rehomed(T2)) is not None
-
-
-def _rehomed(T):
-    from tambara.cli import _rehome
-
-    return _rehome(T, corpus.FP_CORPUS["F4_galois_C2"])
+    assert functor_isomorphism(corpus.FP_CORPUS["F4_galois_C2"],
+                               _over_subgroup(C2.full_subgroup, T2)) is not None
 
 
 def test_cmd_decompose_lambda_to_zero(tmp_path, capsys):
@@ -276,6 +279,17 @@ def test_cmd_iso(tmp_path, capsys):
     assert "isomorphic" in capsys.readouterr().out
     assert main(["iso", p1, p3]) == 0
     assert "not isomorphic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("first, second", [
+    ("coind_e_C4_constF2", "coind_e_V4_constF2"),  # equal order, other table
+    ("coind_e_C2_constF3", "coind_e_C4_constF2"),  # other order
+])
+def test_cmd_iso_over_different_groups_exit1(tmp_path, capsys, first, second):
+    p1 = _write_fixture(tmp_path, "a.json", corpus.TAMBARA_CORPUS[first])
+    p2 = _write_fixture(tmp_path, "b.json", corpus.TAMBARA_CORPUS[second])
+    assert main(["iso", p1, p2]) == 1
+    assert capsys.readouterr().out == "error: functors live over different groups\n"
 
 
 def test_cmd_iso_timeout(tmp_path, capsys):
