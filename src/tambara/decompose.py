@@ -45,12 +45,12 @@ from .functors import (
 from .rings import (
     GRing,
     idempotent_classes,
+    idempotent_subring,
     is_clarified,
     is_lambda_clarified,
     primitive_gset,
     prod_components,
     prod_encode,
-    subring_on_idempotent,
 )
 
 
@@ -67,10 +67,7 @@ def _idempotent_slice(T: TambaraData, units: Dict[Subgroup, int], label: str
     """
     levels, includes, positions = {}, {}, {}
     for H in subgroups(T.group):
-        S, inc = subring_on_idempotent(T.levels[H], units[H])
-        pos = -np.ones(T.levels[H].size, dtype=np.int64)
-        pos[inc] = np.arange(S.size)
-        levels[H], includes[H], positions[H] = S, inc, pos
+        levels[H], includes[H], positions[H] = idempotent_subring(T.levels[H], units[H])
 
     def cut(name, key, src, dst):
         # for nm, x = unit_K x forces nm(x) = nm(unit_K) nm(x) = unit_H nm(x),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,30 +41,42 @@ from .gsets import (
 from .rings import (
     FiniteRing,
     GRing,
+    coinduce_gring,
     hom_failure,
     op_failure,
     prod_components,
     prod_encode,
     product_ring,
+    subring,
+    trivial_gring,
     zero_ring,
 )
+
+
+def map_kinds(has_norms: bool) -> Tuple[str, ...]:
+    """The structure maps along each subgroup inclusion: res and tr, and nm
+    when the functor has norms."""
+    return ("res", "tr", "nm") if has_norms else ("res", "tr")
 
 
 def structure_maps(G: FiniteGroup, has_norms: bool
                    ) -> Iterator[Tuple[str, tuple, Subgroup, Subgroup]]:
     """Every structure table of a functor over G as (name, key, source
     level, target level): for each pair K <= H in subgroup_pairs order,
-    res (H -> K), tr (K -> H) and, with norms, nm (K -> H), keyed (K, H);
+    each of map_kinds, keyed (K, H): res (H -> K), tr and nm (K -> H);
     then for each g, for each H, conj (H -> gHg^-1), keyed (g, H)."""
     for K, H in G.subgroup_pairs:
-        yield "res", (K, H), H, K
-        yield "tr", (K, H), K, H
-        if has_norms:
-            yield "nm", (K, H), K, H
+        for name in map_kinds(has_norms):
+            yield (name, (K, H), H, K) if name == "res" else (name, (K, H), K, H)
     subs = subgroups(G)
     for g in G.elements():
         for H in subs:
             yield "conj", (g, H), H, H.conjugate(g)
+
+
+def _fold(R: FiniteRing, kind: str) -> Tuple[np.ndarray, int]:
+    """What transfers (add, 0) or norms (mul, 1) fold with in R."""
+    return (R.add, R.zero) if kind == "tr" else (R.mul, R.one)
 
 
 def _where(name: str, key: tuple) -> str:
@@ -205,10 +217,8 @@ class EvalMap:
         if self.kind == "res":
             return tuple(int(t[tup[j]]) for (j, t) in self.plan)
         out = []
-        for j, items in enumerate(self.plan):
-            ring = self.target.rings[j]
-            acc = ring.zero if self.kind == "tr" else ring.one
-            table = ring.add if self.kind == "tr" else ring.mul
+        for items, ring in zip(self.plan, self.target.rings):
+            table, acc = _fold(ring, self.kind)
             for (i, t) in items:
                 acc = int(table[acc, t[tup[i]]])
             out.append(acc)
@@ -226,11 +236,11 @@ class EvalMap:
             for col, (j, t) in zip(out, self.plan):
                 np.take(t, arr[:, j], out=col)
             return out.T
-        for j, (acc, items) in enumerate(zip(out, self.plan)):
-            ring = self.target.rings[j]
-            acc.fill(ring.zero if self.kind == "tr" else ring.one)
+        for acc, items, ring in zip(out, self.plan, self.target.rings):
+            table, unit = _fold(ring, self.kind)
+            acc.fill(unit)
             # table[u, v] is flat[u * size + v]; size**2 <= RING_SIZE_CAP**2 < 2**31
-            flat = (ring.add if self.kind == "tr" else ring.mul).ravel()
+            flat = table.ravel()
             for (i, t) in items:
                 np.take(flat, acc * ring.size + t[arr[:, i]], out=acc)
         return out.T
@@ -276,10 +286,9 @@ def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
             plan.append((j, table))
         return EvalMap(kind, Y_val, X_val, plan)
 
-    gen = T.tr if kind == "tr" else T.nm
     plan = [[] for _ in Y_val.orbits]
     for (i, j, A, B, u, M) in factored:
-        table = gen[(M, B)][T.conj[(G.inv(u), A)]]
+        table = T.table(kind, (M, B))[T.conj[(G.inv(u), A)]]
         plan[j].append((i, table))
     return EvalMap(kind, X_val, Y_val, plan)
 
@@ -359,14 +368,9 @@ def fixed_point_functor(R: GRing, green_only: bool = False,
         fixed = np.arange(n)
         for h in H.elements:
             fixed = fixed[R.action[h][fixed] == fixed]
-        inc = fixed.astype(np.int32)
-        pos = -np.ones(n, dtype=np.int32)
-        pos[inc] = np.arange(len(inc))
-        add = pos[R.ring.add[np.ix_(inc, inc)]]
-        mul = pos[R.ring.mul[np.ix_(inc, inc)]]
-        ring = FiniteRing(add, mul, int(pos[R.ring.zero]), int(pos[R.ring.one]),
-                          label=f"{R.ring.label}^{H.elements}")
-        includes[H], positions[H], levels[H] = inc, pos, ring
+        includes[H] = fixed.astype(np.int32)
+        levels[H], positions[H] = subring(R.ring, includes[H], R.ring.one,
+                                          f"{R.ring.label}^{H.elements}")
 
     e = G.trivial_subgroup
 
@@ -380,8 +384,8 @@ def fixed_point_functor(R: GRing, green_only: bool = False,
             return out
         # the sum or product over left coset representatives of src in dst:
         # the double cosets e\dst/src
-        op = R.ring.add if name == "tr" else R.ring.mul
-        acc = np.full(len(includes[src]), R.ring.zero if name == "tr" else R.ring.one)
+        op, unit = _fold(R.ring, name)
+        acc = np.full(len(includes[src]), unit)
         for h, _ in double_cosets(G, e, src, within=dst):
             acc = op[acc, R.action[h][includes[src]]]
         out = positions[dst][acc]
@@ -394,8 +398,6 @@ def fixed_point_functor(R: GRing, green_only: bool = False,
 
 
 def constant_functor(R: FiniteRing, G: FiniteGroup) -> TambaraData:
-    from .rings import trivial_gring
-
     return fixed_point_functor(trivial_gring(R, G), label=f"const({R.label})")
 
 
@@ -512,8 +514,6 @@ def green_counterexample(p: int, S: FiniteRing) -> TambaraData:
     is not injective, which no Green coinduction from the trivial subgroup
     allows; no product decomposition of this kind exists for Green functors.
     """
-    from .rings import coinduce_gring, trivial_gring
-
     G = FiniteGroup.cyclic(p)
     e = G.trivial_subgroup
     full = G.full_subgroup
@@ -530,16 +530,15 @@ def green_counterexample(p: int, S: FiniteRing) -> TambaraData:
         tr_sum = S.add[tr_sum, comp]
     tr_table = prod_encode([S.size] * 2, [tr_sum, S.zero])
 
-    ident_b = np.arange(bottom.size, dtype=np.int32)
-    ident_t = np.arange(top.size, dtype=np.int32)
-    res = {(e, e): ident_b, (full, full): ident_t, (e, full): res_table}
-    tr = {(e, e): ident_b, (full, full): ident_t, (e, full): tr_table}
-    conj = {}
-    for g in G.elements():
-        conj[(g, e)] = bottom_gr.action[g]
-        conj[(g, full)] = ident_t
-    return TambaraData(G, levels, res, tr, None, conj, has_norms=False,
-                       label=f"GreenCounterexample(p={p},{S.label})")
+    def table(name, key, src, dst):
+        if name == "conj" and src == e:
+            return bottom_gr.action[key[0]]
+        if src == dst:
+            return np.arange(levels[src].size)
+        return res_table if name == "res" else tr_table
+
+    return TambaraData.build(G, levels, table, False,
+                             label=f"GreenCounterexample(p={p},{S.label})")
 
 
 # -- the axiom checker ---------------------------------------------------
@@ -580,10 +579,15 @@ class CheckReport:
 def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     """Exhaustive verification of the structure axioms over every element.
 
-    Families: contracts (ring/additive/multiplicative contracts and
-    functoriality), conjugation (identity on the own level, composition,
-    intertwining), mackey_additive, mackey_norm, frobenius, exponential;
-    the exponential family has every fiber of size <= fiber_bound, which
+    Each family is written once over the maps along inclusions that
+    structure_maps lists (res, tr and, with norms, nm).  Families:
+    contracts (per pair: res a unital ring map, tr additive, nm
+    multiplicative with 0 -> 0, each the identity at K = H; chains),
+    conjugation (c_h the identity, composition, intertwining each map),
+    mackey_additive and mackey_norm (one fold over (tr, +, 0) and
+    (nm, x, 1) along shared double-coset paths), frobenius, and with norms
+    exponential; the exponential family has every fiber of size <=
+    fiber_bound, which
     must be at least 2: a smaller bound drops the norm-of-sum and
     norm-of-transfer diagrams, and a PASS would no longer cover them.  A
     diagram too large to build raises SizeLimitExceeded: it shows no
@@ -603,42 +607,40 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
         if sum(1 for f in failures if f.family == family) < MAX_FAILURES_PER_FAMILY:
             failures.append(CheckFailure(family, desc))
 
-    # (1) contracts and functoriality
-    for (K, H) in T.sub_pairs():
-        rk, rh = T.levels[K], T.levels[H]
-        err = hom_failure(T.res[(K, H)], rh, rk)
-        note("contracts")
-        if err:
-            fail("contracts", f"res {H.elements}->{K.elements}: {err}")
-        t = T.tr[(K, H)]
-        if t[rk.zero] != rh.zero or op_failure(t, rk.add, rh.add):
-            fail("contracts", f"tr {K.elements}->{H.elements} is not additive")
-        note("contracts")
-        if T.has_norms:
-            m = T.nm[(K, H)]
-            if m[rk.one] != rh.one or m[rk.zero] != rh.zero or op_failure(m, rk.mul, rh.mul):
-                fail("contracts", f"nm {K.elements}->{H.elements} is not multiplicative")
+    kinds = map_kinds(T.has_norms)
+    along = [m for m in structure_maps(G, T.has_norms) if m[0] != "conj"]
+
+    # (1) contracts and functoriality: per pair each kind's law, then at
+    # K = H each map is the identity; each kind composes along chains
+    for (K, H), pair in groupby(along, key=lambda m: m[1]):
+        pair = list(pair)
+        for name, key, src, dst in pair:
+            t, rs, rd = T.table(name, key), T.levels[src], T.levels[dst]
             note("contracts")
-        if K == H:
-            for nm_, tbl in (("res", T.res[(K, H)]), ("tr", T.tr[(K, H)])) + (
-                    (("nm", T.nm[(K, H)]),) if T.has_norms else ()):
-                if not np.array_equal(tbl, np.arange(rk.size)):
-                    fail("contracts", f"{nm_} at {K.elements}<={K.elements} is not the identity")
-                note("contracts")
-    for H in subs:
-        for L in subs:
-            if not L.is_subgroup_of(H):
+            if name == "res":
+                err = hom_failure(t, rs, rd)
+                if err:
+                    fail("contracts", f"res {src.elements}->{dst.elements}: {err}")
                 continue
-            for K in subs:
-                if not K.is_subgroup_of(L):
-                    continue
-                note("contracts", 3 if T.has_norms else 2)
-                if not np.array_equal(T.res[(K, L)][T.res[(L, H)]], T.res[(K, H)]):
-                    fail("contracts", f"res chain {H.elements}>{L.elements}>{K.elements}")
-                if not np.array_equal(T.tr[(L, H)][T.tr[(K, L)]], T.tr[(K, H)]):
-                    fail("contracts", f"tr chain {K.elements}<{L.elements}<{H.elements}")
-                if T.has_norms and not np.array_equal(T.nm[(L, H)][T.nm[(K, L)]], T.nm[(K, H)]):
-                    fail("contracts", f"nm chain {K.elements}<{L.elements}<{H.elements}")
+            (op_s, unit_s), (op_d, unit_d) = _fold(rs, name), _fold(rd, name)
+            if t[unit_s] != unit_d or t[rs.zero] != rd.zero or op_failure(t, op_s, op_d):
+                law = "additive" if name == "tr" else "multiplicative"
+                fail("contracts", f"{name} {src.elements}->{dst.elements} is not {law}")
+        if K == H:
+            for name, key, src, _ in pair:
+                note("contracts")
+                if not np.array_equal(T.table(name, key), np.arange(T.levels[src].size)):
+                    fail("contracts", f"{name} at {K.elements}<={K.elements} is not the identity")
+    for L, H in T.sub_pairs():
+        for K in (K for K in subs if K.is_subgroup_of(L)):
+            for name in kinds:
+                down = name == "res"
+                first, then = ((L, H), (K, L)) if down else ((K, L), (L, H))
+                note("contracts")
+                if not np.array_equal(T.table(name, then)[T.table(name, first)],
+                                      T.table(name, (K, H))):
+                    a, b, sep = (H, K, ">") if down else (K, H, "<")
+                    fail("contracts", f"{name} chain {a.elements}{sep}{L.elements}{sep}{b.elements}")
 
     # (2) conjugation: c_h identity, composition, intertwining
     for H in subs:
@@ -655,49 +657,35 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                 if not np.array_equal(T.conj[(g1, H2)][T.conj[(g2, H)]], T.conj[(g12, H)]):
                     fail("conjugation", f"c_{g1} c_{g2} != c_{g12} on level {H.elements}")
     for g in G.elements():
-        for (K, H) in T.sub_pairs():
-            Kg, Hg = K.conjugate(g), H.conjugate(g)
-            note("conjugation", 3 if T.has_norms else 2)
-            if not np.array_equal(T.conj[(g, K)][T.res[(K, H)]],
-                                  T.res[(Kg, Hg)][T.conj[(g, H)]]):
-                fail("conjugation", f"conj/res intertwining fails at g={g}, {K.elements}<={H.elements}")
-            if not np.array_equal(T.conj[(g, H)][T.tr[(K, H)]],
-                                  T.tr[(Kg, Hg)][T.conj[(g, K)]]):
-                fail("conjugation", f"conj/tr intertwining fails at g={g}, {K.elements}<={H.elements}")
-            if T.has_norms and not np.array_equal(T.conj[(g, H)][T.nm[(K, H)]],
-                                                  T.nm[(Kg, Hg)][T.conj[(g, K)]]):
-                fail("conjugation", f"conj/nm intertwining fails at g={g}, {K.elements}<={H.elements}")
+        for name, (K, H), src, dst in along:
+            note("conjugation")
+            if not np.array_equal(T.conj[(g, dst)][T.table(name, (K, H))],
+                                  T.table(name, (K.conjugate(g), H.conjugate(g)))[T.conj[(g, src)]]):
+                fail("conjugation", f"conj/{name} intertwining fails at g={g}, {K.elements}<={H.elements}")
 
-    # (3)+(4) double coset formulas
+    # (3)+(4) double coset formulas: res_L of tr or nm from K to H is the
+    # sum or product over L\H/K of the paths through K cap L^g
+    folds = [name for name in kinds if name != "res"]
     for H in subs:
         inner = [K for K in subs if K.is_subgroup_of(H)]
         for L in inner:
+            ops = {name: _fold(T.levels[L], name) for name in folds}
             for K in inner:
-                lhs_t = T.res[(L, H)][T.tr[(K, H)]]
-                lhs_n = T.res[(L, H)][T.nm[(K, H)]] if T.has_norms else None
-                rl = T.levels[L]
-                acc_t = np.full(T.levels[K].size, rl.zero, dtype=np.int64)
-                acc_n = np.full(T.levels[K].size, rl.one, dtype=np.int64)
+                acc = {name: np.full(T.levels[K].size, ops[name][1]) for name in folds}
                 for g, _ in double_cosets(G, L, K, within=H):
                     Msrc = K.intersect(L.conjugate(G.inv(g)))
                     Mdst = L.intersect(K.conjugate(g))
                     path = T.conj[(g, Msrc)][T.res[(Msrc, K)]]
-                    acc_t = rl.add[acc_t, T.tr[(Mdst, L)][path]]
-                    if T.has_norms:
-                        acc_n = rl.mul[acc_n, T.nm[(Mdst, L)][path]]
-                note("mackey_additive")
-                if not np.array_equal(lhs_t, acc_t):
-                    x = int(np.argwhere(lhs_t != acc_t)[0][0])
-                    fail("mackey_additive",
-                         f"res_{L.elements} tr_{K.elements} -> {H.elements} differs at x={x}: "
-                         f"{int(lhs_t[x])} vs {int(acc_t[x])}")
-                if T.has_norms:
-                    note("mackey_norm")
-                    if not np.array_equal(lhs_n, acc_n):
-                        x = int(np.argwhere(lhs_n != acc_n)[0][0])
-                        fail("mackey_norm",
-                             f"res_{L.elements} nm_{K.elements} -> {H.elements} differs at x={x}: "
-                             f"{int(lhs_n[x])} vs {int(acc_n[x])}")
+                    for name in folds:
+                        acc[name] = ops[name][0][acc[name], T.table(name, (Mdst, L))[path]]
+                for name in folds:
+                    family = "mackey_additive" if name == "tr" else "mackey_norm"
+                    lhs, rhs = T.res[(L, H)][T.table(name, (K, H))], acc[name]
+                    note(family)
+                    if not np.array_equal(lhs, rhs):
+                        x = int(np.argwhere(lhs != rhs)[0][0])
+                        fail(family, f"res_{L.elements} {name}_{K.elements} -> {H.elements} "
+                                     f"differs at x={x}: {int(lhs[x])} vs {int(rhs[x])}")
 
     # (5) Frobenius reciprocity
     for (K, H) in T.sub_pairs():
@@ -713,7 +701,7 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                  f"tr(res(y)x) != y tr(x) at {K.elements}<={H.elements}, y={y}, x={x}")
 
     # (6) exponential diagrams
-    if T.has_norms:
+    if "nm" in kinds:
         for (K, H) in T.sub_pairs():
             if K == H:
                 continue

@@ -2,8 +2,8 @@
 
 Groups are plain multiplication tables: element 0 is always the identity.
 The subgroup lattice, conjugacy classes of subgroups and double cosets are
-computed eagerly by brute force and cached; target orders are <= 24, so
-nothing clever is needed.
+computed eagerly by brute force and cached; orders above GROUP_ORDER_CAP
+(24) are refused before any of that, so nothing clever is needed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DefinitionError
+from .errors import DefinitionError, SizeLimitExceeded
+
+# the largest group order (README, "Scale"), checked before any work on it
+GROUP_ORDER_CAP = 24
 
 
 class FiniteGroup:
@@ -29,6 +32,8 @@ class FiniteGroup:
         n = len(mul)
         if n == 0:
             raise DefinitionError("group must be nonempty")
+        if n > GROUP_ORDER_CAP:
+            raise SizeLimitExceeded(f"group order {n} exceeds the group order cap {GROUP_ORDER_CAP}")
         table = [tuple(int(x) for x in row) for row in mul]
         for row in table:
             if len(row) != n or any(x < 0 or x >= n for x in row):
@@ -139,6 +144,9 @@ class FiniteGroup:
                         seen[r] = len(order)
                         order.append(r)
                         nxt.append(r)
+                        if len(order) > GROUP_ORDER_CAP:
+                            raise SizeLimitExceeded("generated group exceeds the group "
+                                                    f"order cap {GROUP_ORDER_CAP}")
             frontier = nxt
         n = len(order)
         mul = [[0] * n for _ in range(n)]

@@ -315,20 +315,33 @@ def prod_components(sizes: Sequence[int]) -> np.ndarray:
     return out
 
 
+def subring(R: FiniteRing, members: np.ndarray, one: int, label: str
+            ) -> Tuple[FiniteRing, np.ndarray]:
+    """The ring on R's elements members (ascending, closed under + and x)
+    with unit one, as (S, pos): pos[x] is x's S-index, -1 off members."""
+    pos = np.full(R.size, -1, dtype=np.int32)
+    pos[members] = np.arange(len(members))
+    add = pos[R.add[np.ix_(members, members)]]
+    mul = pos[R.mul[np.ix_(members, members)]]
+    return FiniteRing(add, mul, int(pos[R.zero]), int(pos[one]), label=label), pos
+
+
+def idempotent_subring(R: FiniteRing, e: int, label: Optional[str] = None
+                       ) -> Tuple[FiniteRing, np.ndarray, np.ndarray]:
+    """The ring e*R with unit e as (S, include, pos), include[i] the
+    R-index of S's element i and pos its inverse, as subring gives it."""
+    if int(R.mul[e, e]) != e:
+        raise NotIdempotent(f"{e} is not idempotent")
+    include = np.flatnonzero(R.mul[e] == np.arange(R.size)).astype(np.int32)
+    S, pos = subring(R, include, e, label or f"{R.label}|e{e}")
+    return S, include, pos
+
+
 def subring_on_idempotent(R: FiniteRing, e: int, label: Optional[str] = None
                           ) -> Tuple[FiniteRing, np.ndarray]:
     """The ring e*R with unit e.  Returns (S, include) with include[i] the
     R-index of S's element i."""
-    if int(R.mul[e, e]) != e:
-        raise NotIdempotent(f"{e} is not idempotent")
-    members = np.nonzero(R.mul[e] == np.arange(R.size))[0]
-    pos = -np.ones(R.size, dtype=np.int32)
-    pos[members] = np.arange(len(members))
-    add = pos[R.add[np.ix_(members, members)]]
-    mul = pos[R.mul[np.ix_(members, members)]]
-    S = FiniteRing(add, mul, int(pos[R.zero]), int(pos[e]),
-                   label=label or f"{R.label}|e{e}")
-    return S, members.astype(np.int32)
+    return idempotent_subring(R, e, label)[:2]
 
 
 def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DefinitionError
 from .groups import FiniteGroup, Subgroup, subgroups
-from .gsets import GSet
 from .rings import FiniteRing, GRing, fq, product_ring, zero_ring, zn
 from .functors import TambaraData, structure_maps
 from ._burnside import burnside_mod
@@ -141,16 +140,6 @@ def parse_gring(block: dict, G: FiniteGroup) -> GRing:
     if action is None:
         raise DefinitionError("gring block needs an 'action' table")
     return GRing(ring, G, action)
-
-
-# -- G-sets (external interface for completeness) --------------------------
-
-
-def parse_gset(block: dict, G: FiniteGroup) -> GSet:
-    X = GSet(G, block["action"])
-    if "points" in block and int(block["points"]) != X.size:
-        raise DefinitionError("gset 'points' does not match the action table")
-    return X
 
 
 # -- functors ---------------------------------------------------------------

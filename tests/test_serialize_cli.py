@@ -177,15 +177,6 @@ def test_cmd_decompose_lambda_to_zero(tmp_path, capsys):
     assert main(["check", out_path]) == 0
 
 
-def test_parse_gset_points_field():
-    from tambara.serialize import parse_gset
-
-    X = parse_gset({"points": 2, "action": [[0, 1], [1, 0]]}, C2)
-    assert X.size == 2
-    with pytest.raises(DefinitionError):
-        parse_gset({"points": 3, "action": [[0, 1], [1, 0]]}, C2)
-
-
 def test_cmd_lewis_burnside(tmp_path, capsys):
     p = _write_fixture(tmp_path, "b24.json", corpus.BURNSIDE_CORPUS["burnside_C2_4"])
     assert main(["lewis", p]) == 0
@@ -379,12 +370,17 @@ def test_fiber_bound_past_diagram_cap_exits_1(tmp_path, capsys):
     assert "more than 4096 points" in out
 
 
+def _cli_env():
+    """The environment for running `python -m tambara.cli` on this source tree."""
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def test_deeply_nested_json_exits_1_without_traceback(tmp_path):
     p = tmp_path / "deep.json"
     p.write_text('{"schema":1,"group":' + "[" * 100000 + "]" * 100000 + "}")
-    src = os.path.dirname(os.path.dirname(serialize.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = _cli_env()
     proc = subprocess.run([sys.executable, "-m", "tambara.cli", "check", str(p)],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == 1
@@ -448,13 +444,43 @@ def test_oversized_ring_block_exits_1_fast(tmp_path, ring):
     doc = {"schema": 1, "group": _C2_GROUP, "fp": {"ring": ring, "action": [[0], [0]]}}
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(serialize.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = _cli_env()
     proc = subprocess.run([sys.executable, "-m", "tambara.cli", "check", str(p)],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout.startswith(b"error: ring size ")
+    assert proc.stderr == b""
+
+
+def _c2_power_table(k):
+    """The multiplication table of C2^k, elements as bit masks."""
+    return [[a ^ b for b in range(2 ** k)] for a in range(2 ** k)]
+
+
+# groups above the order cap: C2^6 as a table with a fixed-point functor
+# (its lattice alone has 2825 subgroups), and S6 as permutations with a
+# Burnside shorthand (720^3 associativity steps before burnside_mod's own
+# order check)
+OVERSIZE_GROUPS = {
+    "C2^6_table": {"schema": 1, "group": {"name": "C2^6", "table": _c2_power_table(6)},
+                   "fp": {"ring": {"kind": "Zn", "n": 2}, "action": [[0, 1]] * 64}},
+    "S6_permutations": {"schema": 1,
+                        "group": {"permutations": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]},
+                        "burnside": {"mod": 2}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZE_GROUPS))
+def test_oversize_group_exits_1_fast(tmp_path, case):
+    # refused before the group is validated or its lattice built; a
+    # regression shows as a timeout here instead of a hung suite
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(OVERSIZE_GROUPS[case]))
+    proc = subprocess.run([sys.executable, "-m", "tambara.cli", "check", str(p)],
+                          capture_output=True, env=_cli_env(), timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith(b"error: ")
+    assert b"group order cap 24" in proc.stdout
     assert proc.stderr == b""
 
 
@@ -463,9 +489,7 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, buffered):
     # buffered, the broken pipe shows when stdout is flushed; unbuffered,
     # in the first print
     p = _write_fixture(tmp_path, "b24.json", corpus.BURNSIDE_CORPUS["burnside_C2_4"])
-    src = os.path.dirname(os.path.dirname(serialize.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = _cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
