@@ -337,13 +337,6 @@ def idempotent_subring(R: FiniteRing, e: int, label: Optional[str] = None
     return S, include, pos
 
 
-def subring_on_idempotent(R: FiniteRing, e: int, label: Optional[str] = None
-                          ) -> Tuple[FiniteRing, np.ndarray]:
-    """The ring e*R with unit e.  Returns (S, include) with include[i] the
-    R-index of S's element i."""
-    return idempotent_subring(R, e, label)[:2]
-
-
 def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
                ) -> Optional[Tuple[int, int]]:
     """The first (a, b) in row-major order with img[a o b] != img[a] o img[b],

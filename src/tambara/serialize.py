@@ -4,9 +4,12 @@ One file defines a group and a functor over it, either with explicit level
 tables or through a constructor shorthand ("fp", "burnside", "coind").
 All tables are integer indices; output is deterministic (sorted keys), so
 re-serializing an unchanged object is byte-stable.  Documents are built
-with their tables left as arrays and written from them row by row, with
-the bytes `json.dumps` would give (README, "Tables are written from their
-arrays").
+with their tables left as arrays and written from them, with the bytes
+`json.dumps` would give.  A ring's add or mul table of at least
+PACK_MIN_ENTRIES entries is written packed, as
+{"b64": ..., "dtype": "<u2", "shape": [n, n]}, its base64 text made in
+blocks of rows; every other table is nested lists (README, "Tables are
+written from their arrays").
 
 Subgroup ids are "H<i>" in the canonical subgroup order; the friendly
 aliases "e", "G", and "C<n>" (when unique) are accepted on input.
@@ -14,6 +17,7 @@ aliases "e", "G", and "C<n>" (when unique) are accepted on input.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import os
@@ -23,11 +27,16 @@ import numpy as np
 
 from .errors import DefinitionError
 from .groups import FiniteGroup, Subgroup, subgroups
-from .rings import FiniteRing, GRing, fq, product_ring, zero_ring, zn
+from .rings import FiniteRing, GRing, _check_size, fq, product_ring, zero_ring, zn
 from .functors import TambaraData, structure_maps
 from ._burnside import burnside_mod
 
 SCHEMA_VERSION = 1
+
+# a ring table of this many entries or more is written packed; every ring
+# index is below RING_SIZE_CAP = 20000 < 2**16, so "<u2" holds it
+PACK_MIN_ENTRIES = 1024
+PACK_DTYPE = "<u2"
 
 
 # -- groups ---------------------------------------------------------------
@@ -115,23 +124,61 @@ def parse_ring(block: dict) -> FiniteRing:
     if kind == "product":
         return product_ring([parse_ring(b) for b in block["factors"]])
     if kind == "tables":
-        R = FiniteRing(block["add"], block["mul"], int(block["zero"]),
-                       int(block["one"]), label=block.get("label", "R"))
+        R = FiniteRing(_ring_table(block, "add"), _ring_table(block, "mul"),
+                       int(block["zero"]), int(block["one"]), label=block.get("label", "R"))
         R.validate()
         return R
     raise DefinitionError(f"unknown ring kind {kind!r}")
 
 
+def _ring_table(block: dict, name: str):
+    """The ring block's add or mul table: nested lists as given, or its
+    packed form decoded once its dtype, shape and length are checked."""
+    t = block[name]
+    if not isinstance(t, dict):
+        return t
+    shape = t.get("shape")
+    if t.get("dtype") != PACK_DTYPE:
+        raise DefinitionError(f"packed {name} table needs dtype {PACK_DTYPE!r}")
+    if not (isinstance(shape, list) and len(shape) == 2 and shape[0] == shape[1]
+            and all(type(k) is int and k > 0 for k in shape)):
+        raise DefinitionError(f"packed {name} table needs a shape [n, n] with n > 0")
+    n = shape[0]
+    _check_size(n)
+    if not isinstance(t.get("b64"), str):
+        raise DefinitionError(f"packed {name} table needs its bytes as a base64 string")
+    try:
+        raw = base64.b64decode(t["b64"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DefinitionError(f"packed {name} table: bad base64: {exc}")
+    if len(raw) != 2 * n * n:
+        raise DefinitionError(f"packed {name} table has {len(raw)} bytes, not 2n^2 = {2 * n * n}")
+    return np.frombuffer(raw, PACK_DTYPE).reshape(n, n)
+
+
 def ring_to_json(R: FiniteRing) -> dict:
-    """The ring's block, its add/mul tables left as arrays for the writer."""
+    """The ring's block, its add/mul tables left to the writer: as arrays
+    below PACK_MIN_ENTRIES entries, packed from there."""
     return {
         "kind": "tables",
         "label": R.label,
         "zero": int(R.zero),
         "one": int(R.one),
-        "add": R.add,
-        "mul": R.mul,
+        "add": _packed(R.add),
+        "mul": _packed(R.mul),
     }
+
+
+class _Base64:
+    """A table whose "<u2" bytes the writer gives as base64 text."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+
+
+def _packed(A: np.ndarray):
+    return A if A.size < PACK_MIN_ENTRIES else {
+        "b64": _Base64(A), "dtype": PACK_DTYPE, "shape": list(A.shape)}
 
 
 def parse_gring(block: dict, G: FiniteGroup) -> GRing:
@@ -169,14 +216,15 @@ def functor_doc(T: TambaraData) -> dict:
 
 
 def _listed(x):
-    """x with every array in it as nested lists."""
+    """x as plain JSON values, as `_plain` gives its arrays and packed tables."""
     if isinstance(x, dict):
         return {k: _listed(v) for k, v in x.items()}
-    return x.tolist() if isinstance(x, np.ndarray) else x
+    return _plain(x) if isinstance(x, (np.ndarray, _Base64)) else x
 
 
 def functor_to_json(T: TambaraData) -> dict:
-    """T's document as plain JSON values: `functor_doc` with nested lists."""
+    """T's document as plain JSON values: `functor_doc` with nested lists
+    and packed tables as base64 text."""
     return _listed(functor_doc(T))
 
 
@@ -264,13 +312,18 @@ def load_functor(path: str) -> TambaraData:
     return load_document(path)[2]
 
 
-# sorted keys and no spaces, an array written as its nested lists
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+def _plain(x):
+    """An array as nested lists, a packed table's bytes as base64 text."""
+    return "".join(_b64_chunks(x.table)) if isinstance(x, _Base64) else x.tolist()
+
+
+# sorted keys and no spaces, arrays and packed tables as `_plain` gives them
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain)
 _dumps = _ENCODER.encode
 
 
 def _is_table(x) -> bool:
-    return isinstance(x, np.ndarray) and x.ndim == 2
+    return isinstance(x, _Base64) or isinstance(x, np.ndarray) and x.ndim == 2
 
 
 def _holds_table(x) -> bool:
@@ -278,11 +331,13 @@ def _holds_table(x) -> bool:
 
 
 def _chunks(x) -> Iterator[str]:
-    """The text `_dumps` gives x.  A dict holding a 2-D table is walked,
-    its keys in sorted order, and a table is written row by row; anything
-    else, 1-D arrays included, is one chunk."""
-    if _is_table(x):
-        yield from _table_chunks(x)
+    """The text `_dumps` gives x.  A dict holding a 2-D or packed table is
+    walked, its keys in sorted order; a packed table's base64 text comes in
+    blocks, and anything else, a 2-D table included, is one chunk."""
+    if isinstance(x, _Base64):
+        yield '"'
+        yield from _b64_chunks(x.table)
+        yield '"'
     elif isinstance(x, dict) and _holds_table(x):
         yield "{"
         for i, key in enumerate(sorted(x)):
@@ -293,27 +348,13 @@ def _chunks(x) -> Iterator[str]:
         yield _dumps(x)
 
 
-def _table_chunks(A: np.ndarray) -> Iterator[str]:
-    """The text `_dumps(A)` of the 2-D array A, one row a chunk."""
-    text = _row_writer(A)
-    yield "["
-    for i, row in enumerate(A):
-        yield ("," if i else "") + text(row)
-    yield "]"
-
-
-def _row_writer(A: np.ndarray):
-    """How to write a row of the 2-D array A.
-
-    An entry is looked up in the strings of 0..A.max(), which are the text
-    `json.dumps` gives a non-negative int.  A negative entry has no string
-    there (vocab[-1] would be the largest entry's), and an entry past the
-    table's size would make the lookup larger than the table, so the rows
-    of such a table, as of one not of integers, are written by `json.dumps`."""
-    if A.dtype.kind not in "iu" or A.size and (A.min() < 0 or A.max() >= A.size):
-        return _dumps
-    vocab = np.array([str(i) for i in range(int(A.max()) + 1 if A.size else 0)], dtype=object)
-    return lambda row: "[" + ",".join(vocab[row].tolist()) + "]"
+def _b64_chunks(A: np.ndarray) -> Iterator[str]:
+    """The base64 text of A's "<u2" bytes, in blocks of a multiple of 3
+    rows: each block but the last is a multiple of 3 bytes, so it is
+    unpadded, and the blocks join to the text of the whole."""
+    rows = 3 * max(1, 2 ** 17 // A.shape[1])
+    for i in range(0, len(A), rows):
+        yield base64.b64encode(A[i:i + rows].astype(PACK_DTYPE).tobytes()).decode("ascii")
 
 
 def dumps_document(doc: dict) -> str:

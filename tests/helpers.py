@@ -10,9 +10,11 @@ references, the every-idempotent scans for clarification and for the
 idempotent detect_coinduction picks, the pair-loop closure and
 replay-from-scratch references of the isomorphism search, relabelled
 copies of rings and functors, the table-by-table functor comparison, the
-one-pass json.dumps document writer, and the randomized assembly sampler
+one-pass json.dumps document writer, packing and unpacking of ring
+tables, the ring on an idempotent, and the randomized assembly sampler
 for round-trip tests."""
 
+import base64
 import json
 import math
 import random
@@ -62,14 +64,15 @@ from tambara.rings import (
     coinduce_gring,
     gring_product,
     idempotent_classes,
+    idempotent_subring,
     idempotents,
     is_clarified,
     primitive_idempotents,
     prod_components,
     prod_encode,
     product_ring,
-    subring_on_idempotent,
 )
+from tambara.serialize import _Base64
 
 
 def additive_span(ring, gens):
@@ -557,6 +560,12 @@ def is_equivariant(hom, src, tgt):
                for g in src.group.elements())
 
 
+def subring_on_idempotent(R, e, label=None):
+    """The ring e*R with unit e as (S, include), include[i] the R-index of
+    S's element i."""
+    return idempotent_subring(R, e, label)[:2]
+
+
 def reference_decompose_gring(R):
     """decompose_gring worked out on the G-ring itself: each class's factor
     is the product of the subrings at its base points, acted on through the
@@ -793,9 +802,31 @@ def reference_search_homomorphisms(A, B, *, injective, budget=DEFAULT_BUDGET, li
 
 def reference_dumps_document(doc):
     """The writer serialize.dumps_document is tested against: every array
-    listed by tolist() and the whole document through one json.dumps."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      default=lambda a: a.tolist()) + "\n"
+    listed by tolist(), every packed table's "<u2" bytes base64-encoded in
+    one piece, and the whole document through one json.dumps."""
+    def plain(a):
+        return packed_block(a.table)["b64"] if isinstance(a, _Base64) else a.tolist()
+
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=plain) + "\n"
+
+
+def packed_block(table):
+    """The packed form of a table of ring indices, at any size, its bytes
+    encoded in one piece."""
+    A = np.asarray(table)
+    return {"b64": base64.b64encode(A.astype("<u2").tobytes()).decode("ascii"),
+            "dtype": "<u2", "shape": list(A.shape)}
+
+
+def unpacked(x):
+    """The JSON value x with every packed table in it turned back into
+    nested lists."""
+    if isinstance(x, dict) and set(x) == {"b64", "dtype", "shape"}:
+        raw = np.frombuffer(base64.b64decode(x["b64"], validate=True), x["dtype"])
+        return raw.reshape(x["shape"]).tolist()
+    if isinstance(x, dict):
+        return {k: unpacked(v) for k, v in x.items()}
+    return [unpacked(v) for v in x] if isinstance(x, list) else x
 
 
 def mutation_fixtures():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import helpers
+from helpers import subring_on_idempotent
 from tambara.errors import (
     DefinitionError,
     NotIdempotent,
@@ -35,7 +36,6 @@ from tambara.rings import (
     prod_encode,
     product_ring,
     ring_isomorphism,
-    subring_on_idempotent,
     trivial_gring,
     zero_ring,
     zn,

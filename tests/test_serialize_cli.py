@@ -240,13 +240,13 @@ def test_failed_write_keeps_the_old_out_file(tmp_path, capsys, monkeypatch):
                              "burnside": {"mod": 3}}))
     out_path = tmp_path / "coind.json"
     out_path.write_text("old\n")
-    table_chunks = serialize._table_chunks
+    b64_chunks = serialize._b64_chunks
 
-    def out_of_memory_after_one_chunk(A):
-        yield next(table_chunks(A))
+    def out_of_memory_after_one_chunk(A):  # the 81-element bottom ring's tables are packed
+        yield next(b64_chunks(A))
         raise MemoryError
 
-    monkeypatch.setattr(serialize, "_table_chunks", out_of_memory_after_one_chunk)
+    monkeypatch.setattr(serialize, "_b64_chunks", out_of_memory_after_one_chunk)
     assert main(["coinduce", str(p), "--from", "e", "--out", str(out_path)]) == 1
     assert capsys.readouterr().out.startswith("error: out of memory")
     assert out_path.read_text() == "old\n"

@@ -1,6 +1,10 @@
-"""The document writer: tables written from their arrays, row by row, give
-the text of one json.dumps of the listed document."""
+"""The document writer: tables written from their arrays, big ring tables
+packed with their base64 text in blocks, give the text of one json.dumps
+of the document with every array listed and every packed table's bytes
+encoded in one piece."""
 
+import base64
+import json
 import os
 import stat
 import threading
@@ -11,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import corpus
-from helpers import reference_dumps_document
+from helpers import reference_dumps_document, unpacked
 from tambara import serialize
 from tambara.cli import main
 from tambara.decompose import full_decomposition
@@ -35,7 +39,6 @@ def test_table_text_is_json_dumps(A, k):
 
 
 def test_negative_entry_is_not_looked_up():
-    # a lookup by index would write vocab[-1], the largest entry's string
     doc = {"t": np.array([[0, 1], [-1, 1]], np.int32)}
     assert serialize.dumps_document(doc) == '{"t":[[0,1],[-1,1]]}\n'
 
@@ -47,6 +50,31 @@ def test_functor_text_is_json_dumps(name):
     text = serialize.dumps_functor(T)
     assert text == reference_dumps_document(doc)
     assert text == reference_dumps_document(serialize.functor_to_json(T))
+
+
+@given(arrays(np.int32, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=48),
+              elements=st.integers(0, 2 ** 16 - 1)))
+@example(np.arange(1023, dtype=np.int32).reshape(31, 33))
+@example(np.arange(1024, dtype=np.int32).reshape(32, 32))
+@example(np.full((1, 1023), 2 ** 16 - 1, np.int32))
+@example(np.full((1, 1024), 2 ** 16 - 1, np.int32))
+@settings(max_examples=200, deadline=None)
+def test_ring_table_is_packed_from_1024_entries(A):
+    doc = {"add": serialize._packed(A)}
+    text = serialize.dumps_document(doc)
+    assert text == reference_dumps_document(doc)
+    written = json.loads(text)["add"]
+    assert isinstance(written, dict) == (A.size >= serialize.PACK_MIN_ENTRIES)
+    assert unpacked(written) == A.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 200, 1000])
+def test_packed_text_comes_in_unpadded_blocks(n):
+    A = np.arange(n * n, dtype=np.int32).reshape(n, n) % 20000
+    blocks = list(serialize._b64_chunks(A))
+    assert "".join(blocks) == base64.b64encode(A.astype("<u2").tobytes()).decode("ascii")
+    assert all(len(b) % 4 == 0 and "=" not in b for b in blocks[:-1])
+    assert len(blocks) == (1 if n < 500 else -(-n // (3 * (2 ** 17 // n))))
 
 
 def test_functor_to_json_is_plain_lists():
@@ -71,18 +99,19 @@ def test_decompose_document_text_is_json_dumps(tmp_path, capsys):
     assert out.read_text() == text
 
 
-class _NoTableTolist(np.ndarray):
+class _NoTolist(np.ndarray):
     def tolist(self):
-        assert self.ndim < 2, "a 2-D table was listed whole"
-        return super().tolist()
+        raise AssertionError("a packed table was listed")
 
 
-def test_writer_lists_no_2d_table():
-    T = corpus.TAMBARA_CORPUS["FPF4_x_coindF2"]
+def test_writer_lists_no_packed_table():
+    T = corpus.TAMBARA_CORPUS["coind_C2a_S3_FPF4"]  # its bottom level has 64 elements
     doc = serialize.functor_doc(T)
-    for level in doc["functor"]["levels"].values():
-        level["add"] = level["add"].view(_NoTableTolist)
-        level["mul"] = level["mul"].view(_NoTableTolist)
+    packed = [level[op]["b64"] for level in doc["functor"]["levels"].values()
+              for op in ("add", "mul") if isinstance(level[op], dict)]
+    assert len(packed) == 2
+    for b64 in packed:
+        b64.table = b64.table.view(_NoTolist)
     assert serialize.dumps_document(doc) == serialize.dumps_functor(T)
 
 
