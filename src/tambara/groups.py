@@ -236,6 +236,12 @@ class FiniteGroup:
         return self._subgroups[idx]
 
     @cached_property
+    def _subgroup_by_mask(self) -> Dict[int, "Subgroup"]:
+        """Each subgroup keyed by the sum of 2**g over its elements; an
+        int64 holds every mask, as GROUP_ORDER_CAP < 63."""
+        return {sum(1 << g for g in s.elements): s for s in self._subgroups}
+
+    @cached_property
     def subgroup_pairs(self) -> Tuple[Tuple["Subgroup", "Subgroup"], ...]:
         """All pairs (K, H) with K <= H, grouped by H in lattice order."""
         subs = self._subgroups

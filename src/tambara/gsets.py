@@ -167,19 +167,24 @@ def orbit_decomposition(X: GSet) -> Tuple[Orbit, ...]:
         return X._orbits
     orbit_of = [-1] * X.size
     carrier = [0] * X.size
-    orbits = []
+    found = []
     for x in range(X.size):
         if orbit_of[x] >= 0:
             continue
         pts = []
         for g, y in enumerate(X.action[:, x].tolist()):  # increasing g keeps
             if orbit_of[y] < 0:                          # the least carrier
-                orbit_of[y] = len(orbits)
+                orbit_of[y] = len(found)
                 carrier[y] = g
                 pts.append(y)
-        orbits.append(Orbit(points=tuple(sorted(pts)), base=x, stabilizer=X.stabilizer(x)))
+        found.append((tuple(sorted(pts)), x))
+    # every base's stabilizer from one gather, as its mask sum of 2**g
+    bases = [x for _, x in found]
+    masks = (X.action[:, bases] == bases).T @ (1 << np.arange(X.group.order, dtype=np.int64))
+    by_mask = X.group._subgroup_by_mask
     X._orbit_of, X._carrier = tuple(orbit_of), tuple(carrier)
-    X._orbits = tuple(orbits)
+    X._orbits = tuple(Orbit(points=pts, base=x, stabilizer=by_mask[m])
+                      for (pts, x), m in zip(found, masks.tolist()))
     return X._orbits
 
 

@@ -2,17 +2,18 @@
 fixtures, the row-by-row ring-axiom reference, the every-element action
 references, the transversal-loop orbit reference, the point-by-point
 dependent product reference and the points of a diagram read from its
-maps, the binary product references, the per-map coinduction and
-fixed-point references, the G-ring coinduction with chosen coset
-representatives, the two-step decomposition witness reference, the
-pair-by-pair finite field and element-by-element G-ring decomposition
-references, the every-idempotent scans for clarification and for the
-idempotent detect_coinduction picks, the pair-loop closure and
-replay-from-scratch references of the isomorphism search, relabelled
-copies of rings and functors, the table-by-table functor comparison, the
-one-pass json.dumps document writer, packing and unpacking of ring
-tables, the ring on an idempotent, and the randomized assembly sampler
-for round-trip tests."""
+maps, the scalar and unfused references of maps along G-set maps and of
+the two sides of the exponential formula, the binary product references,
+the per-map coinduction and fixed-point references, the G-ring
+coinduction with chosen coset representatives, the two-step
+decomposition witness reference, the pair-by-pair finite field and
+element-by-element G-ring decomposition references, the every-idempotent
+scans for clarification and for the idempotent detect_coinduction picks,
+the pair-loop closure and replay-from-scratch references of the
+isomorphism search, relabelled copies of rings and functors, the
+table-by-table functor comparison, the one-pass json.dumps document
+writer, packing and unpacking of ring tables, the ring on an idempotent,
+and the randomized assembly sampler for round-trip tests."""
 
 import base64
 import json
@@ -264,6 +265,54 @@ def diagram_points(diag):
         sigma[diag.corner_projection(c)][diag.p(a)] = a
     return [(diag.projection(i), tuple(s[x] for x in sorted(s)))
             for i, s in enumerate(sigma)]
+
+
+def reference_apply(m, tup):
+    """EvalMap m on one element, a tuple of source components, one Python
+    int at a time: res reads each target component off its source
+    component, tr and nm fold each target component from the unit over its
+    items.  The scalar reference EvalMap.apply_batch is tested against."""
+    if m.kind == "res":
+        return tuple(int(t[tup[j]]) for (j, t) in m.plan)
+    out = []
+    for items, ring in zip(m.plan, m.target.rings):
+        table, acc = (ring.add, ring.zero) if m.kind == "tr" else (ring.mul, ring.one)
+        for (i, t) in items:
+            acc = int(table[acc, t[tup[i]]])
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_apply_batch(m, arr):
+    """EvalMap.apply_batch without its first-step gather: every tr or nm
+    component starts from the unit and folds in all of its items."""
+    out = np.empty((len(arr), len(m.plan)), dtype=np.int64)
+    for c, component in enumerate(m.plan):
+        if m.kind == "res":
+            j, t = component
+            out[:, c] = t[arr[:, j]]
+            continue
+        ring = m.target.rings[c]
+        table, unit = (ring.add, ring.zero) if m.kind == "tr" else (ring.mul, ring.one)
+        acc = np.full(len(arr), unit)
+        for i, t in component:
+            acc = table[acc, t[arr[:, i]]]
+        out[:, c] = acc
+    return out
+
+
+def reference_exponential_paths(T, diag):
+    """Every element of T(A) as a row, and the two sides of the exponential
+    formula on it, unfused: nm_f tr_p, and tr_pi nm_corner res_ev with the
+    restricted elements written out as an array, each map applied by
+    reference_apply_batch.  The reference of functors._exponential_paths."""
+    tr_p = eval_along(T, diag.p, "tr")
+    arr = prod_components(tr_p.source.sizes).T
+    path1 = reference_apply_batch(eval_along(T, diag.f, "nm"),
+                                  reference_apply_batch(tr_p, arr))
+    restricted = reference_apply_batch(eval_along(T, diag.evaluation, "res"), arr)
+    normed = reference_apply_batch(eval_along(T, diag.corner_projection, "nm"), restricted)
+    return arr, path1, reference_apply_batch(eval_along(T, diag.projection, "tr"), normed)
 
 
 def reference_product(T1, T2, label=None):

@@ -14,10 +14,13 @@ from corpus import (
     V4,
     galois_gring,
 )
+import helpers
 from helpers import (
     assert_same_functor,
     copy_functor,
+    reference_apply,
     reference_coinduce,
+    reference_exponential_paths,
     reference_fixed_point_functor,
 )
 from tambara.errors import (
@@ -28,9 +31,12 @@ from tambara.errors import (
     SizeLimitExceeded,
 )
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups
-from tambara.gsets import GSetMap, coset_gset, disjoint_union
+from tambara.gsets import GSetMap, coset_gset, dependent_product, disjoint_union
 from tambara.functors import (
     TambaraMorphism,
+    _coset_projection,
+    _exponential_family,
+    _exponential_paths,
     check_axioms,
     coinduce,
     constant_functor,
@@ -226,8 +232,8 @@ def test_eval_along_fold_map_gives_ring_ops():
         nm = eval_along(T, fold, "nm")
         for a in range(ring.size):
             for b in range(ring.size):
-                assert tr.apply((a, b)) == (int(ring.add[a, b]),)
-                assert nm.apply((a, b)) == (int(ring.mul[a, b]),)
+                assert reference_apply(tr, (a, b)) == (int(ring.add[a, b]),)
+                assert reference_apply(nm, (a, b)) == (int(ring.mul[a, b]),)
 
 
 def test_eval_along_projection_is_lewis_norm():
@@ -237,7 +243,7 @@ def test_eval_along_projection_is_lewis_norm():
     nm = eval_along(B, f, "nm")
     top = B.levels[full]
     for a in range(4):
-        got = top.index_to_vector[nm.apply((B.levels[e].vector_to_index((a,)),))[0]]
+        got = top.index_to_vector[reference_apply(nm, (B.levels[e].vector_to_index((a,)),))[0]]
         assert got == (((a * a - a) // 2) % 2, a % 4)
 
 
@@ -386,6 +392,79 @@ def test_exponential_failure_names_plain_ints():
     assert failure.description == (
         "exponential formula fails for A = G/(0,) + G/(0,) over (0,)<=(0, 1) "
         "at element (1, 1): (0,) vs (6,)")
+
+
+def _squared_norm_burnside():
+    T = copy_functor(corpus.BURNSIDE_CORPUS["burnside_C2_4"])
+    e, full = C2.trivial_subgroup, C2.full_subgroup
+    nm = T.nm[(e, full)]
+    T.nm[(e, full)] = T.levels[full].mul[nm, nm]
+    return T
+
+
+# every functor with norms of the corpus and of the mutation fixtures, and
+# two over D4, which the corpus lacks; grouped by group
+PATH_FUNCTORS = {G.name: [] for G in (C2, C3, C4, V4, S3, corpus.D4)}
+for _name, _T in [*corpus.TAMBARA_CORPUS.items(),
+                  *((desc, T) for desc, T, _ in helpers.mutation_fixtures() if T.has_norms),
+                  ("squared norm of Burnside(C2) mod 4", _squared_norm_burnside()),
+                  ("const F3 over D4", constant_functor(F3, corpus.D4)),
+                  ("Burnside(D4) mod 2", burnside_mod(corpus.D4, 2))]:
+    PATH_FUNCTORS[_T.group.name].append((_name, _T))
+
+
+@pytest.mark.parametrize("group", sorted(PATH_FUNCTORS))
+def test_exponential_paths_match_unfused_reference(group):
+    # the fused restriction and the first-step gather change no entry of
+    # either side, on passing functors and on broken ones alike
+    assert PATH_FUNCTORS[group]
+    for name, T in PATH_FUNCTORS[group]:
+        G = T.group
+        for K, H in G.subgroup_pairs:
+            if K == H:
+                continue
+            f = _coset_projection(G, K, H)
+            nm_f = eval_along(T, f, "nm")
+            for A, p, desc in _exponential_family(G, K, 2):
+                try:
+                    diag = dependent_product(f, GSetMap(A, f.source, p))
+                except SizeLimitExceeded:
+                    continue
+                got = _exponential_paths(T, nm_f, diag)
+                want = reference_exponential_paths(T, diag)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (name, K.elements, H.elements, desc)
+
+
+def test_eval_along_shares_one_table_per_orbit_type():
+    # source orbits with the same stabilizer, target stabilizer and carrier
+    # share one table, which equals the composite of the stored maps
+    T = corpus.COIND_CORPUS["coind_C2a_S3_FPF4"]
+    G = T.group
+    K, H = G.trivial_subgroup, G.full_subgroup
+    f = _coset_projection(G, K, H)
+    A, p, _ = next(x for x in _exponential_family(G, K, 2) if "+" in x[2])
+    diag = dependent_product(f, GSetMap(A, f.source, p))
+    for g, kind in [(diag.corner_projection, "nm"), (diag.corner_projection, "tr"),
+                    (diag.evaluation, "res")]:
+        m = eval_along(T, g, kind)
+        if kind == "res":
+            items = [(i, t) for i, (_, t) in enumerate(m.plan)]
+            sources, targets = m.target.orbits, m.source.orbits
+        else:
+            items = [item for component in m.plan for item in component]
+            sources, targets = m.source.orbits, m.target.orbits
+        ids = {}
+        for i, t in items:
+            A_, q = sources[i].stabilizer, g(sources[i].base)
+            B, u = targets[g.target.orbit_of[q]].stabilizer, g.target.carrier[q]
+            M = A_.conjugate(G.inv(u))
+            want = (T.conj[(u, M)][T.res[(M, B)]] if kind == "res"
+                    else T.table(kind, (M, B))[T.conj[(G.inv(u), A_)]])
+            assert np.array_equal(t, want)
+            ids.setdefault((A_, B, u), set()).add(id(t))
+        assert len(items) > len(ids)
+        assert all(len(s) == 1 for s in ids.values())
 
 
 def test_mutation_contracts():

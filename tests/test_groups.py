@@ -5,6 +5,7 @@ from corpus import LATTICE_GROUPS
 
 from tambara.errors import DefinitionError
 from tambara.groups import (
+    GROUP_ORDER_CAP,
     FiniteGroup,
     Subgroup,
     _closure,
@@ -235,3 +236,16 @@ def test_as_group_roundtrip():
         for b in range(3):
             assert embed[K.mul(a, b)] == S3.mul(embed[a], embed[b])
     assert H.subgroup_in_parent([0, 1, 2]).elements == H.elements
+
+
+@pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_subgroup_masks_name_their_subgroups(G):
+    by_mask = G._subgroup_by_mask
+    assert len(by_mask) == len(subgroups(G))
+    for S in subgroups(G):
+        assert by_mask[sum(2 ** g for g in S.elements)] is S
+
+
+def test_group_order_cap_keeps_masks_in_int64():
+    # orbit_decomposition sums 2**g over a stabilizer in int64
+    assert GROUP_ORDER_CAP < 63

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import corpus
 from helpers import assert_orbits_match_reference, diagram_points
@@ -236,10 +237,44 @@ def test_orbit_decomposition_is_computed_once(monkeypatch):
     monkeypatch.setattr(GSet, "stabilizer",
                         lambda self, x: stabilized.append(x) or stabilizer(self, x))
     first = orbit_decomposition(X)
-    assert stabilized == [0, 6]
-    assert orbit_decomposition(X) == first
-    assert stabilized == [0, 6]
+    assert orbit_decomposition(X) is first
     assert isinstance(first, tuple)
+    assert stabilized == []  # the stabilizers come from one gather
+    monkeypatch.undo()
+    assert [o.base for o in first] == [0, 6]
+    for o in first:
+        assert o.stabilizer is X.stabilizer(o.base)
+
+
+@st.composite
+def lattice_gsets(draw):
+    """A G-set over one of LATTICE_GROUPS: a union of one to three coset
+    G-sets, or Pi_f A or the pullback corner of the exponential diagram of
+    a coset projection f : G/K -> G/H and a union A of one or two G/L over
+    G/K."""
+    G = draw(st.sampled_from(corpus.LATTICE_GROUPS))
+    subs = subgroups(G)
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3))
+        return disjoint_union([coset_gset(G, K) for K in parts])[0]
+    K, H = draw(st.sampled_from(G.subgroup_pairs))
+    f = _coset_projection(G, K, H)
+    Ls = draw(st.lists(st.sampled_from([L for L in subs if L.is_subgroup_of(K)]),
+                       min_size=1, max_size=2))
+    projections = [_coset_projection(G, L, K) for L in Ls]
+    A, _ = disjoint_union([pm.source for pm in projections])
+    try:
+        diag = dependent_product(f, GSetMap(A, f.source, sum((pm.images for pm in projections), ())))
+    except SizeLimitExceeded:
+        assume(False)
+    return draw(st.sampled_from([diag.pi, diag.pullback_corner]))
+
+
+@given(lattice_gsets())
+@settings(max_examples=60, deadline=None)
+def test_orbit_stabilizers_match_pointwise_stabilizers(X):
+    for o in orbit_decomposition(X):
+        assert o.stabilizer is X.stabilizer(o.base)
 
 
 @pytest.mark.parametrize("G", [corpus.C2, corpus.C4, corpus.V4, corpus.S3, corpus.D4],

@@ -5,7 +5,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpus
 import helpers
@@ -372,21 +372,46 @@ def test_dependent_product_matches_pointwise_reference(inputs):
     assert got.corner_projection.images == want.corner_projection.images
 
 
-@given(st.sampled_from(["burnside_C2_4", "F4_galois_C2", "burnside_C3_9", "coind_C2_C4_FPF4",
-                        "coind_e_V4_constF2", "coind_C2a_S3_FPF4"]),
-       st.sampled_from(["res", "tr", "nm"]), st.data())
+APPLY_BATCH_FUNCTORS = ["burnside_C2_4", "F4_galois_C2", "burnside_C3_9", "coind_C2_C4_FPF4",
+                        "coind_e_V4_constF2", "coind_C2a_S3_FPF4"]
+
+
+@st.composite
+def apply_batch_inputs(draw):
+    """A corpus functor's name, a kind, a G-set map f : X -> Y with Y one
+    or two fixed points, and up to six elements of the source of f along
+    kind, as rows of components."""
+    name = draw(st.sampled_from(APPLY_BATCH_FUNCTORS))
+    kind = draw(st.sampled_from(["res", "tr", "nm"]))
+    G = corpus.TAMBARA_CORPUS[name].group
+    Y, _ = draw(gset_over(coset_gset(G, G.full_subgroup), 1, 2))
+    _, f = draw(gset_over(Y, 0, 2))
+    m = eval_along(corpus.TAMBARA_CORPUS[name], f, kind)
+    n_rows = draw(st.integers(min_value=0, max_value=6))
+    rows = [[draw(st.integers(min_value=0, max_value=n - 1)) for n in m.source.sizes]
+            for _ in range(n_rows)]
+    return name, kind, f, rows
+
+
+def _c2_map(parts, images):
+    """The map from the union of C2/K over K in parts to two fixed points."""
+    Y = disjoint_union([coset_gset(C2, C2.full_subgroup)] * 2)[0]
+    X = disjoint_union([coset_gset(C2, K) for K in parts])[0]
+    return GSetMap(X, Y, images)
+
+
+@given(apply_batch_inputs())
+@example(("burnside_C2_4", "nm", _c2_map([C2.trivial_subgroup], (0, 0)),
+          [[0], [1], [2], [3]]))  # one item in the first component, none in the second
+@example(("burnside_C2_4", "tr", _c2_map([C2.full_subgroup, C2.trivial_subgroup], (1, 0, 0)),
+          [[0, 0], [1, 3], [2, 1]]))  # one item in each component
 @settings(max_examples=60, deadline=None)
-def test_apply_batch_matches_apply(name, kind, data):
-    T = corpus.TAMBARA_CORPUS[name]
-    G = T.group
-    Y, _ = data.draw(gset_over(coset_gset(G, G.full_subgroup), 1, 2))
-    _, f = data.draw(gset_over(Y, 0, 2))
-    m = eval_along(T, f, kind)
-    n_rows = data.draw(st.integers(min_value=0, max_value=6))
-    rows = np.array([[data.draw(st.integers(min_value=0, max_value=n - 1))
-                      for n in m.source.sizes] for _ in range(n_rows)],
-                    dtype=np.int64).reshape(n_rows, len(m.source.sizes))
+def test_apply_batch_matches_apply(inputs):
+    name, kind, f, rows = inputs
+    m = eval_along(corpus.TAMBARA_CORPUS[name], f, kind)
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(m.source.sizes))
     out = m.apply_batch(rows)
     assert out.dtype == np.int32
     assert out.shape == (len(rows), len(m.target.sizes))
-    assert [tuple(r) for r in out.tolist()] == [m.apply(tuple(r)) for r in rows.tolist()]
+    assert [tuple(r) for r in out.tolist()] == [helpers.reference_apply(m, tuple(r))
+                                                for r in rows.tolist()]
