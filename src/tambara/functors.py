@@ -214,31 +214,42 @@ class EvalMap:
     # tr/nm: per target-component: list of (source component, table)
     plan: List
 
-    def apply_batch(self, arr: np.ndarray) -> np.ndarray:
-        """arr has one row per element and one column per source component;
-        the int32 result has one row per element and one column per target
-        component.  It is the transpose of a C-order (components, elements)
-        buffer, so each of its columns is contiguous, as is each column of
-        an input that is such a transpose."""
-        n = arr.shape[0]
-        out = np.empty((len(self.plan), n), dtype=np.int32)
+    def fold(self, cols) -> List[np.ndarray]:
+        """One int32 array per target component, of the broadcast shape of
+        the source components cols[i] it reads (0-d, the unit, for a tr or
+        nm component with no items).  A tr or nm component gathers each
+        source component it reads once, then combines them, so
+        broadcasting widens an array only where two source components
+        meet.  Regrouping the fold so is exact because + and x of a ring
+        commute and associate."""
         if self.kind == "res":
-            for col, (j, t) in zip(out, self.plan):
-                np.take(t, arr[:, j], out=col)
-            return out.T
-        for acc, items, ring in zip(out, self.plan, self.target.rings):
+            return [t.take(cols[j]) for j, t in self.plan]
+        out = []
+        for items, ring in zip(self.plan, self.target.rings):
             table, unit = _fold(ring, self.kind)
-            if not items:
-                acc.fill(unit)
-                continue
-            # the unit's row of the fold table is the identity (checked by
-            # FiniteRing), so folding the first item into it is a gather
-            (i, t), rest = items[0], items[1:]
-            np.take(t, arr[:, i], out=acc)
             # table[u, v] is flat[u * size + v]; size**2 <= RING_SIZE_CAP**2 < 2**31
             flat = table.ravel()
-            for (i, t) in rest:
-                np.take(flat, acc * ring.size + t[arr[:, i]], out=acc)
+
+            def op(u, v):
+                return flat.take(u * ring.size + v)
+            # the items reading one source component fold into one table of
+            # level size; the unit's row of the fold table is the identity
+            # (checked by FiniteRing), so a fold starts at its first item
+            tables: Dict[int, np.ndarray] = {}
+            for i, t in items:
+                tables[i] = op(tables[i], t) if i in tables else t
+            parts = (t.take(cols[i]) for i, t in tables.items())
+            out.append(reduce(op, parts) if tables else np.array(unit, dtype=np.int32))
+        return out
+
+    def apply_batch(self, arr: np.ndarray) -> np.ndarray:
+        """fold on rows: arr has one row per element and one column per
+        source component; the int32 result has one row per element and one
+        column per target component, the transpose of a C-order
+        (components, elements) buffer."""
+        out = np.empty((len(self.plan), arr.shape[0]), dtype=np.int32)
+        for col, comp in zip(out, self.fold(arr.T)):
+            col[...] = comp
         return out.T
 
     def after(self, res: "EvalMap") -> "EvalMap":
@@ -594,11 +605,12 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     fiber_bound, which must be at least 2: a smaller bound drops the
     norm-of-sum and norm-of-transfer diagrams, and a PASS would no longer
     cover them.  Each diagram compares nm_f tr_p with tr_pi nm res_ev on
-    every element of T(A), with the restriction composed into the norm's
-    tables, so the restricted elements are never written out
-    (_exponential_paths).  A diagram too large to build raises
-    SizeLimitExceeded: it shows no identity failing, so it is not reported
-    as a failure.
+    every element of T(A), on the open mesh of T(A) (_exponential_paths),
+    and names the first failing element in C order.  That regroups each
+    fold, so the levels must be rings: FiniteRing checks that + and x
+    commute, validate() at the loader that they associate.  A diagram too
+    large to build raises SizeLimitExceeded: it shows no identity failing,
+    so it is not reported as a failure.
     """
     if fiber_bound < 2:
         raise DefinitionError(f"fiber bound must be at least 2, got {fiber_bound}")
@@ -722,31 +734,38 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                     raise SizeLimitExceeded(
                         f"exponential diagram {desc} over {K.elements}<={H.elements}: {exc}"
                     ) from exc
-                arr, path1, path2 = _exponential_paths(T, nm_f, diag)
-                note("exponential", len(arr))
-                if not np.array_equal(path1, path2):
-                    bad = int(np.argwhere((path1 != path2).any(axis=1))[0][0])
+                shape, path1, path2 = _exponential_paths(T, nm_f, diag)
+                note("exponential", int(np.prod(shape)))
+                bad = [a != b for a, b in zip(path1, path2)]
+                if any(b.any() for b in bad):
+                    x = np.unravel_index(int(np.argmax(np.broadcast_to(
+                        reduce(np.logical_or, bad), shape))), shape)
+                    v1, v2 = (tuple(int(np.broadcast_to(c, shape)[x]) for c in side)
+                              for side in (path1, path2))
                     fail("exponential",
-                         f"exponential formula fails for {desc} over "
-                         f"{K.elements}<={H.elements} at element {tuple(arr[bad].tolist())}: "
-                         f"{tuple(path1[bad].tolist())} vs {tuple(path2[bad].tolist())}")
+                         f"exponential formula fails for {desc} over {K.elements}<={H.elements} "
+                         f"at element {tuple(map(int, x))}: {v1} vs {v2}")
 
     return CheckReport(passed=not failures, failures=failures, checked=checked)
 
 
 def _exponential_paths(T: TambaraData, nm_f: EvalMap, diag: ExponentialDiagram
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every element of T(A) as a row of components, and the two sides of
-    the exponential formula on it: nm_f tr_p, and tr_pi nm_corner res_ev
-    with the restriction fused into the norm (EvalMap.after), so the
-    restricted elements are never written out."""
+                       ) -> Tuple[Tuple[int, ...], List[np.ndarray], List[np.ndarray]]:
+    """The two sides of the exponential formula on every element of T(A),
+    evaluated on the open mesh of T(A): its component i is arange(n_i)
+    along axis i, so each side is one array per component of T(Y),
+    broadcastable to shape (n_0, n_1, ...) and indexed by the element's
+    components.  The sides are nm_f tr_p, and tr_pi nm_corner res_ev with
+    the restriction fused into the norm (EvalMap.after), so the restricted
+    elements are never written out."""
     tr_p = eval_along(T, diag.p, "tr")
     res_ev = eval_along(T, diag.evaluation, "res")
     nm_cp = eval_along(T, diag.corner_projection, "nm")
     tr_pr = eval_along(T, diag.projection, "tr")
-    arr = prod_components(tr_p.source.sizes).T
-    return (arr, nm_f.apply_batch(tr_p.apply_batch(arr)),
-            tr_pr.apply_batch(nm_cp.after(res_ev).apply_batch(arr)))
+    shape = tuple(tr_p.source.sizes)
+    cols = np.ix_(*(np.arange(n) for n in shape))
+    return (shape, nm_f.fold(tr_p.fold(cols)),
+            tr_pr.fold(nm_cp.after(res_ev).fold(cols)))
 
 
 def _exponential_family(G: FiniteGroup, K: Subgroup, fiber_bound: int):

@@ -144,26 +144,30 @@ class FiniteRing:
         """
         n, add, mul = self.size, self.add, self.mul
         gens = self.additive_generators()
-        # row s of a commutative table is its column s: x+s is add[s][x]
-        for s in gens:
-            bad = add[add[s]] != add[:, add[s]]  # [x, y]: (x+s)+y vs x+(s+y)
-            if bad.any():
-                x, y = np.argwhere(bad)[0]
-                raise DefinitionError(
-                    f"addition not associative: ({x}+{s})+{y} != {x}+({s}+{y})")
-        # add[u, v] is add.flat[u*n + v]; n*n <= RING_SIZE_CAP**2 < 2**31
-        for s in gens:
-            bad = mul[add[s]] != np.take(add, mul * n + mul[s])  # [x, a]: (x+s)a vs xa + sa
-            if bad.any():
-                x, a = np.argwhere(bad)[0]
-                raise DefinitionError(
-                    f"distributivity fails: {a}*({x}+{s}) != {a}*{x}+{a}*{s}")
-        for s in gens:
-            bad = mul[mul[s]] != mul[:, mul[s]]  # [x, y]: (x*s)*y vs x*(s*y)
-            if bad.any():
-                x, y = np.argwhere(bad)[0]
-                raise DefinitionError(
-                    f"multiplication not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
+        # three n x n buffers serve all 3|S| rounds.  Every entry is below n
+        # (_structural_check), so take's mode="clip" clamps nothing and fills
+        # its buffer ("raise" copies it).  Row s of a commutative table is
+        # its column s: x+s is add[s][x]; add[u, v] is add.flat[u*n + v],
+        # n*n <= RING_SIZE_CAP**2 < 2**31, read by indexing (no intp copy)
+        lhs, rhs = np.empty((2, n, n), dtype=np.int32)
+        bad = np.empty((n, n), dtype=bool)
+        steps = [  # (message, [x, y] of the left side, of the right side)
+            ("addition not associative: ({x}+{s})+{y} != {x}+({s}+{y})",
+             lambda s: add.take(add[s], axis=0, out=lhs, mode="clip"),
+             lambda s: add.take(add[s], axis=1, out=rhs, mode="clip")),
+            ("distributivity fails: {y}*({x}+{s}) != {y}*{x}+{y}*{s}",
+             lambda s: mul.take(add[s], axis=0, out=lhs, mode="clip"),
+             lambda s: add.ravel()[np.add(np.multiply(mul, n, out=rhs), mul[s], out=rhs)]),
+            ("multiplication not associative: ({x}*{s})*{y} != {x}*({s}*{y})",
+             lambda s: mul.take(mul[s], axis=0, out=lhs, mode="clip"),
+             lambda s: mul.take(mul[s], axis=1, out=rhs, mode="clip")),
+        ]
+        for message, left, right in steps:
+            for s in gens:
+                np.not_equal(left(s), right(s), out=bad)
+                if bad.any():
+                    x, y = np.argwhere(bad)[0]
+                    raise DefinitionError(message.format(x=x, y=y, s=s))
 
     # -- pointwise helpers ---------------------------------------------
 
@@ -294,8 +298,10 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
 def prod_encode(sizes: Sequence[int], comps):
     """Index of the element with components comps, one per factor.
 
-    The components are ints (giving an int) or equal-shape index arrays
-    (giving an array); a (k, n) array gives n indices, also when k == 0.
+    The components are ints (giving an int) or broadcastable index arrays,
+    such as the open mesh np.ix_ of the factors' ranges (giving an array
+    of their broadcast shape); a (k, n) array gives n indices, also when
+    k == 0.
     """
     out = np.zeros(comps.shape[1:], dtype=np.int64) if isinstance(comps, np.ndarray) else 0
     for s, c in zip(sizes, comps):
@@ -342,9 +348,11 @@ def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
     """The first (a, b) in row-major order with img[a o b] != img[a] o img[b],
     where src_op and dst_op are the tables of o on the map's source and
     target; None when the map img preserves o."""
-    # dst_op[u, v] is dst_op.flat[u*n + v]; n*n <= RING_SIZE_CAP**2 < 2**31
+    # dst_op[u, v] is dst_op.flat[u*n + v]; n*n <= RING_SIZE_CAP**2 < 2**31.
+    # Indexing reads the int32 indices as they are (np.take would copy them
+    # to intp), and an image entry past the target raises IndexError
     n = dst_op.shape[0]
-    bad = img[src_op] != np.take(dst_op, img[:, None] * n + img)
+    bad = img[src_op] != dst_op.ravel()[img[:, None] * n + img]
     if not bad.any():
         return None
     a, b = np.argwhere(bad)[0]

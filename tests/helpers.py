@@ -1,6 +1,7 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
-fixtures, the row-by-row ring-axiom reference, the every-element action
-references, the transversal-loop orbit reference, the point-by-point
+fixtures, the row-by-row ring-axiom reference, the unbuffered ring-axiom
+and ring-map checks, the every-element action references, the
+transversal-loop orbit reference, the point-by-point
 dependent product reference and the points of a diagram read from its
 maps, the scalar and unfused references of maps along G-set maps and of
 the two sides of the exponential formula, the binary product references,
@@ -116,6 +117,44 @@ def reference_validate(ring):
             raise DefinitionError(f"multiplication not associative at {a}")
         if not np.array_equal(mul[a][add], add[mul[a][:, None], mul[a][None, :]]):
             raise DefinitionError(f"distributivity fails at {a}")
+
+
+def unbuffered_validate(ring):
+    """FiniteRing.validate with a fresh array for every gather, the
+    reference of its fixed buffers: the same proof from the additive
+    generators, the same messages."""
+    n, add, mul = ring.size, ring.add, ring.mul
+    gens = ring.additive_generators()
+    for s in gens:
+        bad = add[add[s]] != add[:, add[s]]  # [x, y]: (x+s)+y vs x+(s+y)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise DefinitionError(
+                f"addition not associative: ({x}+{s})+{y} != {x}+({s}+{y})")
+    for s in gens:
+        bad = mul[add[s]] != np.take(add, mul * n + mul[s])  # [x, a]: (x+s)a vs xa + sa
+        if bad.any():
+            x, a = np.argwhere(bad)[0]
+            raise DefinitionError(
+                f"distributivity fails: {a}*({x}+{s}) != {a}*{x}+{a}*{s}")
+    for s in gens:
+        bad = mul[mul[s]] != mul[:, mul[s]]  # [x, y]: (x*s)*y vs x*(s*y)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise DefinitionError(
+                f"multiplication not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
+
+
+def unbuffered_op_failure(img, src_op, dst_op):
+    """rings.op_failure gathering through np.take, the reference of its
+    indexing: the first (a, b) in row-major order with
+    img[a o b] != img[a] o img[b], or None."""
+    n = dst_op.shape[0]
+    bad = img[src_op] != np.take(dst_op, img[:, None] * n + img)
+    if not bad.any():
+        return None
+    a, b = np.argwhere(bad)[0]
+    return int(a), int(b)
 
 
 def reference_gset_validate(G, action):
@@ -313,6 +352,28 @@ def reference_exponential_paths(T, diag):
     restricted = reference_apply_batch(eval_along(T, diag.evaluation, "res"), arr)
     normed = reference_apply_batch(eval_along(T, diag.corner_projection, "nm"), restricted)
     return arr, path1, reference_apply_batch(eval_along(T, diag.projection, "tr"), normed)
+
+
+def mesh_rows(shape, comps):
+    """Arrays broadcastable to shape, one per component, as one row per
+    element of the mesh in C order and one column per component."""
+    size = int(np.prod(shape))
+    return np.array([np.broadcast_to(c, shape).reshape(size) for c in comps],
+                    dtype=np.int64).reshape(len(comps), size).T
+
+
+def reference_exponential_failure(T, diag, desc, K, H):
+    """The description check_axioms gives a failing exponential diagram,
+    built from the first differing row of reference_exponential_paths;
+    None when the two sides agree everywhere."""
+    arr, path1, path2 = reference_exponential_paths(T, diag)
+    rows = np.flatnonzero((path1 != path2).any(axis=1))
+    if not rows.size:
+        return None
+    r = rows[0]
+    return (f"exponential formula fails for {desc} over {K.elements}<={H.elements} "
+            f"at element {tuple(arr[r].tolist())}: {tuple(path1[r].tolist())} vs "
+            f"{tuple(path2[r].tolist())}")
 
 
 def reference_product(T1, T2, label=None):

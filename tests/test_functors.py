@@ -1,3 +1,7 @@
+import importlib
+import os
+import random
+
 import numpy as np
 import pytest
 
@@ -33,6 +37,7 @@ from tambara.errors import (
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups
 from tambara.gsets import GSetMap, coset_gset, dependent_product, disjoint_union
 from tambara.functors import (
+    MAX_FAILURES_PER_FAMILY,
     TambaraMorphism,
     _coset_projection,
     _exponential_family,
@@ -53,6 +58,8 @@ from tambara.functors import (
 )
 from tambara.rings import idempotents, trivial_gring
 from tambara._burnside import burnside_mod
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
 
 # -- fixed-point functors ---------------------------------------------------
@@ -415,8 +422,9 @@ for _name, _T in [*corpus.TAMBARA_CORPUS.items(),
 
 @pytest.mark.parametrize("group", sorted(PATH_FUNCTORS))
 def test_exponential_paths_match_unfused_reference(group):
-    # the fused restriction and the first-step gather change no entry of
-    # either side, on passing functors and on broken ones alike
+    # the mesh, the fused restriction, the grouping by source component and
+    # the first-step gather change no value of either side, on passing
+    # functors and on broken ones alike
     assert PATH_FUNCTORS[group]
     for name, T in PATH_FUNCTORS[group]:
         G = T.group
@@ -430,10 +438,59 @@ def test_exponential_paths_match_unfused_reference(group):
                     diag = dependent_product(f, GSetMap(A, f.source, p))
                 except SizeLimitExceeded:
                     continue
-                got = _exponential_paths(T, nm_f, diag)
-                want = reference_exponential_paths(T, diag)
+                shape, *got = _exponential_paths(T, nm_f, diag)
+                arr, *want = reference_exponential_paths(T, diag)
+                assert shape == tuple(evaluate_gset(T, A).sizes)
+                assert arr.shape == (int(np.prod(shape)), len(shape))
                 for g, w in zip(got, want):
-                    assert np.array_equal(g, w), (name, K.elements, H.elements, desc)
+                    for c in g:
+                        assert c.dtype == np.int32 and np.broadcast_shapes(c.shape, shape) == shape
+                    assert np.array_equal(helpers.mesh_rows(shape, g), w), \
+                        (name, K.elements, H.elements, desc)
+
+
+def _perfbench_broken_functors():
+    """The benchmark's broken definition inputs whose check fails the
+    exponential family, built by its own recipes (labels of seed 1)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        wl = importlib.import_module("workloads")
+    out = []
+    for workload, gname, build, recipe in [
+            ("burnside", "C2", lambda G, P: burnside_mod(G, 4), "mackey_norm"),
+            ("lattice", "D4", lambda G, P: wl.assembly(G, P, [([(1, 2, 3, 0)], "F3")]),
+             "mackey_additive"),
+            ("tables", "V4", lambda G, P: wl.assembly(G, P, dict(wl.TABLES_INPUTS)["V4"]),
+             "mackey_additive")]:
+        P = wl.Presented(gname, random.Random(f"{workload}:1"))
+        out.append((f"{workload}: {recipe} of {gname}", wl.mutate(build(wl.group_of(P), P), recipe)))
+    return out
+
+
+# every mutation fixture and broken benchmark input whose check fails the
+# exponential family
+EXPONENTIAL_FAILING = [(desc, T) for desc, T, _ in helpers.mutation_fixtures()
+                       if any(f.family == "exponential" for f in check_axioms(T).failures)]
+EXPONENTIAL_FAILING += _perfbench_broken_functors()
+
+
+@pytest.mark.parametrize("name, T", EXPONENTIAL_FAILING, ids=[d for d, _ in EXPONENTIAL_FAILING])
+def test_exponential_failure_located_as_reference(name, T):
+    # the mesh finds the first failing element in C order, the row order of
+    # the reference, and names it and both values alike
+    want = []
+    G = T.group
+    for K, H in G.subgroup_pairs:
+        if K == H:
+            continue
+        f = _coset_projection(G, K, H)
+        for A, p, desc in _exponential_family(G, K, 2):
+            diag = dependent_product(f, GSetMap(A, f.source, p))
+            failure = helpers.reference_exponential_failure(T, diag, desc, K, H)
+            if failure is not None:
+                want.append(failure)
+    got = [f.description for f in check_axioms(T).failures if f.family == "exponential"]
+    assert got and got == want[:MAX_FAILURES_PER_FAMILY]
 
 
 def test_eval_along_shares_one_table_per_orbit_type():

@@ -5,7 +5,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import corpus
 import helpers
@@ -29,6 +29,7 @@ from tambara.rings import (
     GRing,
     coinduce_gring,
     gring_isomorphism,
+    prod_components,
     trivial_gring,
 )
 
@@ -415,3 +416,21 @@ def test_apply_batch_matches_apply(inputs):
     assert out.shape == (len(rows), len(m.target.sizes))
     assert [tuple(r) for r in out.tolist()] == [helpers.reference_apply(m, tuple(r))
                                                 for r in rows.tolist()]
+
+
+@given(apply_batch_inputs())
+@settings(max_examples=60, deadline=None)
+def test_fold_on_mesh_matches_apply(inputs):
+    # the open mesh of the whole source, broadcast to one row per element
+    # in C order, gives what the scalar reference gives on every element
+    name, kind, f, _ = inputs
+    m = eval_along(corpus.TAMBARA_CORPUS[name], f, kind)
+    shape = tuple(m.source.sizes)
+    assume(np.prod(shape) <= 4096)
+    out = m.fold(np.ix_(*(np.arange(n) for n in shape)))
+    assert len(out) == len(m.target.sizes)
+    for c in out:
+        assert c.dtype == np.int32 and np.broadcast_shapes(c.shape, shape) == shape
+    elements = prod_components(shape).T.tolist()
+    assert [tuple(r) for r in helpers.mesh_rows(shape, out).tolist()] == \
+        [helpers.reference_apply(m, tuple(x)) for x in elements]

@@ -112,10 +112,10 @@ PERTURBED_RINGS = [Z4, Z6, zn(9), F4, fq(8), F9, product_ring([F2] * 3),
 
 
 @st.composite
-def perturbed_tables(draw):
-    """Tables of a ring in PERTURBED_RINGS with one or two symmetric
-    entries of add or mul changed, away from the 0 and 1 rows."""
-    R = draw(st.sampled_from(PERTURBED_RINGS))
+def perturbed_tables(draw, rings=PERTURBED_RINGS):
+    """Tables of a ring in rings with one or two symmetric entries of add
+    or mul changed, away from the 0 and 1 rows."""
+    R = draw(st.sampled_from(rings))
     tables = {"add": R.add.copy(), "mul": R.mul.copy()}
     free = [x for x in range(R.size) if x not in (R.zero, R.one)]
     for _ in range(draw(st.integers(1, 2))):
@@ -175,6 +175,51 @@ def test_validate_failure_families(R, family):
         helpers.reference_validate(R)
     with pytest.raises(DefinitionError, match=family):
         R.validate()
+    assert _outcome(R.validate) == _outcome(helpers.unbuffered_validate, R)
+
+
+def _outcome(f, *args):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the level rings of the corpus with an element outside {0, 1}, and its
+# unital ring maps: every restriction between levels
+CORPUS_RINGS = list({id(R): R for T in corpus.TAMBARA_CORPUS.values()
+                     for R in T.levels.values() if R.size > 2}.values())
+CORPUS_RING_MAPS = [(T.res[(K, H)], T.levels[H], T.levels[K])
+                    for T in corpus.TAMBARA_CORPUS.values() for K, H in T.group.subgroup_pairs]
+
+
+@given(perturbed_tables(PERTURBED_RINGS + CORPUS_RINGS))
+@settings(max_examples=300, deadline=None)
+def test_buffered_validate_matches_unbuffered(case):
+    # the same verdict and message, broken associativity or
+    # distributivity included
+    try:
+        R = FiniteRing(*case)
+    except DefinitionError:
+        return
+    assert _outcome(R.validate) == _outcome(helpers.unbuffered_validate, R)
+
+
+@given(st.sampled_from(CORPUS_RING_MAPS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_op_failure_matches_unbuffered(ring_map, data):
+    # a ring map with one image entry changed, to -1, into the target or
+    # past it: the same first failing pair or the same IndexError, and an
+    # entry past the target always raises, never read as another entry
+    img, src, dst = ring_map
+    img = img.copy()
+    img[data.draw(st.integers(0, len(img) - 1))] = data.draw(st.integers(-1, dst.size + 1))
+    for s_op, d_op in ((src.add, dst.add), (src.mul, dst.mul)):
+        got = _outcome(op_failure, img, s_op, d_op)
+        assert got == _outcome(helpers.unbuffered_op_failure, img, s_op, d_op)
+        if img.max() >= dst.size:
+            assert got[0] is IndexError
 
 
 # the rings of these tests and the level rings of the functor corpus
