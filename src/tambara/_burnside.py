@@ -39,25 +39,10 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .errors import DefinitionError, SizeLimitExceeded, UnsupportedGroup
-from .groups import FiniteGroup, Subgroup, double_cosets, subgroups
+from .groups import FiniteGroup, Subgroup, conjugacy_classes, double_cosets, subgroups
 from .rings import FiniteRing, prod_components, prod_encode
 
 BURNSIDE_LEVEL_CAP = 4096
-
-
-def _h_classes(G: FiniteGroup, H: Subgroup) -> List[List[Subgroup]]:
-    """H-conjugacy classes of subgroups of H, ascending by order; each class
-    sorted with the minimal member first."""
-    seen = set()
-    classes = []
-    for A, top in G.subgroup_pairs:
-        if top != H or A.elements in seen:
-            continue
-        cls = sorted({A.conjugate(h).elements for h in H.elements})
-        seen.update(cls)
-        classes.append([G.subgroup(e) for e in cls])
-    classes.sort(key=lambda c: (c[0].order, c[0].elements))
-    return classes
 
 
 class _Level:
@@ -66,13 +51,12 @@ class _Level:
     def __init__(self, G: FiniteGroup, H: Subgroup) -> None:
         self.G = G
         self.H = H
-        self.classes = _h_classes(G, H)
+        # H-conjugacy classes of subgroups of H, in lattice order
+        self.classes = conjugacy_classes([A for A in subgroups(G) if A.is_subgroup_of(H)],
+                                         H.elements)
         self.reps = [c[0] for c in self.classes]
         self.nclasses = len(self.classes)
-        self.class_of = {}
-        for i, cls in enumerate(self.classes):
-            for A in cls:
-                self.class_of[A.elements] = i
+        self.class_of = {A: i for i, cls in enumerate(self.classes) for A in cls}
         # marks[a][l] = number of cosets hA (A = reps[a]) fixed by L = reps[l],
         # i.e. #{h in H : h^-1 L h <= A} / |A|
         self.marks = np.array(
@@ -82,20 +66,11 @@ class _Level:
     def to_marks(self, v: Sequence[int]) -> np.ndarray:
         return np.asarray(v, dtype=np.int64) @ self.marks
 
-    def from_marks(self, m: np.ndarray) -> np.ndarray:
-        """Solve u @ marks = m exactly (marks is triangular by class order).
-
-        Keeps the input dtype, so exact arbitrary-precision arithmetic works
-        by passing an object array.
-        """
-        m = np.array(m)
-        single = m.ndim == 1
-        u = np.stack(self.solve_marks(list(np.atleast_2d(m).T)), axis=-1)
-        return u[0] if single else u
-
     def solve_marks(self, cols: List[np.ndarray]) -> List[np.ndarray]:
-        """from_marks column by column: cols[l] holds the mark at class l of
-        every vector (any shape); returns the coefficient columns."""
+        """Solve u @ marks = m exactly, column by column (marks is triangular
+        by class order): cols[l] holds the mark at class l of every vector
+        (any shape); returns the coefficient columns.  Keeps the input
+        dtype, so object arrays give exact arbitrary-precision arithmetic."""
         u: List[np.ndarray] = [None] * self.nclasses
         for l in range(self.nclasses - 1, -1, -1):
             rest = cols[l]
@@ -114,20 +89,19 @@ class _Level:
 
 def _norm_marks(G: FiniteGroup, src: _Level, dst: _Level,
                 m_src: np.ndarray) -> np.ndarray:
-    """Marks of nm_K^H(x) from the marks of x; works on batches.
+    """Marks of nm_K^H(x) from the marks of x, for a batch: row i of m_src
+    holds the marks of one x.
 
     Accumulates in Python ints: the product over double cosets can exceed
     int64 already at order 12.
     """
     K, H = src.H, dst.H
-    single = m_src.ndim == 1
-    m = (m_src[None, :] if single else m_src).astype(object)
+    m = m_src.astype(object)
     out = np.ones((m.shape[0], dst.nclasses), dtype=object)
     for l, L in enumerate(dst.reps):
         for g, _ in double_cosets(G, K, L, within=H):
-            inter = K.intersect(L.conjugate(g))
-            out[:, l] *= m[:, src.class_of[inter.elements]]
-    return out[0] if single else out
+            out[:, l] *= m[:, src.class_of[K.intersect(L.conjugate(g))]]
+    return out
 
 
 def _vector_to_index(radix: List[int], rep_index: np.ndarray, vec: Sequence[int]) -> int:
@@ -181,11 +155,11 @@ def burnside_mod(G: FiniteGroup, N: int):
         for a, A in enumerate(lh.reps):
             for g, _ in double_cosets(G, K, A, within=H):
                 inter = K.intersect(A.conjugate(g))
-                R[a, lk.class_of[inter.elements]] += 1
+                R[a, lk.class_of[inter]] += 1
         res_code[(K, H)] = encode(K, (vectors[H] @ R).T)
         Tm = np.zeros((lk.nclasses, lh.nclasses), dtype=np.int64)
         for b, B in enumerate(lk.reps):
-            Tm[b, lh.class_of[B.elements]] += 1
+            Tm[b, lh.class_of[B]] += 1
         tr_code[(K, H)] = encode(H, (vectors[K] @ Tm).T)
     conj_code: Dict[tuple, np.ndarray] = {}
     for g in G.elements():
@@ -193,7 +167,7 @@ def burnside_mod(G: FiniteGroup, N: int):
             lh, lhg = levels[H], levels[H.conjugate(g)]
             C = np.zeros((lh.nclasses, lhg.nclasses), dtype=np.int64)
             for a, A in enumerate(lh.reps):
-                C[a, lhg.class_of[A.conjugate(g).elements]] += 1
+                C[a, lhg.class_of[A.conjugate(g)]] += 1
             conj_code[(g, H)] = encode(H.conjugate(g), (vectors[H] @ C).T)
 
     # norms of the lifts in [0, 2N)^k of level-K vectors, by base-2N code:
@@ -283,7 +257,7 @@ def burnside_mod(G: FiniteGroup, N: int):
             prods = lv.solve_marks([m[blk, None] * m for m in mcols])
             mul_t[blk] = rep_index[H][encode(H, prods)]
         one_vec = np.zeros(k, dtype=np.int64)
-        one_vec[lv.class_of[H.elements]] = 1
+        one_vec[lv.class_of[H]] = 1
         ring = FiniteRing(add_t, mul_t, rep_index[H][0], rep_index[H][encode(H, one_vec)],
                           label=f"A({H.elements})/{N}")
         ring.basis_classes = [A.elements for A in lv.reps]

@@ -50,12 +50,10 @@ def cmd_decompose(args) -> int:
     G = T.group
     if args.lam and args.lam != "all":
         H = serialize.resolve_subgroup(G, args.lam)
-        C, proj = clarify(T, upward_closure(G, H))
-        sizes = [C.levels[K].size for K in subgroups(G)]
+        result, witness = clarify(T, upward_closure(G, H))
+        sizes = [result.levels[K].size for K in subgroups(G)]
         print(f"clarification at Lambda_{args.lam}: level sizes {sizes}")
-        doc = serialize.functor_doc(C)
-        doc["witness"] = {serialize.subgroup_id(G, K): proj.maps[K]
-                          for K in subgroups(G)}
+        extra = {}
         out = args.out or _default_out(args.path, f"clarified.{args.lam}")
     else:
         dec = full_decomposition(T)
@@ -63,11 +61,12 @@ def cmd_decompose(args) -> int:
             sizes = [ell.levels[K].size for K in subgroups(ell.group)]
             print(f"factor: H={serialize.subgroup_id(G, H)} "
                   f"(order {H.order}), level sizes {sizes}")
-        doc = serialize.functor_doc(dec.reassembled)
-        doc["witness"] = {serialize.subgroup_id(G, K): dec.witness.maps[K]
-                          for K in subgroups(G)}
-        doc["factors"] = [serialize.subgroup_id(G, H) for H, _ in dec.factors]
+        result, witness = dec.reassembled, dec.witness
+        extra = {"factors": [serialize.subgroup_id(G, H) for H, _ in dec.factors]}
         out = args.out or _default_out(args.path, "decomposed")
+    doc = serialize.functor_doc(result)
+    doc["witness"] = {serialize.subgroup_id(G, K): witness.maps[K] for K in subgroups(G)}
+    doc.update(extra)
     serialize.dump_document(doc, out)
     print(f"wrote {out}")
     return 0

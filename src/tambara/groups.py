@@ -4,6 +4,10 @@ Groups are plain multiplication tables: element 0 is always the identity.
 The subgroup lattice, conjugacy classes of subgroups and double cosets are
 computed eagerly by brute force and cached; orders above GROUP_ORDER_CAP
 (24) are refused before any of that, so nothing clever is needed.
+
+Every subgroup question is answered by element mask, the sum of 2**g over
+the elements: the one index maps masks to positions in subgroups(G)
+(README, "Subgroups by element mask").
 """
 
 from __future__ import annotations
@@ -224,22 +228,27 @@ class FiniteGroup:
         return tuple(_compute_subgroups(self))
 
     @cached_property
-    def _subgroup_index(self) -> dict:
-        return {s.elements: i for i, s in enumerate(self._subgroups)}
+    def _positions(self) -> Dict[int, int]:  # the one subgroup index
+        return {s.mask: i for i, s in enumerate(self._subgroups)}
+
+    def lattice_position(self, mask: int) -> int:
+        """The position in subgroups(G) of the subgroup whose elements g
+        sum 2**g to mask; a mask of no subgroup raises DefinitionError."""
+        i = self._positions.get(mask)
+        if i is None:
+            key = tuple(g for g in range(int(mask).bit_length()) if mask >> g & 1)
+            raise DefinitionError(f"{key} is not a subgroup of {self.name}")
+        return i
+
+    def _with_mask(self, mask: int) -> "Subgroup":
+        return self._subgroups[self.lattice_position(mask)]
 
     def subgroup(self, elements: Iterable[int]) -> "Subgroup":
         """The subgroup with exactly these elements (must be closed)."""
         key = tuple(sorted(set(int(x) for x in elements)))
-        idx = self._subgroup_index.get(key)
-        if idx is None:
+        if key and (key[0] < 0 or key[-1] >= self.order):
             raise DefinitionError(f"{key} is not a subgroup of {self.name}")
-        return self._subgroups[idx]
-
-    @cached_property
-    def _subgroup_by_mask(self) -> Dict[int, "Subgroup"]:
-        """Each subgroup keyed by the sum of 2**g over its elements; an
-        int64 holds every mask, as GROUP_ORDER_CAP < 63."""
-        return {sum(1 << g for g in s.elements): s for s in self._subgroups}
+        return self._with_mask(sum(1 << g for g in key))
 
     @cached_property
     def subgroup_pairs(self) -> Tuple[Tuple["Subgroup", "Subgroup"], ...]:
@@ -259,21 +268,12 @@ class FiniteGroup:
     def subgroup_conjugacy_classes(self) -> Tuple[Tuple["Subgroup", ...], ...]:
         """Conjugacy classes of subgroups; each class sorted, classes sorted
         by their minimal member. The class representative is the minimum."""
-        seen = set()
-        classes = []
-        for s in self._subgroups:
-            if s.elements in seen:
-                continue
-            cls = sorted({s.conjugate(g) for g in self.elements()}, key=lambda t: t.elements)
-            seen.update(t.elements for t in cls)
-            classes.append(tuple(cls))
-        return tuple(classes)
+        return tuple(map(tuple, conjugacy_classes(self._subgroups, self.elements())))
 
     def conjugacy_class_rep(self, s: "Subgroup") -> "Subgroup":
-        for cls in self.subgroup_conjugacy_classes:
-            if any(t.elements == s.elements for t in cls):
-                return cls[0]
-        raise DefinitionError("subgroup not of this group")
+        if s.mask not in self._positions:
+            raise DefinitionError("subgroup not of this group")
+        return min(self._with_mask(s.mask)._conjugates, key=lambda c: c.elements)
 
 
 @dataclass(frozen=True)
@@ -303,16 +303,17 @@ class Subgroup:
     def _hash(self) -> int:
         return hash((self.parent, self.elements))
 
+    @cached_property
+    def mask(self) -> int:
+        """The sum of 2**g over the elements."""
+        return sum(1 << g for g in self.elements)
+
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, a: int) -> bool:
-        return a in self._element_set
-
-    @cached_property
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
+        return a >= 0 and self.mask >> a & 1 == 1
 
     def __repr__(self) -> str:
         return f"Subgroup{self.elements}"
@@ -324,13 +325,14 @@ class Subgroup:
     @cached_property
     def _conjugates(self) -> Tuple["Subgroup", ...]:
         G = self.parent
-        return tuple(G.subgroup(G.conj(g, a) for a in self.elements) for g in G.elements())
+        return tuple(G._with_mask(sum(1 << G.conj(g, a) for a in self.elements))
+                     for g in G.elements())
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
-        return self._element_set <= other._element_set
+        return self.mask & other.mask == self.mask
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
-        return self.parent.subgroup(self._element_set & other._element_set)
+        return self.parent._with_mask(self.mask & other.mask)
 
     def left_cosets(self) -> Tuple[Tuple[int, ...], ...]:
         """Left cosets gH, each sorted, ordered by minimal element; the
@@ -403,17 +405,20 @@ class UpwardClosedSet:
     members: Tuple[Subgroup, ...]
 
     def __post_init__(self):
-        have = {s.elements for s in self.members}
+        have = self._masks
         for s in self.members:
-            for g in self.parent.elements():
-                if s.conjugate(g).elements not in have:
-                    raise DefinitionError("set not closed under conjugation")
-            for t in subgroups(self.parent):
-                if is_subconjugate(self.parent, s, t) and t.elements not in have:
-                    raise DefinitionError("set not upward closed")
+            if any(t.mask not in have for t in s._conjugates):
+                raise DefinitionError("set not closed under conjugation")
+            if any(t.mask not in have and is_subconjugate(self.parent, s, t)
+                   for t in subgroups(self.parent)):
+                raise DefinitionError("set not upward closed")
+
+    @cached_property
+    def _masks(self) -> frozenset:
+        return frozenset(s.mask for s in self.members)
 
     def __contains__(self, s: Subgroup) -> bool:
-        return any(t.elements == s.elements for t in self.members)
+        return s.mask in self._masks
 
 
 def _closure(G: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
@@ -442,11 +447,8 @@ def _compute_subgroups(G: FiniteGroup) -> List[Subgroup]:
     while frontier:
         nxt = []
         for s in frontier:
-            inside = set(s)
-            for g in G.elements():
-                if g in inside:
-                    continue
-                t = _closure(G, list(s) + [g])
+            for g in set(G.elements()).difference(s):
+                t = _closure(G, s + (g,))
                 if t not in found:
                     found.add(t)
                     nxt.append(t)
@@ -485,8 +487,7 @@ def double_cosets(G: FiniteGroup, K: Subgroup, H: Subgroup,
 
 def is_subconjugate(G: FiniteGroup, K: Subgroup, H: Subgroup) -> bool:
     """True iff some conjugate gKg^-1 is contained in H."""
-    target = H._element_set
-    return any(K.conjugate(g)._element_set <= target for g in G.elements())
+    return any(c.is_subgroup_of(H) for c in K._conjugates)
 
 
 def upward_closure(G: FiniteGroup, H: Subgroup) -> UpwardClosedSet:
@@ -496,8 +497,18 @@ def upward_closure(G: FiniteGroup, H: Subgroup) -> UpwardClosedSet:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    els = [g for g in G.elements() if H.conjugate(g).elements == H.elements]
-    return G.subgroup(els)
+    return G._with_mask(sum(1 << g for g, c in enumerate(H._conjugates) if c.mask == H.mask))
+
+
+def conjugacy_classes(subs: Iterable[Subgroup], by: Sequence[int]) -> List[List[Subgroup]]:
+    """The subgroups subs, given in lattice order and closed under
+    conjugation by the group of elements `by`, in their classes under it:
+    each class in lattice order, the classes by their first member."""
+    classes: Dict[Subgroup, List[Subgroup]] = {}
+    for s in subs:
+        rep = next((c for c in map(s.conjugate, by) if c in classes), s)
+        classes.setdefault(rep, []).append(s)
+    return list(classes.values())
 
 
 def weyl_group(G: FiniteGroup, H: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DefinitionError, SizeLimitExceeded
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, subgroups
 
 SECTION_CAP = 4096
 
@@ -51,7 +51,7 @@ class GSet:
         return int(self.action[g, x])
 
     def stabilizer(self, x: int) -> Subgroup:
-        return self.group.subgroup(np.flatnonzero(self.action[:, x] == x).tolist())
+        return _stabilizers(self, [x])[0]
 
     @property
     def orbit_of(self) -> Tuple[int, ...]:
@@ -178,14 +178,17 @@ def orbit_decomposition(X: GSet) -> Tuple[Orbit, ...]:
                 carrier[y] = g
                 pts.append(y)
         found.append((tuple(sorted(pts)), x))
-    # every base's stabilizer from one gather, as its mask sum of 2**g
-    bases = [x for _, x in found]
-    masks = (X.action[:, bases] == bases).T @ (1 << np.arange(X.group.order, dtype=np.int64))
-    by_mask = X.group._subgroup_by_mask
     X._orbit_of, X._carrier = tuple(orbit_of), tuple(carrier)
-    X._orbits = tuple(Orbit(points=pts, base=x, stabilizer=by_mask[m])
-                      for (pts, x), m in zip(found, masks.tolist()))
+    X._orbits = tuple(Orbit(points=pts, base=x, stabilizer=stab)
+                      for (pts, x), stab in zip(found, _stabilizers(X, [x for _, x in found])))
     return X._orbits
+
+
+def _stabilizers(X: GSet, points: List[int]) -> List[Subgroup]:
+    """The stabilizers of the points from one gather, each read by its mask."""
+    G, subs = X.group, subgroups(X.group)
+    masks = (X.action[:, points] == points).T @ (1 << np.arange(G.order, dtype=np.int64))
+    return [subs[G.lattice_position(m)] for m in masks.tolist()]
 
 
 def orbit_coset_iso(X: GSet, orbit: Orbit) -> GSetMap:
@@ -329,8 +332,7 @@ def gset_isomorphism(X: GSet, Y: GSet) -> Optional[GSetMap]:
             if used[j] or len(yo.points) != len(xo.points):
                 continue
             u = next((g for g in G.elements()
-                      if yo.stabilizer.conjugate(g).elements == xo.stabilizer.elements),
-                     None)
+                      if yo.stabilizer.conjugate(g) is xo.stabilizer), None)
             if u is not None:
                 match = (j, yo, u)
                 break

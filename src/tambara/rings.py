@@ -71,6 +71,9 @@ class FiniteRing:
 
     def _structural_check(self) -> None:
         n = self.size
+        for unit, x in (("zero", self.zero), ("one", self.one)):
+            if not 0 <= x < n:
+                raise DefinitionError(f"{unit} {x} is not an element of 0..{n - 1}")
         for t in (self.add, self.mul):
             if t.min() < 0 or t.max() >= n:
                 raise DefinitionError("table entries out of range")

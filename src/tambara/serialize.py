@@ -21,7 +21,7 @@ import base64
 import itertools
 import json
 import os
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,9 +47,10 @@ def parse_group(block: dict) -> FiniteGroup:
         raise DefinitionError("group block must be an object")
     name = block.get("name", "G")
     if "table" in block:
-        return FiniteGroup(block["table"], name=name)
+        return FiniteGroup(_ints(block["table"], "group table"), name=name)
     if "permutations" in block:
-        return FiniteGroup.from_permutations(block["permutations"], name=name)
+        return FiniteGroup.from_permutations(
+            [_ints(p, "permutation") for p in block["permutations"]], name=name)
     raise DefinitionError("group block needs 'table' or 'permutations'")
 
 
@@ -60,10 +61,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 def subgroup_id(G: FiniteGroup, H: Subgroup) -> str:
     """H<i>, with i the position of H's elements in subgroups(G); elements
     that do not form a subgroup of G raise DefinitionError."""
-    idx = G._subgroup_index.get(H.elements)
-    if idx is None:  # unsorted, or not a subgroup
-        idx = G._subgroup_index[G.subgroup(H.elements).elements]
-    return f"H{idx}"
+    return f"H{G.lattice_position(H.mask)}"
 
 
 def resolve_subgroup(G: FiniteGroup, ident: str) -> Subgroup:
@@ -118,25 +116,26 @@ def parse_ring(block: dict) -> FiniteRing:
     if kind == "zero":
         return zero_ring()
     if kind == "Zn":
-        return zn(int(block["n"]))
+        return zn(_int(block["n"], "n"))
     if kind == "Fq":
-        return fq(int(block["q"]))
+        return fq(_int(block["q"], "q"))
     if kind == "product":
         return product_ring([parse_ring(b) for b in block["factors"]])
     if kind == "tables":
         R = FiniteRing(_ring_table(block, "add"), _ring_table(block, "mul"),
-                       int(block["zero"]), int(block["one"]), label=block.get("label", "R"))
+                       _int(block["zero"], "zero"), _int(block["one"], "one"),
+                       label=block.get("label", "R"))
         R.validate()
         return R
     raise DefinitionError(f"unknown ring kind {kind!r}")
 
 
 def _ring_table(block: dict, name: str):
-    """The ring block's add or mul table: nested lists as given, or its
-    packed form decoded once its dtype, shape and length are checked."""
+    """The ring block's add or mul table, from nested lists or from its
+    packed form, decoded once its dtype, shape and length are checked."""
     t = block[name]
     if not isinstance(t, dict):
-        return t
+        return _ints(t, f"{name} table")
     shape = t.get("shape")
     if t.get("dtype") != PACK_DTYPE:
         raise DefinitionError(f"packed {name} table needs dtype {PACK_DTYPE!r}")
@@ -153,7 +152,28 @@ def _ring_table(block: dict, name: str):
         raise DefinitionError(f"packed {name} table: bad base64: {exc}")
     if len(raw) != 2 * n * n:
         raise DefinitionError(f"packed {name} table has {len(raw)} bytes, not 2n^2 = {2 * n * n}")
-    return np.frombuffer(raw, PACK_DTYPE).reshape(n, n)
+    return _ints(np.frombuffer(raw, PACK_DTYPE).reshape(n, n), f"{name} table")
+
+
+def _ints(x, what: str) -> np.ndarray:
+    """x, an integer, nested lists of them or a decoded packed table, as
+    an int32 array: the one reader of a file's integers.  A float, a
+    string or null, a table of booleans only, or an entry outside int32
+    raises DefinitionError (numpy reads a boolean among integers as 0 or
+    1)."""
+    a = np.asarray(x)
+    if a.size and (a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int32)
+                   and (a.min() < -2 ** 31 or a.max() >= 2 ** 31)):
+        raise DefinitionError(f"{what}: expected integers in int32 range")
+    return a.astype(np.int32, copy=False)
+
+
+def _int(x, what: str) -> int:
+    """An integer field (zero, one, n, q, mod), read by `_ints`."""
+    a = _ints(x, what)
+    if a.ndim:
+        raise DefinitionError(f"{what} must be an integer")
+    return int(a)
 
 
 def ring_to_json(R: FiniteRing) -> dict:
@@ -186,7 +206,7 @@ def parse_gring(block: dict, G: FiniteGroup) -> GRing:
     action = block.get("action")
     if action is None:
         raise DefinitionError("gring block needs an 'action' table")
-    return GRing(ring, G, action)
+    return GRing(ring, G, _ints(action, "action table"))
 
 
 # -- functors ---------------------------------------------------------------
@@ -247,7 +267,7 @@ def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraD
         return fixed_point_functor(parse_gring(body["fp"], G),
                                    label=body.get("label", label))
     if "burnside" in body:
-        return burnside_mod(G, int(body["burnside"]["mod"]))
+        return burnside_mod(G, _int(body["burnside"]["mod"], "mod"))
     if "coind" in body:
         from .functors import coinduce
 
@@ -261,22 +281,37 @@ def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraD
 
 
 def _parse_explicit(block: dict, G: FiniteGroup, label: str) -> TambaraData:
-    green_only = bool(block.get("green_only", False))
+    green_only = block.get("green_only", False)
+    if not isinstance(green_only, bool):
+        raise DefinitionError("green_only must be true or false")
     levels = {}
     for H in subgroups(G):
         key = subgroup_id(G, H)
         if key not in block.get("levels", {}):
             raise DefinitionError(f"missing level {key}")
         levels[H] = parse_ring(block["levels"][key])
-
-    def table(name, key, src, dst):
+    tables = []
+    for name, key, _, _ in structure_maps(G, not green_only):
         ident = _table_key(G, name, key)
         found = block.get(name, {}).get(ident)
         if found is None:
             raise DefinitionError(f"missing {name} table {ident}")
-        return found
+        tables.append((f"{name} table {ident}", found))
+    arrays = iter(_int_tables(tables))
+    return TambaraData.build(G, levels, lambda *_: next(arrays), not green_only, label)
 
-    return TambaraData.build(G, levels, table, not green_only, label)
+
+def _int_tables(tables: List[Tuple[str, object]]) -> List[np.ndarray]:
+    """Each x of the (what, x) as an int32 array, all cut from one array
+    of their entries that `_ints` reads: a functor's many small maps cost
+    one conversion, not one each.  When that array fails, `_ints` reads
+    them one by one, to name the first bad one."""
+    try:
+        flat = _ints(list(itertools.chain.from_iterable(x for _, x in tables)), "")
+        ends = np.cumsum([len(x) for _, x in tables]).tolist()
+    except (DefinitionError, TypeError, ValueError):
+        return [_ints(x, what) for what, x in tables]
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def load_document(path: str, over: Optional[str] = None

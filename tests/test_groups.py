@@ -240,10 +240,9 @@ def test_as_group_roundtrip():
 
 @pytest.mark.parametrize("G", LATTICE_GROUPS, ids=lambda g: g.name)
 def test_subgroup_masks_name_their_subgroups(G):
-    by_mask = G._subgroup_by_mask
-    assert len(by_mask) == len(subgroups(G))
-    for S in subgroups(G):
-        assert by_mask[sum(2 ** g for g in S.elements)] is S
+    for i, S in enumerate(subgroups(G)):
+        assert S.mask == sum(2 ** g for g in S.elements)
+        assert G.lattice_position(S.mask) == i
 
 
 def test_group_order_cap_keeps_masks_in_int64():

@@ -502,3 +502,65 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, buffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _constant_doc(ring, edit):
+    """The constant functor of ring over C2 as a document, edited in place."""
+    doc = serialize.functor_to_json(constant_functor(ring, C2))
+    edit(doc)
+    return doc
+
+
+def _on_levels(key, value):
+    def edit(doc):
+        for block in doc["functor"]["levels"].values():
+            block[key] = value
+    return edit
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for k in head:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+# files whose bad entry a reader could take for a good one: a unit outside
+# the ring (numpy reads a negative index from the end of a table), a
+# non-integer entry that would truncate or parse, a green_only that bool()
+# would read as true
+BAD_ENTRIES = {
+    "one_minus_1": (F2, _on_levels("one", -1), "one -1 is not an element of 0..1"),
+    "zero_minus_3": (F3, _on_levels("zero", -3), "zero -3 is not an element of 0..2"),
+    "res_floats": (F2, _set(["functor", "res", "H0<H1"], [0.7, 1.2]),
+                   "res table H0<H1: expected integers"),
+    "res_strings": (F2, _set(["functor", "res", "H0<H1"], ["0", "1"]),
+                    "res table H0<H1: expected integers"),
+    "add_float": (F2, _set(["functor", "levels", "H0", "add", 1, 0], 1.9),
+                  "add table: expected integers"),
+    "group_float": (F2, _set(["group", "table", 0, 1], 1.0), "group table: expected integers"),
+    "green_only_text": (F2, _set(["functor", "green_only"], "false"),
+                        "green_only must be true or false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+def test_bad_entries_exit_1_before_any_check(tmp_path, capsys, case):
+    ring, edit, message = BAD_ENTRIES[case]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_constant_doc(ring, edit)))
+    assert main(["check", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and message in out
+    assert "axiom check" not in out
+
+
+@pytest.mark.parametrize("ring", [F2, F3], ids=lambda R: R.label)
+def test_unedited_constant_file_passes(tmp_path, capsys, ring):
+    # so each file above fails for its one bad entry
+    p = tmp_path / "good.json"
+    p.write_text(json.dumps(_constant_doc(ring, lambda doc: None)))
+    assert main(["check", str(p)]) == 0
+    assert "axiom check: PASS" in capsys.readouterr().out
