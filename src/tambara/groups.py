@@ -2,12 +2,13 @@
 
 Groups are plain multiplication tables: element 0 is always the identity.
 The subgroup lattice, conjugacy classes of subgroups and double cosets are
-computed eagerly by brute force and cached; orders above GROUP_ORDER_CAP
-(24) are refused before any of that, so nothing clever is needed.
+computed by brute force and cached; orders above GROUP_ORDER_CAP (24) are
+refused before any of that, so nothing clever is needed.
 
 Every subgroup question is answered by element mask, the sum of 2**g over
-the elements: the one index maps masks to positions in subgroups(G)
-(README, "Subgroups by element mask").
+the elements: the one index maps masks to positions in subgroups(G), and
+one closure of masks (`_generated`) builds the lattice, the generators and
+checks a Subgroup (README, "Subgroups by element mask").
 """
 
 from __future__ import annotations
@@ -68,10 +69,30 @@ class FiniteGroup:
         """A greedy generating set, increasing: repeatedly the smallest
         element outside the subgroup generated so far.  Each member at
         least doubles that subgroup, so there are at most log2|G|."""
-        gens: List[int] = []
-        while len(_closure(self, gens)) < self.order:
-            gens.append(min(set(self.elements()).difference(_closure(self, gens))))
-        return tuple(gens)
+        gens: Tuple[int, ...] = ()
+        mask, full = 1, (1 << self.order) - 1
+        while mask != full:
+            gens += (next(g for g in self.elements() if not mask >> g & 1),)
+            mask = self._generated(mask, gens)
+        return gens
+
+    def _generated(self, mask: int, gens: Sequence[int]) -> int:
+        """The mask of the subgroup generated by gens.  It grows from mask,
+        which must hold the identity and lie in that subgroup (a subgroup
+        generated by some of gens, or gens themselves): every element
+        reached is multiplied on the right by each of gens until nothing
+        is added.  A finite group needs no inverses, g^-1 being a power
+        of g."""
+        rows = self.mul_table
+        reached = [g for g in self.elements() if mask >> g & 1]
+        for x in reached:  # grows as it is read
+            row = rows[x]
+            for s in gens:
+                y = row[s]
+                if not mask >> y & 1:
+                    mask |= 1 << y
+                    reached.append(y)
+        return mask
 
     def action_failure(self, action: np.ndarray) -> Optional[Tuple[int, int, int]]:
         """The first (s, h, x), s a generator, with A[sh][x] != A[s][A[h][x]]
@@ -225,7 +246,21 @@ class FiniteGroup:
 
     @cached_property
     def _subgroups(self) -> Tuple["Subgroup", ...]:
-        return tuple(_compute_subgroups(self))
+        # breadth first from {e}: each subgroup found, kept by mask with
+        # the generators it was found by, is joined with each g outside it
+        found = {1: ()}
+        masks = [1]
+        for mask in masks:  # grows as it is read
+            gens = found[mask]
+            for g in self.elements():
+                if not mask >> g & 1:
+                    more = gens + (g,)
+                    joined = self._generated(mask, more)
+                    if joined not in found:
+                        found[joined] = more
+                        masks.append(joined)
+        keys = (tuple(g for g in self.elements() if m >> g & 1) for m in masks)
+        return tuple(Subgroup(self, e) for e in sorted(keys, key=lambda e: (len(e), e)))
 
     @cached_property
     def _positions(self) -> Dict[int, int]:  # the one subgroup index
@@ -284,15 +319,13 @@ class Subgroup:
     elements: Tuple[int, ...]
 
     def __post_init__(self):
-        els = set(self.elements)
-        if 0 not in els:
+        G, mask = self.parent, self.mask
+        if not mask & 1:
             raise DefinitionError("subgroup must contain the identity")
-        for a in els:
-            if self.parent.inv(a) not in els:
-                raise DefinitionError("subgroup not closed under inverse")
-            for b in els:
-                if self.parent.mul(a, b) not in els:
-                    raise DefinitionError("subgroup not closed under multiplication")
+        if any(not mask >> G.inv(a) & 1 for a in self.elements):
+            raise DefinitionError("subgroup not closed under inverse")
+        if G._generated(mask, self.elements) != mask:
+            raise DefinitionError("subgroup not closed under multiplication")
 
     def __hash__(self) -> int:
         # subgroups key every table of a functor; the dataclass __hash__
@@ -419,42 +452,6 @@ class UpwardClosedSet:
 
     def __contains__(self, s: Subgroup) -> bool:
         return s.mask in self._masks
-
-
-def _closure(G: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
-    els = set(seed) | {0}
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for a in list(els):
-            for b in frontier:
-                for c in (G.mul(a, b), G.mul(b, a)):
-                    if c not in els:
-                        els.add(c)
-                        nxt.append(c)
-        for b in frontier:
-            c = G.inv(b)
-            if c not in els:
-                els.add(c)
-                nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(els))
-
-
-def _compute_subgroups(G: FiniteGroup) -> List[Subgroup]:
-    found = {_closure(G, [])}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in set(G.elements()).difference(s):
-                t = _closure(G, s + (g,))
-                if t not in found:
-                    found.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    ordered = sorted(found, key=lambda e: (len(e), e))
-    return [Subgroup(G, e) for e in ordered]
 
 
 def subgroups(G: FiniteGroup) -> List[Subgroup]:

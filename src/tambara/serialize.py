@@ -158,13 +158,19 @@ def _ring_table(block: dict, name: str):
 def _ints(x, what: str) -> np.ndarray:
     """x, an integer, nested lists of them or a decoded packed table, as
     an int32 array: the one reader of a file's integers.  A float, a
-    string or null, a table of booleans only, or an entry outside int32
-    raises DefinitionError (numpy reads a boolean among integers as 0 or
-    1)."""
+    string or null, a boolean or an entry outside int32 raises
+    DefinitionError.  numpy reads a boolean among integers as 0 or 1, so
+    nested lists that pass the dtype check are scanned once for one."""
     a = np.asarray(x)
     if a.size and (a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int32)
                    and (a.min() < -2 ** 31 or a.max() >= 2 ** 31)):
         raise DefinitionError(f"{what}: expected integers in int32 range")
+    if isinstance(x, list):
+        flat = x
+        for _ in range(a.ndim - 1):
+            flat = itertools.chain.from_iterable(flat)
+        if bool in map(type, flat):
+            raise DefinitionError(f"{what}: expected integers, found a boolean")
     return a.astype(np.int32, copy=False)
 
 

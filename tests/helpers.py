@@ -11,7 +11,8 @@ decomposition witness reference, the pair-by-pair finite field and
 element-by-element G-ring decomposition references, the every-idempotent
 scans for clarification and for the idempotent detect_coinduction picks,
 the pair-loop closure and replay-from-scratch references of the
-isomorphism search, relabelled copies of rings and functors, the
+isomorphism search, the element-tuple closure references of the subgroup
+lattice and the greedy generators, the permutation-group strategy, relabelled copies of rings and functors, the
 table-by-table functor comparison, the one-pass json.dumps document
 writer, packing and unpacking of ring tables, the ring on an idempotent,
 and the randomized assembly sampler for round-trip tests."""
@@ -24,6 +25,7 @@ from collections import defaultdict
 from itertools import product as iproduct
 
 import numpy as np
+from hypothesis import assume, strategies as st
 
 import corpus
 from tambara.errors import (
@@ -46,7 +48,7 @@ from tambara.functors import (
     product,
 )
 from tambara._search import DEFAULT_BUDGET, _Budget, _Step, _Target, _build_steps, _is_full_hom
-from tambara.groups import double_cosets, is_subconjugate, subgroups
+from tambara.groups import FiniteGroup, double_cosets, is_subconjugate, subgroups
 from tambara.gsets import (
     SECTION_CAP,
     ExponentialDiagram,
@@ -937,6 +939,65 @@ def unpacked(x):
     if isinstance(x, dict):
         return {k: unpacked(v) for k, v in x.items()}
     return [unpacked(v) for v in x] if isinstance(x, list) else x
+
+
+def reference_closure(G, seed):
+    """The subgroup generated by seed, as its sorted element tuple: closed
+    element by element under products on both sides and inverses."""
+    els = set(seed) | {0}
+    frontier = list(els)
+    while frontier:
+        nxt = []
+        for a in list(els):
+            for b in frontier:
+                for c in (G.mul(a, b), G.mul(b, a)):
+                    if c not in els:
+                        els.add(c)
+                        nxt.append(c)
+        for b in frontier:
+            c = G.inv(b)
+            if c not in els:
+                els.add(c)
+                nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(els))
+
+
+def reference_subgroups(G):
+    """The element tuples of all subgroups of G sorted by (order, tuple),
+    found breadth first from {e} by joining each with every g outside it."""
+    found = {reference_closure(G, [])}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in set(G.elements()).difference(s):
+                t = reference_closure(G, s + (g,))
+                if t not in found:
+                    found.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return sorted(found, key=lambda e: (len(e), e))
+
+
+def reference_generators(G):
+    """Repeatedly the smallest element outside the subgroup generated so far."""
+    gens = []
+    while len(reference_closure(G, gens)) < G.order:
+        gens.append(min(set(G.elements()).difference(reference_closure(G, gens))))
+    return tuple(gens)
+
+
+@st.composite
+def permutation_groups(draw):
+    """The group generated by 1-3 random permutations of at most 6 points;
+    a draw whose group has order above 24 (the group order cap) is dropped."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    try:
+        return FiniteGroup.from_permutations(gens)
+    except SizeLimitExceeded:
+        assume(False)
 
 
 def mutation_fixtures():

@@ -2,13 +2,13 @@ import pytest
 from itertools import combinations
 
 from corpus import LATTICE_GROUPS
+from helpers import reference_closure
 
 from tambara.errors import DefinitionError
 from tambara.groups import (
     GROUP_ORDER_CAP,
     FiniteGroup,
     Subgroup,
-    _closure,
     double_cosets,
     is_subconjugate,
     normalizer,
@@ -115,7 +115,7 @@ def test_double_cosets_partition(G):
                          ids=lambda g: g.name)
 def test_generators_generate_with_at_most_log2_members(G):
     S = G.generators
-    assert _closure(G, S) == tuple(G.elements())
+    assert reference_closure(G, S) == tuple(G.elements())
     assert 2 ** len(S) <= G.order
     assert list(S) == sorted(set(S)) and 0 not in S
 

@@ -529,8 +529,9 @@ def _set(path, value):
 
 # files whose bad entry a reader could take for a good one: a unit outside
 # the ring (numpy reads a negative index from the end of a table), a
-# non-integer entry that would truncate or parse, a green_only that bool()
-# would read as true
+# non-integer entry that would truncate or parse, a boolean among integers
+# that numpy would read as 0 or 1, a green_only that bool() would read as
+# true
 BAD_ENTRIES = {
     "one_minus_1": (F2, _on_levels("one", -1), "one -1 is not an element of 0..1"),
     "zero_minus_3": (F3, _on_levels("zero", -3), "zero -3 is not an element of 0..2"),
@@ -541,6 +542,14 @@ BAD_ENTRIES = {
     "add_float": (F2, _set(["functor", "levels", "H0", "add", 1, 0], 1.9),
                   "add table: expected integers"),
     "group_float": (F2, _set(["group", "table", 0, 1], 1.0), "group table: expected integers"),
+    "res_bool": (F2, _set(["functor", "res", "H0<H1"], [0, True]),
+                 "res table H0<H1: expected integers, found a boolean"),
+    "conj_bool": (F2, _set(["functor", "conj", "g1|H0"], [False, 1]),
+                  "conj table g1|H0: expected integers, found a boolean"),
+    "mul_bool": (F2, _set(["functor", "levels", "H1", "mul", 1, 1], True),
+                 "mul table: expected integers, found a boolean"),
+    "group_bool": (F2, _set(["group", "table", 1, 1], False),
+                   "group table: expected integers, found a boolean"),
     "green_only_text": (F2, _set(["functor", "green_only"], "false"),
                         "green_only must be true or false"),
 }
@@ -564,3 +573,29 @@ def test_unedited_constant_file_passes(tmp_path, capsys, ring):
     p.write_text(json.dumps(_constant_doc(ring, lambda doc: None)))
     assert main(["check", str(p)]) == 0
     assert "axiom check: PASS" in capsys.readouterr().out
+
+
+def _dual_numbers_green_doc():
+    """A Green functor over C2 whose conjugation is additive but not a ring
+    map: bottom F2[x]/x^2 (a + bx has index a + 2b), top F2, res the
+    inclusion, tr a + bx -> b, and g1 acting on the bottom by x <-> 1 + x,
+    so that c(x)^2 = 1 while c(x^2) = 0.  Every other map is the identity."""
+    dual = {"kind": "tables", "zero": 0, "one": 1,
+            "add": [[a ^ b for b in range(4)] for a in range(4)],
+            "mul": [[(a & 1) * (b & 1) + 2 * ((a & 1) * (b >> 1) ^ (a >> 1) * (b & 1))
+                     for b in range(4)] for a in range(4)]}
+    return {"schema": 1, "group": {"name": "C2", "table": [[0, 1], [1, 0]]},
+            "functor": {"green_only": True,
+                        "levels": {"H0": dual, "H1": {"kind": "Fq", "q": 2}},
+                        "res": {"H0<H0": [0, 1, 2, 3], "H0<H1": [0, 1], "H1<H1": [0, 1]},
+                        "tr": {"H0<H0": [0, 1, 2, 3], "H0<H1": [0, 0, 1, 1], "H1<H1": [0, 1]},
+                        "conj": {"g0|H0": [0, 1, 2, 3], "g1|H0": [0, 1, 3, 2],
+                                 "g0|H1": [0, 1], "g1|H1": [0, 1]}}}
+
+
+@pytest.mark.xfail(strict=True, reason="check_axioms does not check that conj is a ring map")
+def test_conjugation_that_is_no_ring_map_fails_check(tmp_path, capsys):
+    p = tmp_path / "conj.json"
+    p.write_text(json.dumps(_dual_numbers_green_doc()))
+    assert main(["check", str(p)]) == 1
+    assert "axiom check: FAIL" in capsys.readouterr().out
