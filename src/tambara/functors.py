@@ -252,14 +252,6 @@ class EvalMap:
             col[...] = comp
         return out.T
 
-    def after(self, res: "EvalMap") -> "EvalMap":
-        """This tr or nm map after the res map into its source, as one map
-        of the same kind: item (i, t) becomes (j, t[r]), res.plan[i] being
-        (j, r).  The composed tables have level size."""
-        plan = [[(res.plan[i][0], t[res.plan[i][1]]) for i, t in items]
-                for items in self.plan]
-        return EvalMap(self.kind, res.source, self.target, plan)
-
     def as_table(self) -> np.ndarray:
         """Dense index table between materialized product rings."""
         out = self.apply_batch(prod_components(self.source.sizes).T)
@@ -278,27 +270,17 @@ def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
         raise NoNorms("norm evaluation on a Green functor")
     if kind not in ("res", "tr", "nm"):
         raise DefinitionError(f"unknown kind {kind!r}")
-    G = T.group
     X_val = evaluate_gset(T, f.source)
     Y_val = evaluate_gset(T, f.target)
     orbit_of, carrier = f.target.orbit_of, f.target.carrier
 
-    # factor each source orbit through its target orbit; orbits with the
-    # same (A, B, u) share one composed table
+    # factor each source orbit through its target orbit
     plan = [] if kind == "res" else [[] for _ in Y_val.orbits]
-    tables: Dict[Tuple[Subgroup, Subgroup, int], np.ndarray] = {}
+    memo: Dict[tuple, np.ndarray] = {}
     for i, o in enumerate(X_val.orbits):
-        A = o.stabilizer
         q = f(o.base)
         j = orbit_of[q]
-        B = Y_val.orbits[j].stabilizer
-        u = carrier[q]
-        table = tables.get((A, B, u))
-        if table is None:
-            M = A.conjugate(G.inv(u))
-            table = (T.conj[(u, M)][T.res[(M, B)]] if kind == "res"
-                     else T.table(kind, (M, B))[T.conj[(G.inv(u), A)]])
-            tables[(A, B, u)] = table
+        table = _leg(T, kind, o.stabilizer, Y_val.orbits[j].stabilizer, carrier[q], memo)
         if kind == "res":
             plan.append((j, table))
         else:
@@ -306,6 +288,22 @@ def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
     if kind == "res":
         return EvalMap(kind, Y_val, X_val, plan)
     return EvalMap(kind, X_val, Y_val, plan)
+
+
+def _leg(T: TambaraData, kind: str, A: Subgroup, B: Subgroup, u: int,
+         memo: Dict[tuple, np.ndarray]) -> np.ndarray:
+    """T's map of this kind along the orbit map G/A -> G/B, gA -> guB
+    (u^-1 A u <= B), which is conjugation by u^-1 onto M = u^-1 A u, then
+    the inclusion M <= B: res, T(G/B) -> T(G/A), is c_u res_M^B; tr and nm,
+    T(G/A) -> T(G/B), are tr_M^B or nm_M^B after c_u^-1.  Composed once per
+    (kind, A, B, u) and memo, so equal orbit maps share one table."""
+    key = (kind, A, B, u)
+    if key not in memo:
+        G = T.group
+        M = A.conjugate(G.inv(u))
+        memo[key] = (T.conj[(u, M)][T.res[(M, B)]] if kind == "res"
+                     else T.table(kind, (M, B))[T.conj[(G.inv(u), A)]])
+    return memo[key]
 
 
 # -- morphisms ----------------------------------------------------------
@@ -574,9 +572,6 @@ class CheckReport:
     failures: List[CheckFailure]
     checked: Dict[str, int]
 
-    def first_failure(self) -> Optional[CheckFailure]:
-        return self.failures[0] if self.failures else None
-
     def summary(self) -> str:
         lines = []
         status = "PASS" if self.passed else "FAIL"
@@ -604,9 +599,12 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     exponential; the exponential family has every fiber of size <=
     fiber_bound, which must be at least 2: a smaller bound drops the
     norm-of-sum and norm-of-transfer diagrams, and a PASS would no longer
-    cover them.  Each diagram compares nm_f tr_p with tr_pi nm res_ev on
-    every element of T(A), on the open mesh of T(A) (_exponential_paths),
-    and names the first failing element in C order.  That regroups each
+    cover them.  Each K's family A -> G/K and its transfers tr_p are built
+    once, for every H above K.  Each diagram compares nm_f tr_p with tr_pi
+    nm res_ev on every element of T(A), on the open mesh of T(A)
+    (_exponential_paths), nm res_ev planned orbit by orbit of pi without
+    building the pullback corner (_corner_norm), and names the first
+    failing element in C order.  That regroups each
     fold, so the levels must be rings: FiniteRing checks that + and x
     commute, validate() at the loader that they associate.  A diagram too
     large to build raises SizeLimitExceeded: it shows no identity failing,
@@ -719,22 +717,26 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
             fail("frobenius",
                  f"tr(res(y)x) != y tr(x) at {K.elements}<={H.elements}, y={y}, x={x}")
 
-    # (6) exponential diagrams
+    # (6) exponential diagrams, each K's family and its tr_p built once
+    families: Dict[Subgroup, List[Tuple[GSetMap, EvalMap, str]]] = {}
     if "nm" in kinds:
         for (K, H) in T.sub_pairs():
             if K == H:
                 continue
             f = _coset_projection(G, K, H)
             nm_f = eval_along(T, f, "nm")
-            for A, p, desc in _exponential_family(G, K, fiber_bound):
-                pk = GSetMap(A, f.source, p)
+            if K not in families:
+                maps = [(GSetMap(A, f.source, p), desc)
+                        for A, p, desc in _exponential_family(G, K, fiber_bound)]
+                families[K] = [(p, eval_along(T, p, "tr"), desc) for p, desc in maps]
+            for p, tr_p, desc in families[K]:
                 try:
-                    diag = dependent_product(f, pk)
+                    diag = dependent_product(f, p)
                 except SizeLimitExceeded as exc:
                     raise SizeLimitExceeded(
                         f"exponential diagram {desc} over {K.elements}<={H.elements}: {exc}"
                     ) from exc
-                shape, path1, path2 = _exponential_paths(T, nm_f, diag)
+                shape, path1, path2 = _exponential_paths(T, nm_f, tr_p, diag)
                 note("exponential", int(np.prod(shape)))
                 bad = [a != b for a, b in zip(path1, path2)]
                 if any(b.any() for b in bad):
@@ -749,23 +751,59 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     return CheckReport(passed=not failures, failures=failures, checked=checked)
 
 
-def _exponential_paths(T: TambaraData, nm_f: EvalMap, diag: ExponentialDiagram
+def _exponential_paths(T: TambaraData, nm_f: EvalMap, tr_p: EvalMap, diag: ExponentialDiagram
                        ) -> Tuple[Tuple[int, ...], List[np.ndarray], List[np.ndarray]]:
     """The two sides of the exponential formula on every element of T(A),
     evaluated on the open mesh of T(A): its component i is arange(n_i)
     along axis i, so each side is one array per component of T(Y),
     broadcastable to shape (n_0, n_1, ...) and indexed by the element's
     components.  The sides are nm_f tr_p, and tr_pi nm_corner res_ev with
-    the restriction fused into the norm (EvalMap.after), so the restricted
-    elements are never written out."""
-    tr_p = eval_along(T, diag.p, "tr")
-    res_ev = eval_along(T, diag.evaluation, "res")
-    nm_cp = eval_along(T, diag.corner_projection, "nm")
+    the restriction and the norm planned as one map (_corner_norm), so
+    neither the corner nor the restricted elements are written out."""
     tr_pr = eval_along(T, diag.projection, "tr")
     shape = tuple(tr_p.source.sizes)
     cols = np.ix_(*(np.arange(n) for n in shape))
     return (shape, nm_f.fold(tr_p.fold(cols)),
-            tr_pr.fold(nm_cp.after(res_ev).fold(cols)))
+            tr_pr.fold(_corner_norm(T, diag, tr_p.source, tr_pr.source).fold(cols)))
+
+
+def _corner_norm(T: TambaraData, diag: ExponentialDiagram, A_val: LeveledValue,
+                 pi_val: LeveledValue) -> EvalMap:
+    """nm_corner res_ev, T(A) -> T(pi), as one norm planned orbit by orbit
+    of pi from the section matrix, without building the corner X x_Y pi.
+
+    The corner points over the orbit of pi0 = (y0, sigma0) are the
+    (g.x, g.pi0) with x in f^-1(y0).  The least point of the orbit of
+    (x, pi0) in the corner's lexicographic order is (x0, pi*): x0 the least
+    point of x's orbit, pi* the least g.pi0 over the g with g.x = x0; its
+    stabilizer is Stab(x0) ∩ Stab(pi*), its evaluation sigma*(x0).  The
+    items of pi0's orbit, one per corner orbit in the order of least
+    points, are the norm leg after the restriction leg, as eval_along plans
+    them on the corner (README, "The exponential check in arrays")."""
+    G, f, X, A, pi = T.group, diag.f, diag.f.source, diag.p.source, diag.pi
+    x_base = np.array([o.base for o in orbit_decomposition(X)])[list(X.orbit_of)]
+    bases = np.array([o.base for o in pi_val.orbits], dtype=np.int64)
+    # one pair (orbit j of pi, x in the fiber of its base) per corner point
+    # (x, base_j); pairs with the same least corner point (x0, pi*) meet in
+    # one corner orbit
+    js, xs = np.nonzero(np.asarray(diag.projection.images)[bases][:, None]
+                        == np.asarray(f.images))
+    x0 = x_base[xs]
+    star = np.where(X.action[:, xs] == x0, pi.action[:, bases[js]], pi.size).min(axis=0)
+    _, first = np.unique(x0 * pi.size + star, return_index=True)
+    js, x0, star = js[first], x0[first], star[first]
+    masks = ((X.action[:, x0] == x0) & (pi.action[:, star] == star)).T \
+        @ (1 << np.arange(G.order, dtype=np.int64))
+    subs, orbit_of, carrier = subgroups(G), A.orbit_of, A.carrier
+    plan: List[List[Tuple[int, np.ndarray]]] = [[] for _ in pi_val.orbits]
+    memo: Dict[tuple, np.ndarray] = {}
+    for j, s, q, mask in zip(js.tolist(), star.tolist(), diag.sections[star, x0].tolist(),
+                             masks.tolist()):
+        C = subs[G.lattice_position(mask)]
+        res = _leg(T, "res", C, A_val.orbits[orbit_of[q]].stabilizer, carrier[q], memo)
+        nm = _leg(T, "nm", C, pi_val.orbits[j].stabilizer, pi.carrier[s], memo)
+        plan[j].append((orbit_of[q], nm[res]))
+    return EvalMap("nm", A_val, pi_val, plan)
 
 
 def _exponential_family(G: FiniteGroup, K: Subgroup, fiber_bound: int):

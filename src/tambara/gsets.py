@@ -2,15 +2,16 @@
 
 A G-set is an action array over a FiniteGroup; points are 0-based indices.
 This module supplies orbit decomposition, pullbacks, the dependent product
-along a map (sections over fibers), and the five-object exponential diagram
-built from it.  Everything is constructed literally from the definitions and
-validated on construction.
+along a map (sections over fibers), and the exponential diagram built from
+it, whose pullback corner is built on first read.  Everything is
+constructed literally from the definitions and validated on construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -114,14 +115,6 @@ class GSetMap:
                        tuple(self.images[y] for y in other.images))
 
 
-def identity_map(X: GSet) -> GSetMap:
-    return GSetMap(X, X, tuple(range(X.size)))
-
-
-def trivial_gset(G: FiniteGroup, n: int) -> GSet:
-    return GSet(G, np.broadcast_to(np.arange(n), (G.order, n)))
-
-
 def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
     """The transitive G-set G/H; point i is the coset H.left_cosets()[i],
     so point 0 is the identity coset.  Built once per subgroup and shared."""
@@ -191,13 +184,6 @@ def _stabilizers(X: GSet, points: List[int]) -> List[Subgroup]:
     return [subs[G.lattice_position(m)] for m in masks.tolist()]
 
 
-def orbit_coset_iso(X: GSet, orbit: Orbit) -> GSetMap:
-    """The equivariant map G/Stab(base) -> X hitting exactly the orbit."""
-    H = orbit.stabilizer
-    return GSetMap(coset_gset(X.group, H), X,
-                   tuple(X.act(c[0], orbit.base) for c in H.left_cosets()))
-
-
 def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
     """The fiber product {(x,z) : f(x) = g(z)} with its two projections."""
     if f.target is not g.target:
@@ -213,22 +199,43 @@ def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
     return P, p1, p2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentialDiagram:
     """The five-object diagram generated by f : X -> Y and p : A -> X.
 
     pi is the dependent product: points are pairs (y, sigma) where sigma
-    sections p over the fiber of y.  The diagram commutes: evaluation
-    followed by p is the pullback projection to X.
+    sections p over the fiber of y.  sections[i, x] is sigma(x) for point
+    i = (y, sigma) and x in the fiber of y, and A.size elsewhere; it is
+    read-only.  The pullback corner X x_Y pi, its evaluation to A,
+    (x, (y, sigma)) -> sigma(x), and its projection to pi are built by
+    pullback on first read; the diagram commutes: evaluation followed by p
+    is the pullback projection to X.
     """
 
     f: GSetMap
     p: GSetMap
     pi: GSet
     projection: GSetMap          # pi -> Y
-    pullback_corner: GSet        # X x_Y pi
-    evaluation: GSetMap          # corner -> A, (x,(y,sigma)) -> sigma(x)
-    corner_projection: GSetMap   # corner -> pi
+    sections: np.ndarray         # (pi.size, X.size)
+
+    @cached_property
+    def _corner(self) -> Tuple[GSet, GSetMap, GSetMap]:
+        corner, to_x, to_pi = pullback(self.f, self.projection)
+        ev = self.sections[np.asarray(to_pi.images, dtype=np.int64),
+                           np.asarray(to_x.images, dtype=np.int64)]
+        return corner, GSetMap(corner, self.p.source, tuple(ev.tolist())), to_pi
+
+    @property
+    def pullback_corner(self) -> GSet:         # X x_Y pi
+        return self._corner[0]
+
+    @property
+    def evaluation(self) -> GSetMap:           # corner -> A
+        return self._corner[1]
+
+    @property
+    def corner_projection(self) -> GSetMap:    # corner -> pi
+        return self._corner[2]
 
 
 def dependent_product(f: GSetMap, p: GSetMap) -> ExponentialDiagram:
@@ -245,6 +252,9 @@ def dependent_product(f: GSetMap, p: GSetMap) -> ExponentialDiagram:
     of sections of the part of the fiber after x.  Row i of the section
     matrix holds point i's sigma(x) for x in its fiber and the sentinel
     A.size elsewhere, which every g fixes and which ranks 0.
+
+    The commutativity check p(sigma(x)) = x runs on every (point, x in its
+    fiber) pair, the points of the pullback corner, built only when read.
     """
     if p.target is not f.source:
         raise DefinitionError("p must target the source of f")
@@ -289,18 +299,14 @@ def dependent_product(f: GSetMap, p: GSetMap) -> ExponentialDiagram:
     pi = GSet(G, action)
     projection = GSetMap(pi, Y, tuple(point_y.tolist()))
 
-    corner, to_x, to_pi = pullback(f, projection)
-    xs = np.asarray(to_x.images, dtype=np.int64)
-    ev = sections[np.asarray(to_pi.images, dtype=np.int64), xs]
-    evaluation = GSetMap(corner, A, tuple(ev.tolist()))
-
-    # commutativity of the exponential diagram
-    if not np.array_equal(p_img[ev], xs):
+    # the diagram commutes: p(sigma(x)) = x for every point (y, sigma) and
+    # x in the fiber of y, the pairs that make up the pullback corner
+    in_fiber = f_img == point_y[:, None]
+    if not (np.append(p_img, -1)[sections] == np.arange(X.size))[in_fiber].all():
         raise DefinitionError("exponential diagram does not commute")
 
-    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection,
-                              pullback_corner=corner, evaluation=evaluation,
-                              corner_projection=to_pi)
+    sections.flags.writeable = False
+    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection, sections=sections)
 
 
 def equivariant_maps(X: GSet, Y: GSet) -> Iterator[GSetMap]:

@@ -16,11 +16,10 @@ object; operations that cannot tolerate it raise ZeroRing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _search
 from .errors import (
     DefinitionError,
     GroupMismatch,
@@ -653,47 +652,3 @@ def decompose_gring(R: GRing) -> GRingDecomposition:
     return GRingDecomposition(factors=[(H, ell.bottom_gring()) for H, ell in dec.factors],
                               reassembled=reassembled,
                               witness=RingHom(reassembled.ring, R.ring, tuple(witness.tolist())))
-
-
-# -- homomorphism and isomorphism search ---------------------------------
-
-
-def _ring_structure(R: FiniteRing) -> _search.OpStructure:
-    return _search.OpStructure(
-        sorts={"r": R.size},
-        constants=[("zero", "r", R.zero), ("one", "r", R.one)],
-        unary=[("neg", "r", "r", R.neg)],
-        binary=[("add", "r", R.add), ("mul", "r", R.mul)],
-    )
-
-
-def _gring_structure(R: GRing) -> _search.OpStructure:
-    s = _ring_structure(R.ring)
-    for g in R.group.elements():
-        s.unary.append((f"act{g}", "r", "r", R.action[g]))
-    return s
-
-
-def ring_isomorphism(A: FiniteRing, B: FiniteRing,
-                     budget: int = _search.DEFAULT_BUDGET) -> Optional[RingHom]:
-    image = _search.find_isomorphism(_ring_structure(A), _ring_structure(B), budget)
-    if image is None:
-        return None
-    return RingHom(A, B, tuple(image["r"]))
-
-
-def gring_isomorphism(A: GRing, B: GRing,
-                      budget: int = _search.DEFAULT_BUDGET) -> Optional[RingHom]:
-    image = _search.find_isomorphism(_gring_structure(A), _gring_structure(B), budget)
-    if image is None:
-        return None
-    return RingHom(A.ring, B.ring, tuple(image["r"]))
-
-
-def gring_homomorphisms(A: GRing, B: GRing, budget: int = _search.DEFAULT_BUDGET,
-                        limit: Optional[int] = None) -> Iterator[RingHom]:
-    """All equivariant unital ring homomorphisms A -> B."""
-    for image in _search.search_homomorphisms(
-            _gring_structure(A), _gring_structure(B), injective=False,
-            budget=budget, limit=limit):
-        yield RingHom(A.ring, B.ring, tuple(image["r"]))

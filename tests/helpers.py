@@ -4,7 +4,9 @@ and ring-map checks, the every-element action references, the
 transversal-loop orbit reference, the point-by-point
 dependent product reference and the points of a diagram read from its
 maps, the scalar and unfused references of maps along G-set maps and of
-the two sides of the exponential formula, the binary product references,
+the two sides of the exponential formula, the second side through the
+pullback corner (EvalMap composition and the corner norm), the binary
+product references,
 the per-map coinduction and fixed-point references, the G-ring
 coinduction with chosen coset representatives, the two-step
 decomposition witness reference, the pair-by-pair finite field and
@@ -15,7 +17,10 @@ isomorphism search, the element-tuple closure references of the subgroup
 lattice and the greedy generators, the permutation-group strategy, relabelled copies of rings and functors, the
 table-by-table functor comparison, the one-pass json.dumps document
 writer, packing and unpacking of ring tables, the ring on an idempotent,
-and the randomized assembly sampler for round-trip tests."""
+the randomized assembly sampler for round-trip tests, and the API only
+tests call (the first failure of a report, identity and trivial G-sets,
+orbit isomorphisms, ring and G-ring isomorphism and homomorphism
+searches)."""
 
 import base64
 import json
@@ -36,6 +41,7 @@ from tambara.errors import (
 )
 from tambara.decompose import detect_coinduction, split_by_bottom_idempotents
 from tambara.functors import (
+    EvalMap,
     TambaraData,
     TambaraMorphism,
     _coset_projection,
@@ -47,7 +53,17 @@ from tambara.functors import (
     fixed_point_functor,
     product,
 )
-from tambara._search import DEFAULT_BUDGET, _Budget, _Step, _Target, _build_steps, _is_full_hom
+from tambara._search import (
+    DEFAULT_BUDGET,
+    OpStructure,
+    _Budget,
+    _Step,
+    _Target,
+    _build_steps,
+    _is_full_hom,
+    find_isomorphism,
+    search_homomorphisms,
+)
 from tambara.groups import FiniteGroup, double_cosets, is_subconjugate, subgroups
 from tambara.gsets import (
     SECTION_CAP,
@@ -56,7 +72,6 @@ from tambara.gsets import (
     GSetMap,
     coset_gset,
     orbit_decomposition,
-    pullback,
 )
 from tambara.rings import (
     _IRREDUCIBLE,
@@ -241,7 +256,8 @@ def assert_orbits_match_reference(X):
 def reference_dependent_product(f, p):
     """Pi_f A built point by point from the definition: every section of p
     over every fiber, sorted, and g(y, sigma) = (gy, g sigma) worked out for
-    each point; the reference gsets.dependent_product is tested against."""
+    each point, with the section matrix written entry by entry; the
+    reference gsets.dependent_product is tested against."""
     if p.target is not f.source:
         raise DefinitionError("p must target the source of f")
     X, Y, A = f.source, f.target, p.source
@@ -281,18 +297,14 @@ def reference_dependent_product(f, p):
     pi = GSet(G, action)
     projection = GSetMap(pi, Y, tuple(y for y, _ in points))
 
-    corner, to_x, to_pi = pullback(f, projection)
-    ev_images = []
-    for x, ipt in zip(to_x.images, to_pi.images):
-        y, sigma = points[ipt]
-        ev_images.append(dict(zip(fibers[y], sigma))[x])
-    evaluation = GSetMap(corner, A, tuple(ev_images))
-    for i in range(corner.size):
-        if p(evaluation(i)) != to_x(i):
-            raise DefinitionError("exponential diagram does not commute")
-    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection,
-                              pullback_corner=corner, evaluation=evaluation,
-                              corner_projection=to_pi)
+    sections = np.full((len(points), X.size), A.size, dtype=np.int64)
+    for i, (y, sigma) in enumerate(points):
+        for x, a in zip(fibers[y], sigma):
+            if p(a) != x:
+                raise DefinitionError("exponential diagram does not commute")
+            sections[i, x] = a
+    sections.flags.writeable = False
+    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection, sections=sections)
 
 
 def diagram_points(diag):
@@ -354,6 +366,32 @@ def reference_exponential_paths(T, diag):
     restricted = reference_apply_batch(eval_along(T, diag.evaluation, "res"), arr)
     normed = reference_apply_batch(eval_along(T, diag.corner_projection, "nm"), restricted)
     return arr, path1, reference_apply_batch(eval_along(T, diag.projection, "tr"), normed)
+
+
+def evalmap_after(nm, res):
+    """The tr or nm map nm after the res map into its source, as one map of
+    nm's kind: item (i, t) becomes (j, t[r]), res.plan[i] being (j, r)."""
+    plan = [[(res.plan[i][0], t[res.plan[i][1]]) for i, t in items] for items in nm.plan]
+    return EvalMap(nm.kind, res.source, nm.target, plan)
+
+
+def corner_norm(T, diag):
+    """nm_corner res_ev built on the pullback corner of the diagram: the
+    restriction along the evaluation and the norm along the corner
+    projection, each an eval_along, composed by evalmap_after.  The
+    reference of functors._corner_norm."""
+    return evalmap_after(eval_along(T, diag.corner_projection, "nm"),
+                         eval_along(T, diag.evaluation, "res"))
+
+
+def corner_second_path(T, diag):
+    """tr_pi nm_corner res_ev on the open mesh of T(A), through the pullback
+    corner (corner_norm): the second side of the exponential formula as
+    functors._exponential_paths computed it before it planned the norm
+    orbit by orbit of Pi_f A."""
+    tr_pr = eval_along(T, diag.projection, "tr")
+    shape = tuple(evaluate_gset(T, diag.p.source).sizes)
+    return tr_pr.fold(corner_norm(T, diag).fold(np.ix_(*(np.arange(n) for n in shape))))
 
 
 def mesh_rows(shape, comps):
@@ -1083,3 +1121,64 @@ def random_assembly(G, rng, max_bottom=2048):
         expected.append((G.full_subgroup, ell))
         parts.append(coinduce(G, G.full_subgroup, ell))
     return product(*parts), expected
+
+
+# -- test-only API: no caller in the package, its CLI or the benchmark ------
+
+
+def first_failure(report):
+    """The first failure of a CheckReport, or None."""
+    return report.failures[0] if report.failures else None
+
+
+def identity_map(X):
+    return GSetMap(X, X, tuple(range(X.size)))
+
+
+def trivial_gset(G, n):
+    return GSet(G, np.broadcast_to(np.arange(n), (G.order, n)))
+
+
+def orbit_coset_iso(X, orbit):
+    """The equivariant map G/Stab(base) -> X hitting exactly the orbit."""
+    H = orbit.stabilizer
+    return GSetMap(coset_gset(X.group, H), X,
+                   tuple(X.act(c[0], orbit.base) for c in H.left_cosets()))
+
+
+def _ring_structure(R):
+    return OpStructure(
+        sorts={"r": R.size},
+        constants=[("zero", "r", R.zero), ("one", "r", R.one)],
+        unary=[("neg", "r", "r", R.neg)],
+        binary=[("add", "r", R.add), ("mul", "r", R.mul)],
+    )
+
+
+def _gring_structure(R):
+    s = _ring_structure(R.ring)
+    for g in R.group.elements():
+        s.unary.append((f"act{g}", "r", "r", R.action[g]))
+    return s
+
+
+def ring_isomorphism(A, B, budget=DEFAULT_BUDGET):
+    image = find_isomorphism(_ring_structure(A), _ring_structure(B), budget)
+    if image is None:
+        return None
+    return RingHom(A, B, tuple(image["r"]))
+
+
+def gring_isomorphism(A, B, budget=DEFAULT_BUDGET):
+    image = find_isomorphism(_gring_structure(A), _gring_structure(B), budget)
+    if image is None:
+        return None
+    return RingHom(A.ring, B.ring, tuple(image["r"]))
+
+
+def gring_homomorphisms(A, B, budget=DEFAULT_BUDGET, limit=None):
+    """All equivariant unital ring homomorphisms A -> B."""
+    for image in search_homomorphisms(
+            _gring_structure(A), _gring_structure(B), injective=False,
+            budget=budget, limit=limit):
+        yield RingHom(A.ring, B.ring, tuple(image["r"]))

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 from corpus import (
@@ -39,6 +40,7 @@ from tambara.gsets import GSetMap, coset_gset, dependent_product, disjoint_union
 from tambara.functors import (
     MAX_FAILURES_PER_FAMILY,
     TambaraMorphism,
+    _corner_norm,
     _coset_projection,
     _exponential_family,
     _exponential_paths,
@@ -221,10 +223,9 @@ def test_zero_functor_is_first_class():
 def test_eval_along_identity():
     T = corpus.FP_CORPUS["F4_galois_C2"]
     X = coset_gset(C2, C2.trivial_subgroup)
-    from tambara.gsets import identity_map
 
     for kind in ("res", "tr", "nm"):
-        m = eval_along(T, identity_map(X), kind)
+        m = eval_along(T, helpers.identity_map(X), kind)
         assert np.array_equal(m.as_table(), np.arange(4))
 
 
@@ -394,7 +395,7 @@ def test_exponential_failure_names_plain_ints():
     e, full = C2.trivial_subgroup, C2.full_subgroup
     nm = T.nm[(e, full)]
     T.nm[(e, full)] = T.levels[full].mul[nm, nm]
-    failure = check_axioms(T).first_failure()
+    failure = helpers.first_failure(check_axioms(T))
     assert failure.family == "exponential"
     assert failure.description == (
         "exponential formula fails for A = G/(0,) + G/(0,) over (0,)<=(0, 1) "
@@ -438,7 +439,7 @@ def test_exponential_paths_match_unfused_reference(group):
                     diag = dependent_product(f, GSetMap(A, f.source, p))
                 except SizeLimitExceeded:
                     continue
-                shape, *got = _exponential_paths(T, nm_f, diag)
+                shape, *got = _exponential_paths(T, nm_f, eval_along(T, diag.p, "tr"), diag)
                 arr, *want = reference_exponential_paths(T, diag)
                 assert shape == tuple(evaluate_gset(T, A).sizes)
                 assert arr.shape == (int(np.prod(shape)), len(shape))
@@ -471,7 +472,8 @@ def _perfbench_broken_functors():
 # exponential family
 EXPONENTIAL_FAILING = [(desc, T) for desc, T, _ in helpers.mutation_fixtures()
                        if any(f.family == "exponential" for f in check_axioms(T).failures)]
-EXPONENTIAL_FAILING += _perfbench_broken_functors()
+BENCHMARK_BROKEN = _perfbench_broken_functors()
+EXPONENTIAL_FAILING += BENCHMARK_BROKEN
 
 
 @pytest.mark.parametrize("name, T", EXPONENTIAL_FAILING, ids=[d for d, _ in EXPONENTIAL_FAILING])
@@ -491,6 +493,114 @@ def test_exponential_failure_located_as_reference(name, T):
                 want.append(failure)
     got = [f.description for f in check_axioms(T).failures if f.family == "exponential"]
     assert got and got == want[:MAX_FAILURES_PER_FAMILY]
+
+
+def _assert_corner_norm_is_reference(name, T):
+    """On every diagram of T's exponential family, the norm planned orbit by
+    orbit of Pi_f A (_corner_norm) has the items of the corner reference
+    (helpers.corner_norm) in the same order with equal tables, and the
+    second side of the formula equals the corner one on every element."""
+    G = T.group
+    for K, H in G.subgroup_pairs:
+        if K == H:
+            continue
+        f = _coset_projection(G, K, H)
+        nm_f = eval_along(T, f, "nm")
+        for A, p, desc in _exponential_family(G, K, 2):
+            try:
+                diag = dependent_product(f, GSetMap(A, f.source, p))
+            except SizeLimitExceeded:
+                continue
+            where = (name, K.elements, H.elements, desc)
+            got = _corner_norm(T, diag, evaluate_gset(T, A), evaluate_gset(T, diag.pi))
+            want = helpers.corner_norm(T, diag)
+            assert [[i for i, _ in c] for c in got.plan] == [[i for i, _ in c] for c in want.plan], where
+            assert all(np.array_equal(a, b) for c, d in zip(got.plan, want.plan)
+                       for (_, a), (_, b) in zip(c, d)), where
+            shape, _, side = _exponential_paths(T, nm_f, eval_along(T, diag.p, "tr"), diag)
+            ref = helpers.corner_second_path(T, diag)
+            assert len(side) == len(ref), where
+            for a, b in zip(side, ref):
+                assert np.array_equal(np.broadcast_to(a, shape), np.broadcast_to(b, shape)), where
+
+
+CORNER_FUNCTORS = [*((name, T) for group in sorted(PATH_FUNCTORS) for name, T in PATH_FUNCTORS[group]),
+                   *BENCHMARK_BROKEN]
+
+
+@pytest.mark.parametrize("name, T", CORNER_FUNCTORS, ids=[name for name, _ in CORNER_FUNCTORS])
+def test_corner_norm_matches_corner_reference(name, T):
+    # every corpus functor with norms, every mutation fixture with norms and
+    # the benchmark's broken inputs
+    _assert_corner_norm_is_reference(name, T)
+
+
+def _with_corner_reference(T):
+    """check_axioms(T) with the second path taken through the pullback corner."""
+    import tambara.functors as functors
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functors, "_corner_norm", lambda T, diag, *_: helpers.corner_norm(T, diag))
+        return check_axioms(T)
+
+
+MUTANT_BASES = [*corpus.TAMBARA_CORPUS.items(), ("const F3 over D4", constant_functor(F3, corpus.D4))]
+
+
+@st.composite
+def one_entry_mutants(draw):
+    """A corpus functor with one entry of one res, tr, nm or conj table set to
+    another element of the table's target level; conj only below the top
+    level, where a conjugation can move the corner orbits' bases."""
+    name, T = draw(st.sampled_from(MUTANT_BASES))
+    T = copy_functor(T)
+    kind = draw(st.sampled_from(["res", "tr", "nm", "conj"]))
+    full = T.group.full_subgroup
+    keys = [key for key in getattr(T, kind) if kind != "conj" or key[1] != full]
+    key = draw(st.sampled_from(keys))
+    if kind == "conj":
+        target = key[1].conjugate(key[0])
+    else:
+        target = key[0] if kind == "res" else key[1]
+    table = getattr(T, kind)[key].copy()
+    i = draw(st.integers(0, len(table) - 1))
+    table[i] = draw(st.integers(0, T.levels[target].size - 1))
+    getattr(T, kind)[key] = table
+    return f"{name}: {kind} at {key} entry {i} -> {int(table[i])}", T
+
+
+@given(one_entry_mutants())
+@settings(max_examples=60, deadline=None)
+def test_corner_norm_matches_corner_reference_on_mutants(mutant):
+    name, T = mutant
+    _assert_corner_norm_is_reference(name, T)
+    got, want = check_axioms(T), _with_corner_reference(T)
+    assert got.summary() == want.summary(), name
+
+
+@pytest.mark.parametrize("name, T", EXPONENTIAL_FAILING, ids=[d for d, _ in EXPONENTIAL_FAILING])
+def test_check_reports_as_with_corner_reference(name, T):
+    assert check_axioms(T).summary() == _with_corner_reference(T).summary()
+
+
+def test_check_never_builds_the_pullback_corner(monkeypatch):
+    import tambara.gsets as gsets
+
+    def refuse(f, g):
+        raise AssertionError("check_axioms built a pullback")
+
+    monkeypatch.setattr(gsets, "pullback", refuse)
+    for name in ["coind_C2a_S3_FPF4", "burnside_C4_4", "coind_e_V4_constF2"]:
+        assert check_axioms(corpus.TAMBARA_CORPUS[name]).passed
+    for _, T in EXPONENTIAL_FAILING:
+        assert any(f.family == "exponential" for f in check_axioms(T).failures)
+    # the corner is still there to read, built by pullback on first read
+    G = corpus.S3
+    f = _coset_projection(G, G.trivial_subgroup, G.full_subgroup)
+    A, p, _ = next(x for x in _exponential_family(G, G.trivial_subgroup, 2) if "+" in x[2])
+    diag = dependent_product(f, GSetMap(A, f.source, p))
+    with pytest.raises(AssertionError, match="built a pullback"):
+        diag.pullback_corner
 
 
 def test_eval_along_shares_one_table_per_orbit_type():

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import corpus
-from helpers import assert_orbits_match_reference, diagram_points
+from helpers import (
+    assert_orbits_match_reference,
+    diagram_points,
+    identity_map,
+    orbit_coset_iso,
+    trivial_gset,
+)
 from tambara.errors import DefinitionError, SizeLimitExceeded
 from tambara.functors import _coset_projection, _exponential_family
 from tambara.groups import FiniteGroup, subgroups
@@ -15,11 +21,8 @@ from tambara.gsets import (
     disjoint_union,
     equivariant_maps,
     gset_isomorphism,
-    identity_map,
-    orbit_coset_iso,
     orbit_decomposition,
     pullback,
-    trivial_gset,
 )
 
 C2 = FiniteGroup.cyclic(2)

@@ -10,10 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import corpus
 import helpers
 from corpus import C2, C3, C4, F2, F3, F4, S3, V4
-from helpers import reference_dependent_product
+from helpers import gring_isomorphism, reference_dependent_product
 from tambara.groups import subgroups
 from tambara.errors import DefinitionError, SizeLimitExceeded
-from tambara.functors import eval_along
+from tambara.functors import _corner_norm, eval_along, evaluate_gset
 from tambara.gsets import (
     GSet,
     GSetMap,
@@ -28,7 +28,6 @@ from tambara.gsets import (
 from tambara.rings import (
     GRing,
     coinduce_gring,
-    gring_isomorphism,
     prod_components,
     trivial_gring,
 )
@@ -368,9 +367,33 @@ def test_dependent_product_matches_pointwise_reference(inputs):
     points = helpers.diagram_points(got)
     assert points == helpers.diagram_points(want) == sorted(set(points))
     assert got.projection.images == want.projection.images
+    assert np.array_equal(got.sections, want.sections) and not got.sections.flags.writeable
+    # the corner, built on first read, from the section matrix
     assert np.array_equal(got.pullback_corner.action, want.pullback_corner.action)
     assert got.evaluation.images == want.evaluation.images
     assert got.corner_projection.images == want.corner_projection.images
+
+
+NORM_FUNCTORS = {G: [T for T in corpus.TAMBARA_CORPUS.values() if T.group is G]
+                 for G in (C2, C3, C4, V4, S3)}
+
+
+@given(exponential_inputs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_corner_norm_matches_corner_reference_on_any_diagram(inputs, data):
+    # X need not be one orbit here: a corner orbit's least point lies over
+    # the least point of an orbit of X
+    f, p = inputs
+    try:
+        diag = dependent_product(f, p)
+    except SizeLimitExceeded:
+        return
+    T = data.draw(st.sampled_from(NORM_FUNCTORS[f.source.group]))
+    got = _corner_norm(T, diag, evaluate_gset(T, p.source), evaluate_gset(T, diag.pi))
+    want = helpers.corner_norm(T, diag)
+    assert [[i for i, _ in c] for c in got.plan] == [[i for i, _ in c] for c in want.plan]
+    assert all(np.array_equal(a, b) for c, d in zip(got.plan, want.plan)
+               for (_, a), (_, b) in zip(c, d))
 
 
 APPLY_BATCH_FUNCTORS = ["burnside_C2_4", "F4_galois_C2", "burnside_C3_9", "coind_C2_C4_FPF4",

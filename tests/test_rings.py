@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import helpers
-from helpers import subring_on_idempotent
+from helpers import gring_homomorphisms, gring_isomorphism, ring_isomorphism, subring_on_idempotent
 from tambara.errors import (
     DefinitionError,
     NotIdempotent,
@@ -23,8 +23,6 @@ from tambara.rings import (
     decompose_gring,
     fq,
     frobenius,
-    gring_homomorphisms,
-    gring_isomorphism,
     gring_product,
     gring_restrict,
     idempotents,
@@ -35,7 +33,6 @@ from tambara.rings import (
     prod_components,
     prod_encode,
     product_ring,
-    ring_isomorphism,
     trivial_gring,
     zero_ring,
     zn,

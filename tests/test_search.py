@@ -8,22 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 from helpers import (
+    _gring_structure,
+    gring_homomorphisms,
+    gring_isomorphism,
     reference_build_steps,
     reference_search_homomorphisms,
     relabel_functor,
     relabel_gring,
+    ring_isomorphism,
 )
 from tambara._search import OpStructure, _Budget, _build_steps, search_homomorphisms
 from tambara.errors import SearchTimeout
 from tambara.functors import _functor_structure, functor_isomorphism
 from tambara.groups import Subgroup
 from tambara.rings import (
-    _gring_structure,
-    gring_homomorphisms,
-    gring_isomorphism,
     gring_product,
     product_ring,
-    ring_isomorphism,
     trivial_gring,
     zero_ring,
 )
