@@ -600,15 +600,15 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     fiber_bound, which must be at least 2: a smaller bound drops the
     norm-of-sum and norm-of-transfer diagrams, and a PASS would no longer
     cover them.  Each K's family A -> G/K and its transfers tr_p are built
-    once, for every H above K.  Each diagram compares nm_f tr_p with tr_pi
-    nm res_ev on every element of T(A), on the open mesh of T(A)
-    (_exponential_paths), nm res_ev planned orbit by orbit of pi without
-    building the pullback corner (_corner_norm), and names the first
-    failing element in C order.  That regroups each
-    fold, so the levels must be rings: FiniteRing checks that + and x
-    commute, validate() at the loader that they associate.  A diagram too
-    large to build raises SizeLimitExceeded: it shows no identity failing,
-    so it is not reported as a failure.
+    once, for every H above K.  Each diagram is read off the fibers over
+    Y's orbit bases (dependent_product), building neither pi nor its
+    pullback corner, and compares nm_f tr_p with tr_pi nm res_ev on every
+    element of T(A), on its open mesh (_exponential_paths), composing each
+    table once per check; it names the first failing element in C order.
+    That regroups each fold, so the levels must be rings: FiniteRing checks
+    that + and x commute, validate() at the loader that they associate.  A
+    diagram too large to build raises SizeLimitExceeded: it shows no
+    identity failing, so it is not reported as a failure.
     """
     if fiber_bound < 2:
         raise DefinitionError(f"fiber bound must be at least 2, got {fiber_bound}")
@@ -719,6 +719,7 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
 
     # (6) exponential diagrams, each K's family and its tr_p built once
     families: Dict[Subgroup, List[Tuple[GSetMap, EvalMap, str]]] = {}
+    memo: Dict[tuple, np.ndarray] = {}  # one composed table per (kind, A, B, u)
     if "nm" in kinds:
         for (K, H) in T.sub_pairs():
             if K == H:
@@ -736,7 +737,7 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                     raise SizeLimitExceeded(
                         f"exponential diagram {desc} over {K.elements}<={H.elements}: {exc}"
                     ) from exc
-                shape, path1, path2 = _exponential_paths(T, nm_f, tr_p, diag)
+                shape, path1, path2 = _exponential_paths(T, nm_f, tr_p, diag, memo)
                 note("exponential", int(np.prod(shape)))
                 bad = [a != b for a, b in zip(path1, path2)]
                 if any(b.any() for b in bad):
@@ -751,58 +752,64 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     return CheckReport(passed=not failures, failures=failures, checked=checked)
 
 
-def _exponential_paths(T: TambaraData, nm_f: EvalMap, tr_p: EvalMap, diag: ExponentialDiagram
+def _exponential_paths(T: TambaraData, nm_f: EvalMap, tr_p: EvalMap, diag: ExponentialDiagram,
+                       memo: Dict[tuple, np.ndarray]
                        ) -> Tuple[Tuple[int, ...], List[np.ndarray], List[np.ndarray]]:
     """The two sides of the exponential formula on every element of T(A),
-    evaluated on the open mesh of T(A): its component i is arange(n_i)
-    along axis i, so each side is one array per component of T(Y),
-    broadcastable to shape (n_0, n_1, ...) and indexed by the element's
-    components.  The sides are nm_f tr_p, and tr_pi nm_corner res_ev with
-    the restriction and the norm planned as one map (_corner_norm), so
-    neither the corner nor the restricted elements are written out."""
-    tr_pr = eval_along(T, diag.projection, "tr")
+    on its open mesh (component i is arange(n_i) along axis i): one array
+    per component of T(Y), broadcastable to shape (n_0, n_1, ...).  The
+    sides are nm_f tr_p, and tr_pi after nm_corner res_ev (_corner_norm);
+    T(pi) and tr_pi are read off diag's orbit records (orbit i maps onto
+    the orbit of its y, base onto base y, so with carrier e), no pi, corner
+    or restricted element is written out, and tables go through memo."""
+    G, Y_val, orbit_of = T.group, nm_f.target, diag.f.target.orbit_of
+    pi_val = LeveledValue(diag.orbits, [T.levels[o.stabilizer] for o in diag.orbits])
+    plan: List[List[Tuple[int, np.ndarray]]] = [[] for _ in Y_val.orbits]
+    for i, o in enumerate(diag.orbits):
+        j = orbit_of[o.y]
+        plan[j].append((i, _leg(T, "tr", o.stabilizer, Y_val.orbits[j].stabilizer, G.identity, memo)))
     shape = tuple(tr_p.source.sizes)
     cols = np.ix_(*(np.arange(n) for n in shape))
-    return (shape, nm_f.fold(tr_p.fold(cols)),
-            tr_pr.fold(_corner_norm(T, diag, tr_p.source, tr_pr.source).fold(cols)))
+    return (shape, nm_f.fold(tr_p.fold(cols)), EvalMap("tr", pi_val, Y_val, plan).fold(
+        _corner_norm(T, diag, tr_p.source, pi_val, memo).fold(cols)))
 
 
 def _corner_norm(T: TambaraData, diag: ExponentialDiagram, A_val: LeveledValue,
-                 pi_val: LeveledValue) -> EvalMap:
+                 pi_val: LeveledValue, memo: Dict[tuple, np.ndarray]) -> EvalMap:
     """nm_corner res_ev, T(A) -> T(pi), as one norm planned orbit by orbit
-    of pi from the section matrix, without building the corner X x_Y pi.
-
-    The corner points over the orbit of pi0 = (y0, sigma0) are the
-    (g.x, g.pi0) with x in f^-1(y0).  The least point of the orbit of
-    (x, pi0) in the corner's lexicographic order is (x0, pi*): x0 the least
-    point of x's orbit, pi* the least g.pi0 over the g with g.x = x0; its
-    stabilizer is Stab(x0) ∩ Stab(pi*), its evaluation sigma*(x0).  The
-    items of pi0's orbit, one per corner orbit in the order of least
-    points, are the norm leg after the restriction leg, as eval_along plans
-    them on the corner (README, "The exponential check in arrays")."""
-    G, f, X, A, pi = T.group, diag.f, diag.f.source, diag.p.source, diag.pi
+    of pi from diag's orbit records, through memo, building neither pi nor
+    the corner X x_Y pi.  Over orbit j, base base_j = (y_j, sigma_j) and
+    stabilizer S_j, the corner orbit of (x, base_j), x in f^-1(y_j), has
+    least point (x0, pi*): x0 the least point of x's orbit, pi* the least
+    g.base_j over the g with g.x = x0, first reached by g*.  Its stabilizer
+    is Stab(x0) ∩ g* S_j g*^-1, its evaluation g*.sigma_j(x), and its item
+    the norm leg after the restriction leg, as eval_along plans the corner
+    (README, "The exponential check in arrays")."""
+    X, A, moves = diag.f.source, diag.p.source, diag.moves
     x_base = np.array([o.base for o in orbit_decomposition(X)])[list(X.orbit_of)]
-    bases = np.array([o.base for o in pi_val.orbits], dtype=np.int64)
-    # one pair (orbit j of pi, x in the fiber of its base) per corner point
+    # one pair (orbit j of pi, x in the fiber of y_j) per corner point
     # (x, base_j); pairs with the same least corner point (x0, pi*) meet in
     # one corner orbit
-    js, xs = np.nonzero(np.asarray(diag.projection.images)[bases][:, None]
-                        == np.asarray(f.images))
+    js, xs = np.nonzero(diag.base_sections < A.size)
     x0 = x_base[xs]
-    star = np.where(X.action[:, xs] == x0, pi.action[:, bases[js]], pi.size).min(axis=0)
-    _, first = np.unique(x0 * pi.size + star, return_index=True)
-    js, x0, star = js[first], x0[first], star[first]
-    masks = ((X.action[:, x0] == x0) & (pi.action[:, star] == star)).T \
-        @ (1 << np.arange(G.order, dtype=np.int64))
-    subs, orbit_of, carrier = subgroups(G), A.orbit_of, A.carrier
+    reach = np.where(X.action[:, xs] == x0, moves[js].T, diag.size)
+    g_star = reach.argmin(axis=0)
+    keys = x0 * diag.size + reach[g_star, np.arange(len(js))]
+    _, first = np.unique(keys, return_index=True)
+    js, x0, g_star, star = js[first], x0[first], g_star[first], keys[first] % diag.size
+    qs = A.action[g_star, diag.base_sections[js, xs[first]]]
+    carriers = (moves[js] == star[:, None]).argmax(axis=1)  # the least g with g.base_j = pi*
+    orbit_of, carrier = A.orbit_of, A.carrier
     plan: List[List[Tuple[int, np.ndarray]]] = [[] for _ in pi_val.orbits]
-    memo: Dict[tuple, np.ndarray] = {}
-    for j, s, q, mask in zip(js.tolist(), star.tolist(), diag.sections[star, x0].tolist(),
-                             masks.tolist()):
-        C = subs[G.lattice_position(mask)]
-        res = _leg(T, "res", C, A_val.orbits[orbit_of[q]].stabilizer, carrier[q], memo)
-        nm = _leg(T, "nm", C, pi_val.orbits[j].stabilizer, pi.carrier[s], memo)
-        plan[j].append((orbit_of[q], nm[res]))
+    for j, x, g, q, u in zip(js.tolist(), x0.tolist(), g_star.tolist(), qs.tolist(),
+                             carriers.tolist()):
+        S = diag.orbits[j].stabilizer
+        C = orbit_decomposition(X)[X.orbit_of[x]].stabilizer.intersect(S.conjugate(g))
+        B = A_val.orbits[orbit_of[q]].stabilizer
+        key = (C, B, carrier[q], S, u)  # each item is composed once per memo, too
+        if key not in memo:
+            memo[key] = _leg(T, "nm", C, S, u, memo)[_leg(T, "res", C, B, carrier[q], memo)]
+        plan[j].append((orbit_of[q], memo[key]))
     return EvalMap("nm", A_val, pi_val, plan)
 
 

@@ -2,9 +2,9 @@
 
 A G-set is an action array over a FiniteGroup; points are 0-based indices.
 This module supplies orbit decomposition, pullbacks, the dependent product
-along a map (sections over fibers), and the exponential diagram built from
-it, whose pullback corner is built on first read.  Everything is
-constructed literally from the definitions and validated on construction.
+along a map (sections over fibers) and its exponential diagram, read off
+the fibers over the bases of the target's orbits; its point-level G-sets
+are built on first read.  G-sets and maps are validated on construction.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, product as iproduct
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class GSet:
         return int(self.action[g, x])
 
     def stabilizer(self, x: int) -> Subgroup:
-        return _stabilizers(self, [x])[0]
+        return _fixers(self.group, self.action[:, [x]] == x)[0]
 
     @property
     def orbit_of(self) -> Tuple[int, ...]:
@@ -172,15 +172,17 @@ def orbit_decomposition(X: GSet) -> Tuple[Orbit, ...]:
                 pts.append(y)
         found.append((tuple(sorted(pts)), x))
     X._orbit_of, X._carrier = tuple(orbit_of), tuple(carrier)
+    bases = [x for _, x in found]
     X._orbits = tuple(Orbit(points=pts, base=x, stabilizer=stab)
-                      for (pts, x), stab in zip(found, _stabilizers(X, [x for _, x in found])))
+                      for (pts, x), stab in zip(found, _fixers(X.group, X.action[:, bases] == bases)))
     return X._orbits
 
 
-def _stabilizers(X: GSet, points: List[int]) -> List[Subgroup]:
-    """The stabilizers of the points from one gather, each read by its mask."""
-    G, subs = X.group, subgroups(X.group)
-    masks = (X.action[:, points] == points).T @ (1 << np.arange(G.order, dtype=np.int64))
+def _fixers(G: FiniteGroup, fixed: np.ndarray) -> List[Subgroup]:
+    """The subgroup {g : fixed[g, i]} for each column i of a (|G|, n) bool
+    array, each read by its element mask."""
+    subs = subgroups(G)
+    masks = fixed.T @ (1 << np.arange(G.order, dtype=np.int64))
     return [subs[G.lattice_position(m)] for m in masks.tolist()]
 
 
@@ -199,24 +201,108 @@ def pullback(f: GSetMap, g: GSetMap) -> Tuple[GSet, GSetMap, GSetMap]:
     return P, p1, p2
 
 
-@dataclass(frozen=True, eq=False)
+class SectionOrbit(NamedTuple):
+    """An orbit of Pi_f A: its base (y, sigma), y being the base of the
+    orbit of Y below it, and the base's stabilizer."""
+
+    base: int
+    y: int
+    stabilizer: Subgroup
+
+
 class ExponentialDiagram:
-    """The five-object diagram generated by f : X -> Y and p : A -> X.
+    """The five-object diagram generated by f : X -> Y and p : A -> X, as
+    dependent_product reads it.  pi = Pi_f A has size points (y, sigma),
+    numbered offset[y] + sum over x in f^-1(y) of rank[sigma(x)] * weight[x]
+    (README, "Π_f A from the fibers over Y's orbit bases").  orbits[j] is a
+    SectionOrbit with base base_j = (y_j, sigma_j); moves[j, g] = g.base_j
+    and base_sections[j, x] = sigma_j(x) on f^-1(y_j), A.size elsewhere, in
+    int32.  pi, its projection to Y and the read-only section matrix are
+    built on first read, every fiber by _action; so are the pullback corner
+    X x_Y pi, its evaluation (x, (y, sigma)) -> sigma(x) to A and its
+    projection to pi.  Evaluation followed by p is the projection to X."""
 
-    pi is the dependent product: points are pairs (y, sigma) where sigma
-    sections p over the fiber of y.  sections[i, x] is sigma(x) for point
-    i = (y, sigma) and x in the fiber of y, and A.size elsewhere; it is
-    read-only.  The pullback corner X x_Y pi, its evaluation to A,
-    (x, (y, sigma)) -> sigma(x), and its projection to pi are built by
-    pullback on first read; the diagram commutes: evaluation followed by p
-    is the pullback projection to X.
-    """
+    def __init__(self, f: GSetMap, p: GSetMap) -> None:
+        if p.target is not f.source:
+            raise DefinitionError("p must target the source of f")
+        self.f, self.p = f, p
+        X, Y, A, G = f.source, f.target, p.source, f.source.group
+        self._lifts: List[List[int]] = [[] for _ in range(X.size)]
+        self._fibers: List[List[int]] = [[] for _ in range(Y.size)]
+        for x, y in enumerate(f.images):
+            self._fibers[y].append(x)
+        rank = [0] * A.size
+        for a, x in enumerate(p.images):
+            rank[a] = len(self._lifts[x])
+            self._lifts[x].append(a)
+        # fibers over one orbit of Y are alike: count once per orbit, with
+        # Python integers, before anything is allocated
+        y_orbits = orbit_decomposition(Y)
+        counts = [math.prod(len(self._lifts[x]) for x in self._fibers[o.base]) for o in y_orbits]
+        if sum(c * len(o.points) for c, o in zip(counts, y_orbits)) > SECTION_CAP:
+            raise SizeLimitExceeded(f"dependent product would have more than {SECTION_CAP} points")
+        self._counts = [counts[i] for i in Y.orbit_of]
+        self._offset = np.array([0, *accumulate(self._counts)], dtype=np.int32)  # Y.size + 1
+        self.size = int(self._offset[-1])
+        weight = [0] * X.size
+        for fib in self._fibers:
+            w = 1
+            for x in reversed(fib):
+                weight[x], w = w, w * len(self._lifts[x])
+        self._rank, self._weight = np.array(rank, dtype=np.int32), np.array(weight, dtype=np.int32)
+        self._p = np.array(p.images, dtype=np.intp)
 
-    f: GSetMap
-    p: GSetMap
-    pi: GSet
-    projection: GSetMap          # pi -> Y
-    sections: np.ndarray         # (pi.size, X.size)
+        orbits, moves, sections = [], [np.empty((0, G.order), np.int32)], [np.empty((0, X.size), np.int32)]
+        for orb in y_orbits:  # self-checks: Stab(y) acts, p(sigma(x)) = x
+            y, (Hg, embed) = orb.base, orb.stabilizer.as_group
+            action, low = self._action(y), self._offset[y]
+            bad = Hg.action_failure(action[list(embed)] - low)
+            if bad is not None:
+                raise DefinitionError(f"Stab(y) not acting on the sections over y={y} at "
+                                      f"g={embed[bad[0]]}, h={embed[bad[1]]}, x={low + bad[2]}")
+            cols = np.flatnonzero(action.min(axis=0) == low + np.arange(action.shape[1]))
+            sections.append(self._values(y, cols))
+            if not (self._p[sections[-1][:, self._fibers[y]]] == self._fibers[y]).all():
+                raise DefinitionError("exponential diagram does not commute")
+            orbits += map(SectionOrbit, (low + cols).tolist(), [y] * len(cols),
+                          _fixers(G, action[:, cols] == low + cols))
+            moves.append(action[:, cols].T)
+        self.orbits: Tuple[SectionOrbit, ...] = tuple(orbits)
+        self.moves, self.base_sections = np.concatenate(moves), np.concatenate(sections)
+
+    def _action(self, y: int) -> np.ndarray:
+        """The (|G|, counts[y]) int32 numbers of g.(y, sigma), sigma numbered
+        offset[y] + column: offset[g.y] plus, over x in f^-1(y) with more
+        than one lift, rank[g.sigma(x)] * weight[g.x], one broadcast a digit."""
+        fib = [x for x in self._fibers[y] if len(self._lifts[x]) != 1]
+        lifts = [a for x in fib for a in self._lifts[x]]
+        terms = (self._rank[self.p.source.action[:, lifts]]
+                 * self._weight[self.f.source.action[:, self._p[lifts]]])
+        out, start = self._offset[self.f.target.action[:, y]][:, None], 0
+        for x in fib:  # digits in numbering order
+            r = len(self._lifts[x])
+            out = (out[:, :, None] + terms[:, None, start:start + r]).reshape(len(out), -1)
+            start += r
+        return out
+
+    def _values(self, y: int, s: np.ndarray) -> np.ndarray:
+        """Row i is sigma(x) on f^-1(y), sigma numbered offset[y] + s[i]."""
+        out = np.full((len(s), self.f.source.size), self.p.source.size, dtype=np.int32)
+        for x in self._fibers[y]:
+            lift = np.array(self._lifts[x], dtype=np.int32)
+            out[:, x] = lift[s // self._weight[x] % len(lift)]
+        return out
+
+    @cached_property
+    def _points(self) -> Tuple[GSet, GSetMap, np.ndarray]:
+        G, Y = self.f.source.group, self.f.target
+        action = np.empty((G.order, self.size), dtype=np.int32)
+        sections = np.empty((self.size, self.f.source.size), dtype=np.int32)
+        for y, (lo, hi) in enumerate(zip(self._offset, self._offset[1:])):
+            action[:, lo:hi], sections[lo:hi] = self._action(y), self._values(y, np.arange(hi - lo))
+        sections.flags.writeable = False
+        pi = GSet(G, action)
+        return pi, GSetMap(pi, Y, tuple(np.repeat(np.arange(Y.size), self._counts).tolist())), sections
 
     @cached_property
     def _corner(self) -> Tuple[GSet, GSetMap, GSetMap]:
@@ -225,88 +311,25 @@ class ExponentialDiagram:
                            np.asarray(to_x.images, dtype=np.int64)]
         return corner, GSetMap(corner, self.p.source, tuple(ev.tolist())), to_pi
 
-    @property
-    def pullback_corner(self) -> GSet:         # X x_Y pi
-        return self._corner[0]
-
-    @property
-    def evaluation(self) -> GSetMap:           # corner -> A
-        return self._corner[1]
-
-    @property
-    def corner_projection(self) -> GSetMap:    # corner -> pi
-        return self._corner[2]
+    pi = property(lambda self: self._points[0])
+    projection = property(lambda self: self._points[1])          # pi -> Y
+    sections = property(lambda self: self._points[2])            # (pi.size, X.size)
+    pullback_corner = property(lambda self: self._corner[0])     # X x_Y pi
+    evaluation = property(lambda self: self._corner[1])          # corner -> A
+    corner_projection = property(lambda self: self._corner[2])   # corner -> pi
 
 
 def dependent_product(f: GSetMap, p: GSetMap) -> ExponentialDiagram:
-    """Construct Pi_f A and its exponential diagram.
-
-    Points of Pi_f A are pairs (y, sigma) with sigma : f^-1(y) -> A a
-    section of p over the fiber; the action is g(y, sigma) = (gy, g sigma)
-    with (g sigma)(x) = g.sigma(g^-1 x).
-
-    The points are sorted: by y, then by sigma in the product order of the
-    lift lists p^-1(x) over the sorted fiber.  So the point (y, sigma) is
-    numbered offset[y] + sum over x in f^-1(y) of rank[sigma(x)] * weight[x],
-    where rank[a] is a's position in p^-1(p(a)) and weight[x] is the number
-    of sections of the part of the fiber after x.  Row i of the section
-    matrix holds point i's sigma(x) for x in its fiber and the sentinel
-    A.size elsewhere, which every g fixes and which ranks 0.
-
-    The commutativity check p(sigma(x)) = x runs on every (point, x in its
-    fiber) pair, the points of the pullback corner, built only when read.
-    """
-    if p.target is not f.source:
-        raise DefinitionError("p must target the source of f")
-    X, Y, A = f.source, f.target, p.source
-    G = X.group
-
-    f_img, p_img = np.asarray(f.images, dtype=np.int64), np.asarray(p.images, dtype=np.int64)
-    fibers = [np.flatnonzero(f_img == y) for y in range(Y.size)]
-    lifts = [np.flatnonzero(p_img == x) for x in range(X.size)]
-    radix = [len(lift) for lift in lifts]
-    counts = [math.prod(radix[x] for x in fib.tolist()) for fib in fibers]
-    if sum(counts) > SECTION_CAP:
-        raise SizeLimitExceeded(
-            f"dependent product would have more than {SECTION_CAP} points")
-
-    rank = np.zeros(A.size + 1, dtype=np.int64)
-    weight = np.zeros(X.size, dtype=np.int64)
-    sections = np.full((sum(counts), X.size), A.size, dtype=np.int64)
-    offset = np.zeros(Y.size, dtype=np.int64)
-    start = 0
-    for y, fib in enumerate(fibers):
-        offset[y] = start
-        block = sections[start:start + counts[y]]
-        codes = np.arange(counts[y])
-        w = 1
-        for x in reversed(fib.tolist()):  # the last fiber point varies fastest
-            rank[lifts[x]] = np.arange(radix[x])
-            weight[x] = w
-            if counts[y]:
-                block[:, x] = lifts[x][codes // w % radix[x]]
-            w *= radix[x]
-        start += counts[y]
-    point_y = np.repeat(np.arange(Y.size), counts)
-
-    # moved_rank[g, a] is the rank of g.a (a may be the sentinel);
-    # action[g, i] is the number of the point g.(point i)
-    moved_rank = rank[np.concatenate([A.action, np.full((G.order, 1), A.size)], axis=1)]
-    action = np.empty((G.order, len(sections)), dtype=np.int64)
-    for g in G.elements():
-        action[g] = (offset[Y.action[g, point_y]]
-                     + moved_rank[g][sections] @ weight[X.action[g]])
-    pi = GSet(G, action)
-    projection = GSetMap(pi, Y, tuple(point_y.tolist()))
-
-    # the diagram commutes: p(sigma(x)) = x for every point (y, sigma) and
-    # x in the fiber of y, the pairs that make up the pullback corner
-    in_fiber = f_img == point_y[:, None]
-    if not (np.append(p_img, -1)[sections] == np.arange(X.size))[in_fiber].all():
-        raise DefinitionError("exponential diagram does not commute")
-
-    sections.flags.writeable = False
-    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection, sections=sections)
+    """Pi_f A, the pairs (y, sigma) with sigma : f^-1(y) -> A a section of
+    p, g(y, sigma) = (gy, g sigma) with (g sigma)(x) = g.sigma(g^-1 x), and
+    its exponential diagram, without building Pi_f A: an orbit's least
+    point lies over the base y of the orbit of Y below it, so one
+    (|G|, sections over y) array of every g.(y, sigma) per base y gives the
+    orbits, each base a column holding its least value, its stabilizer the
+    mask of the rows fixing it.  Self-checks per base fiber: the rows of
+    Stab(y) act on its sections (FiniteGroup.action_failure), and
+    p(sigma(x)) = x on its bases.  Every point counts towards SECTION_CAP."""
+    return ExponentialDiagram(f, p)
 
 
 def equivariant_maps(X: GSet, Y: GSet) -> Iterator[GSetMap]:

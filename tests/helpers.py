@@ -27,6 +27,8 @@ import json
 import math
 import random
 from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -67,11 +69,11 @@ from tambara._search import (
 from tambara.groups import FiniteGroup, double_cosets, is_subconjugate, subgroups
 from tambara.gsets import (
     SECTION_CAP,
-    ExponentialDiagram,
     GSet,
     GSetMap,
     coset_gset,
     orbit_decomposition,
+    pullback,
 )
 from tambara.rings import (
     _IRREDUCIBLE,
@@ -304,7 +306,39 @@ def reference_dependent_product(f, p):
                 raise DefinitionError("exponential diagram does not commute")
             sections[i, x] = a
     sections.flags.writeable = False
-    return ExponentialDiagram(f=f, p=p, pi=pi, projection=projection, sections=sections)
+    return ReferenceDiagram(f=f, p=p, pi=pi, projection=projection, sections=sections)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceDiagram:
+    """What reference_dependent_product builds: the point-level Pi_f A,
+    its projection to Y and the section matrix, with the pullback corner,
+    its evaluation to A and its projection to Pi_f A built by
+    gsets.pullback on first read."""
+
+    f: GSetMap
+    p: GSetMap
+    pi: GSet
+    projection: GSetMap
+    sections: np.ndarray
+
+    @cached_property
+    def _corner(self):
+        corner, to_x, to_pi = pullback(self.f, self.projection)
+        ev = tuple(int(self.sections[i, x]) for i, x in zip(to_pi.images, to_x.images))
+        return corner, GSetMap(corner, self.p.source, ev), to_pi
+
+    @property
+    def pullback_corner(self):
+        return self._corner[0]
+
+    @property
+    def evaluation(self):
+        return self._corner[1]
+
+    @property
+    def corner_projection(self):
+        return self._corner[2]
 
 
 def diagram_points(diag):

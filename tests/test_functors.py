@@ -439,7 +439,7 @@ def test_exponential_paths_match_unfused_reference(group):
                     diag = dependent_product(f, GSetMap(A, f.source, p))
                 except SizeLimitExceeded:
                     continue
-                shape, *got = _exponential_paths(T, nm_f, eval_along(T, diag.p, "tr"), diag)
+                shape, *got = _exponential_paths(T, nm_f, eval_along(T, diag.p, "tr"), diag, {})
                 arr, *want = reference_exponential_paths(T, diag)
                 assert shape == tuple(evaluate_gset(T, A).sizes)
                 assert arr.shape == (int(np.prod(shape)), len(shape))
@@ -512,20 +512,33 @@ def _assert_corner_norm_is_reference(name, T):
             except SizeLimitExceeded:
                 continue
             where = (name, K.elements, H.elements, desc)
-            got = _corner_norm(T, diag, evaluate_gset(T, A), evaluate_gset(T, diag.pi))
+            got = _corner_norm(T, diag, evaluate_gset(T, A), evaluate_gset(T, diag.pi), {})
             want = helpers.corner_norm(T, diag)
             assert [[i for i, _ in c] for c in got.plan] == [[i for i, _ in c] for c in want.plan], where
             assert all(np.array_equal(a, b) for c, d in zip(got.plan, want.plan)
                        for (_, a), (_, b) in zip(c, d)), where
-            shape, _, side = _exponential_paths(T, nm_f, eval_along(T, diag.p, "tr"), diag)
+            shape, _, side = _exponential_paths(T, nm_f, eval_along(T, diag.p, "tr"), diag, {})
             ref = helpers.corner_second_path(T, diag)
             assert len(side) == len(ref), where
             for a, b in zip(side, ref):
                 assert np.array_equal(np.broadcast_to(a, shape), np.broadcast_to(b, shape)), where
 
 
+def _moved_bottom_conjugation():
+    """F4 through C4 with c_1 on the bottom level sending 0 to 3.  In its
+    A = G/e + G/e diagram over e <= C4 the least g with g.base_j = pi* does
+    not take the fiber point x to x0, so the norm leg must use the carrier
+    of pi*, not the g that reaches pi* from (x, base_j)."""
+    T = copy_functor(corpus.TAMBARA_CORPUS["F4_through_C4"])
+    key = (1, T.group.trivial_subgroup)
+    T.conj[key] = T.conj[key].copy()
+    T.conj[key][0] = 3
+    return T
+
+
 CORNER_FUNCTORS = [*((name, T) for group in sorted(PATH_FUNCTORS) for name, T in PATH_FUNCTORS[group]),
-                   *BENCHMARK_BROKEN]
+                   *BENCHMARK_BROKEN,
+                   ("F4 through C4, c_1 moving 0 on the bottom", _moved_bottom_conjugation())]
 
 
 @pytest.mark.parametrize("name, T", CORNER_FUNCTORS, ids=[name for name, _ in CORNER_FUNCTORS])
@@ -601,6 +614,65 @@ def test_check_never_builds_the_pullback_corner(monkeypatch):
     diag = dependent_product(f, GSetMap(A, f.source, p))
     with pytest.raises(AssertionError, match="built a pullback"):
         diag.pullback_corner
+
+
+def test_check_never_builds_pi_point_by_point(monkeypatch):
+    # every diagram is read off its orbit records: the point-level pi, its
+    # projection and its section matrix are built on first read, which
+    # check_axioms never does
+    import tambara.gsets as gsets
+
+    def refuse(diag):
+        raise AssertionError("pi built point by point")
+
+    monkeypatch.setattr(gsets.ExponentialDiagram, "_points", property(refuse))
+    for name in ["coind_C2a_S3_FPF4", "burnside_C4_4", "coind_e_V4_constF2"]:
+        assert check_axioms(corpus.TAMBARA_CORPUS[name]).passed
+    for _, T in EXPONENTIAL_FAILING:
+        assert any(f.family == "exponential" for f in check_axioms(T).failures)
+    G = corpus.S3
+    f = _coset_projection(G, G.trivial_subgroup, G.full_subgroup)
+    A, p, _ = next(x for x in _exponential_family(G, G.trivial_subgroup, 2) if "+" in x[2])
+    diag = dependent_product(f, GSetMap(A, f.source, p))
+    for read in ("pi", "projection", "sections"):
+        with pytest.raises(AssertionError, match="point by point"):
+            getattr(diag, read)
+
+
+def _swapping(monkeypatch, row, i, j):
+    """Make every base-fiber action with more than i and j sections swap
+    its entries i and j in the given row."""
+    import tambara.gsets as gsets
+
+    action = gsets.ExponentialDiagram._action
+
+    def swapped(self, y):
+        out = action(self, y).copy()
+        if out.shape[1] > max(i, j):
+            out[row, [i, j]] = out[row, [j, i]]
+        return out
+
+    monkeypatch.setattr(gsets.ExponentialDiagram, "_action", swapped)
+
+
+@pytest.mark.parametrize("row, i, j, message", [
+    (0, 0, 1, "identity must act trivially"),
+    (1, 0, 1, r"Stab\(y\) not acting on the sections over y=0 at g=1, h=1, x=0"),
+    (2, 0, 7, r"Stab\(y\) not acting on the sections over y=0 at g=1, h=1, x=0"),
+])
+def test_swapped_base_fiber_action_raises(monkeypatch, row, i, j, message):
+    # the action self-check fires: C3 acting on the 8 sections of
+    # G/e + G/e -> G/e over the one point of G/G, two entries of one row
+    # swapped; the check raises rather than reporting a failure
+    f = _coset_projection(C3, C3.trivial_subgroup, C3.full_subgroup)
+    A, _ = disjoint_union([f.source, f.source])
+    p = GSetMap(A, f.source, (0, 1, 2, 0, 1, 2))
+    assert dependent_product(f, p).size == 8
+    _swapping(monkeypatch, row, i, j)
+    with pytest.raises(DefinitionError, match=message):
+        dependent_product(f, p)
+    with pytest.raises(DefinitionError, match=message):
+        check_axioms(corpus.TAMBARA_CORPUS["burnside_C3_9"])
 
 
 def test_eval_along_shares_one_table_per_orbit_type():

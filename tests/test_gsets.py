@@ -14,6 +14,7 @@ from tambara.errors import DefinitionError, SizeLimitExceeded
 from tambara.functors import _coset_projection, _exponential_family
 from tambara.groups import FiniteGroup, subgroups
 from tambara.gsets import (
+    SECTION_CAP,
     GSet,
     GSetMap,
     coset_gset,
@@ -168,6 +169,23 @@ def test_section_cap():
     p = GSetMap(A, X, tuple(x for _ in range(3) for x in range(8)))
     with pytest.raises(SizeLimitExceeded):
         dependent_product(f, p)  # 3**8 = 6561 sections
+
+
+@pytest.mark.parametrize("parts, total", [(6, 2 * 3 ** 6), (7, 2 * 3 ** 7)])
+def test_section_cap_counts_every_fiber_of_an_orbit(parts, total):
+    # Y = C2/e: each of its two points has a fiber of `parts` free points
+    # with three lifts each; only the fiber over the base is built, yet
+    # both count, so 3**7 = 2187 sections over the base already trip the cap
+    Y = regular_gset(C2)
+    X, _ = disjoint_union([Y] * parts)
+    f = GSetMap(X, Y, (0, 1) * parts)
+    A, _ = disjoint_union([X] * 3)
+    p = GSetMap(A, X, tuple(x for _ in range(3) for x in range(X.size)))
+    if total > SECTION_CAP:
+        with pytest.raises(SizeLimitExceeded, match="more than 4096 points"):
+            dependent_product(f, p)
+    else:
+        assert dependent_product(f, p).size == total
 
 
 def test_section_count_does_not_wrap():

@@ -1,5 +1,6 @@
 """Property-based tests for the invariants that quantify over choices."""
 
+import math
 import re
 from itertools import islice
 
@@ -13,7 +14,7 @@ from corpus import C2, C3, C4, F2, F3, F4, S3, V4
 from helpers import gring_isomorphism, reference_dependent_product
 from tambara.groups import subgroups
 from tambara.errors import DefinitionError, SizeLimitExceeded
-from tambara.functors import _corner_norm, eval_along, evaluate_gset
+from tambara.functors import _corner_norm, _exponential_paths, eval_along, evaluate_gset
 from tambara.gsets import (
     GSet,
     GSetMap,
@@ -389,11 +390,61 @@ def test_corner_norm_matches_corner_reference_on_any_diagram(inputs, data):
     except SizeLimitExceeded:
         return
     T = data.draw(st.sampled_from(NORM_FUNCTORS[f.source.group]))
-    got = _corner_norm(T, diag, evaluate_gset(T, p.source), evaluate_gset(T, diag.pi))
+    got = _corner_norm(T, diag, evaluate_gset(T, p.source), evaluate_gset(T, diag.pi), {})
     want = helpers.corner_norm(T, diag)
     assert [[i for i, _ in c] for c in got.plan] == [[i for i, _ in c] for c in want.plan]
     assert all(np.array_equal(a, b) for c, d in zip(got.plan, want.plan)
                for (_, a), (_, b) in zip(c, d))
+
+
+@st.composite
+def wide_inputs(draw):
+    """f : X -> Y and p : A -> X over C2 with about SECTION_CAP points in
+    Pi_f A: Y one or two parts, X four to seven parts over Y, and A two or
+    three copies of X over X, so each point of X has as many lifts."""
+    Y, _ = draw(gset_over(coset_gset(C2, C2.full_subgroup), 1, 2))
+    X, f = draw(gset_over(Y, 4, 7))
+    n = draw(st.integers(min_value=2, max_value=3))
+    A, _ = disjoint_union([X] * n)
+    return f, GSetMap(A, X, tuple(x for _ in range(n) for x in range(X.size)))
+
+
+@given(st.one_of(exponential_inputs(), wide_inputs()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orbit_records_match_point_level_pi(inputs, data):
+    # dependent_product reads the orbits of Pi_f A off the fibers over the
+    # bases of Y's orbits: they are the orbits of the point-level pi built
+    # on first read, the cap trips exactly when the point-by-point
+    # reference passes it, and the second side of the formula planned from
+    # the records is the corner one on every element
+    f, p = inputs
+    try:
+        want = reference_dependent_product(f, p)
+    except SizeLimitExceeded:
+        with pytest.raises(SizeLimitExceeded):
+            dependent_product(f, p)
+        return
+    diag = dependent_product(f, p)
+    pi = diag.pi
+    assert diag.size == pi.size == want.pi.size
+    orbits = orbit_decomposition(pi)
+    bases = [o.base for o in orbits]
+    assert [(o.base, o.stabilizer) for o in diag.orbits] == [(o.base, o.stabilizer) for o in orbits]
+    assert [o.y for o in diag.orbits] == [diag.projection(b) for b in bases]
+    assert diag.moves.dtype == diag.base_sections.dtype == np.int32
+    assert np.array_equal(diag.moves, pi.action[:, bases].T)
+    assert np.array_equal(diag.base_sections, diag.sections[bases])
+    for x in range(pi.size):  # the carrier of x is the least g with g.base = x
+        assert int(np.argmax(diag.moves[pi.orbit_of[x]] == x)) == pi.carrier[x]
+    T = data.draw(st.sampled_from(NORM_FUNCTORS[f.source.group]))
+    shape = tuple(evaluate_gset(T, p.source).sizes)
+    if math.prod(shape) > 4096:
+        return
+    got = _exponential_paths(T, eval_along(T, f, "nm"), eval_along(T, p, "tr"), diag, {})
+    ref = helpers.corner_second_path(T, diag)
+    assert got[0] == shape and len(got[2]) == len(ref)
+    for a, b in zip(got[2], ref):
+        assert np.array_equal(np.broadcast_to(a, shape), np.broadcast_to(b, shape))
 
 
 APPLY_BATCH_FUNCTORS = ["burnside_C2_4", "F4_galois_C2", "burnside_C3_9", "coind_C2_C4_FPF4",
