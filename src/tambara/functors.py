@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -593,7 +593,9 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     structure_maps lists (res, tr and, with norms, nm).  Families:
     contracts (per pair: res a unital ring map, tr additive, nm
     multiplicative with 0 -> 0, each the identity at K = H; chains),
-    conjugation (c_h the identity, composition, intertwining each map),
+    conjugation (c_h the identity, composition, intertwining each map, as
+    gathers on one stacked index of every level's elements, reported in
+    the order of the per-identity loops: _conjugation_failures),
     mackey_additive and mackey_norm (one fold over (tr, +, 0) and
     (nm, x, 1) along shared double-coset paths), frobenius, and with norms
     exponential; the exponential family has every fiber of size <=
@@ -659,26 +661,10 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                     a, b, sep = (H, K, ">") if down else (K, H, "<")
                     fail("contracts", f"{name} chain {a.elements}{sep}{L.elements}{sep}{b.elements}")
 
-    # (2) conjugation: c_h identity, composition, intertwining
-    for H in subs:
-        for h in H.elements:
-            note("conjugation")
-            if not np.array_equal(T.conj[(h, H)], np.arange(T.levels[H].size)):
-                fail("conjugation", f"c_{h} is not the identity on level {H.elements}")
-    for g1 in G.elements():
-        for g2 in G.elements():
-            g12 = G.mul(g1, g2)
-            for H in subs:
-                H2 = H.conjugate(g2)
-                note("conjugation")
-                if not np.array_equal(T.conj[(g1, H2)][T.conj[(g2, H)]], T.conj[(g12, H)]):
-                    fail("conjugation", f"c_{g1} c_{g2} != c_{g12} on level {H.elements}")
-    for g in G.elements():
-        for name, (K, H), src, dst in along:
-            note("conjugation")
-            if not np.array_equal(T.conj[(g, dst)][T.table(name, (K, H))],
-                                  T.table(name, (K.conjugate(g), H.conjugate(g)))[T.conj[(g, src)]]):
-                fail("conjugation", f"conj/{name} intertwining fails at g={g}, {K.elements}<={H.elements}")
+    # (2) conjugation: c_h identity, composition, intertwining each map
+    note("conjugation", sum(H.order for H in subs) + len(G) * (len(G) * len(subs) + len(along)))
+    for desc in islice(_conjugation_failures(T, subs), MAX_FAILURES_PER_FAMILY):
+        fail("conjugation", desc)
 
     # (3)+(4) double coset formulas: res_L of tr or nm from K to H is the
     # sum or product over L\H/K of the paths through K cap L^g
@@ -750,6 +736,54 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                          f"at element {tuple(map(int, x))}: {v1} vs {v2}")
 
     return CheckReport(passed=not failures, failures=failures, checked=checked)
+
+
+def _conjugation_failures(T: TambaraData, subs: List[Subgroup]) -> Iterator[str]:
+    """The conjugation family's failures in check order: c_h = id (H, then
+    h in H), c_g1 c_g2 = c_g1g2 (g1, g2, H), then conj intertwining each
+    map along inclusions (g, then structure_maps order).  Every level's
+    elements are stacked in subs = subgroups(G) order, level H at off[H],
+    and C[g, off[H] + x] = off[gHg^-1] + conj[(g, H)][x], so a check is a
+    gather on C reduced per level or per table (README "The conjugation
+    family on one stacked index").  C is built from T's tables per call."""
+    G, kinds = T.group, map_kinds(T.has_norms)
+    pos = {H: i for i, H in enumerate(subs)}
+    sizes = np.array([T.levels[H].size for H in subs], dtype=np.int32)
+    off = np.cumsum(sizes, dtype=np.int32) - sizes
+    cj = np.array([[pos[H.conjugate(g)] for H in subs] for g in G.elements()])
+    C = np.concatenate([T.conj[(g, H)] for g in G.elements() for H in subs], dtype=np.int32)
+    C = C.reshape(len(G), -1) + np.repeat(off[cj], sizes, axis=1)
+    member = np.array([H.mask for H in subs]) >> np.arange(len(G))[:, None] & 1  # [g, H]
+    moved = np.logical_or.reduceat(C != np.arange(C.shape[1]), off, axis=1) & (member == 1)
+    for i, h in zip(*np.nonzero(moved.T)):
+        yield f"c_{h} is not the identity on level {subs[i].elements}"
+    for g1 in G.elements():
+        bad = np.logical_or.reduceat(C[g1].take(C) != C[G.mul_array[g1]], off, axis=1)
+        for g2, i in zip(*np.nonzero(bad)):
+            yield f"c_{g1} c_{g2} != c_{G.mul(g1, int(g2))} on level {subs[i].elements}"
+    # each kind's tables stacked in subgroup_pairs order, entry j of pair p
+    # at start[p] + j holding the stacked position of its image; p^g is the
+    # pair (gKg^-1, gHg^-1), whose table at c_g x is compared with c_g t(x)
+    pairs = G.subgroup_pairs
+    ks, hs = (np.array([pos[P[i]] for P in pairs]) for i in (0, 1))
+    pair_of = np.full((len(subs), len(subs)), -1)
+    pair_of[ks, hs] = np.arange(len(pairs))
+    fails = np.empty((len(G), len(pairs), len(kinds)), dtype=bool)
+    for k, name in enumerate(kinds):
+        src, dst = (hs, ks) if name == "res" else (ks, hs)
+        lens = sizes[src]
+        start = np.cumsum(lens, dtype=np.int32) - lens
+        S = np.concatenate([T.table(name, P) for P in pairs], dtype=np.int32)
+        S += np.repeat(off[dst], lens)
+        at = np.arange(len(S), dtype=np.int32)  # stacked source positions
+        at += np.repeat(off[src] - start, lens)
+        for g in G.elements():
+            idx = C[g].take(at)
+            idx += np.repeat(start[pair_of[cj[g, ks], cj[g, hs]]] - off[cj[g, src]], lens)
+            fails[g, :, k] = np.logical_or.reduceat(C[g].take(S) != S.take(idx), start)
+    for g, p, k in zip(*np.nonzero(fails)):
+        K, H = pairs[p]
+        yield f"conj/{kinds[k]} intertwining fails at g={g}, {K.elements}<={H.elements}"
 
 
 def _exponential_paths(T: TambaraData, nm_f: EvalMap, tr_p: EvalMap, diag: ExponentialDiagram,
@@ -917,8 +951,11 @@ def functor_isomorphism(T1: TambaraData, T2: TambaraData,
     """Search for an isomorphism commuting with all structure maps.
 
     Returns None when provably absent; raises SearchTimeout on budget
-    exhaustion, which is a distinct outcome.
+    exhaustion, which is a distinct outcome, and DefinitionError for a
+    negative budget.
     """
+    if budget < 0:
+        raise DefinitionError(f"search budget must be at least 0, got {budget}")
     if T1.group is not T2.group:
         raise GroupMismatch("isomorphism needs a common group")
     if T1.has_norms != T2.has_norms:

@@ -54,6 +54,7 @@ from tambara.functors import (
     evaluate_gset,
     fixed_point_functor,
     product,
+    structure_maps,
 )
 from tambara._search import (
     DEFAULT_BUDGET,
@@ -1158,6 +1159,38 @@ def random_assembly(G, rng, max_bottom=2048):
 
 
 # -- test-only API: no caller in the package, its CLI or the benchmark ------
+
+
+def reference_conjugation_failures(T):
+    """The conjugation family as three loops of table identities, one
+    np.array_equal per identity: c_h = id (H, then h in H), c_g1 c_g2 =
+    c_g1g2 (g1, g2, H) and conj intertwining each map along inclusions (g,
+    then structure_maps order).  Returns (identities checked, every failure
+    description in that order); check_axioms reports the first few."""
+    G = T.group
+    subs = subgroups(G)
+    along = [m for m in structure_maps(G, T.has_norms) if m[0] != "conj"]
+    count, failures = 0, []
+    for H in subs:
+        for h in H.elements:
+            count += 1
+            if not np.array_equal(T.conj[(h, H)], np.arange(T.levels[H].size)):
+                failures.append(f"c_{h} is not the identity on level {H.elements}")
+    for g1 in G.elements():
+        for g2 in G.elements():
+            g12 = G.mul(g1, g2)
+            for H in subs:
+                H2 = H.conjugate(g2)
+                count += 1
+                if not np.array_equal(T.conj[(g1, H2)][T.conj[(g2, H)]], T.conj[(g12, H)]):
+                    failures.append(f"c_{g1} c_{g2} != c_{g12} on level {H.elements}")
+    for g in G.elements():
+        for name, (K, H), src, dst in along:
+            count += 1
+            if not np.array_equal(T.conj[(g, dst)][T.table(name, (K, H))],
+                                  T.table(name, (K.conjugate(g), H.conjugate(g)))[T.conj[(g, src)]]):
+                failures.append(f"conj/{name} intertwining fails at g={g}, {K.elements}<={H.elements}")
+    return count, failures
 
 
 def first_failure(report):

@@ -1,6 +1,7 @@
 import importlib
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from tambara.functors import (
     MAX_FAILURES_PER_FAMILY,
     TambaraMorphism,
     _corner_norm,
+    _conjugation_failures,
     _coset_projection,
     _exponential_family,
     _exponential_paths,
@@ -54,8 +56,10 @@ from tambara.functors import (
     green_counterexample,
     identity_morphism,
     mackey_decomposition_iso,
+    map_kinds,
     product,
     restrict,
+    structure_maps,
     zero_functor,
 )
 from tambara.rings import idempotents, trivial_gring
@@ -1010,3 +1014,142 @@ def test_coinduced_green_functors_have_injective_restriction():
     G = GC.group
     res = GC.res[(G.trivial_subgroup, G.full_subgroup)]
     assert len(set(res.tolist())) < GC.levels[G.full_subgroup].size
+
+
+# -- the conjugation family on one stacked index ------------------------------
+
+
+def _assert_conjugation_is_reference(name, T):
+    """check_axioms counts the reference's identities and reports its first
+    failures; the stacked check lists every failure in the loops' order."""
+    count, want = helpers.reference_conjugation_failures(T)
+    report = check_axioms(T)
+    got = [f.description for f in report.failures if f.family == "conjugation"]
+    assert report.checked["conjugation"] == count, name
+    assert got == want[:MAX_FAILURES_PER_FAMILY], name
+    assert list(_conjugation_failures(T, subgroups(T.group))) == want, name
+    return want
+
+
+CONJUGATION_CASES = [*corpus.TAMBARA_CORPUS.items(), *corpus.GREEN_CORPUS.items(),
+                     ("const F3 over D4", constant_functor(F3, corpus.D4)),
+                     *((desc, T) for desc, T, _ in helpers.mutation_fixtures()),
+                     *BENCHMARK_BROKEN]
+
+
+@pytest.mark.parametrize("name, T", CONJUGATION_CASES, ids=[name for name, _ in CONJUGATION_CASES])
+def test_conjugation_family_matches_reference(name, T):
+    _assert_conjugation_is_reference(name, T)
+
+
+def _seeded_mutant(seed):
+    """A corpus functor with one entry of one res, tr, nm or conj table set
+    to a random element of the table's target level (maybe the same); the
+    seed picks the kind in turn."""
+    rng = random.Random(seed)
+    _, T = rng.choice([*MUTANT_BASES, *corpus.GREEN_CORPUS.items()])
+    T = copy_functor(T)
+    kinds = ("conj", *map_kinds(T.has_norms))
+    kind, key, _, dst = rng.choice([m for m in structure_maps(T.group, T.has_norms)
+                                    if m[0] == kinds[seed % len(kinds)]])
+    table = T.table(kind, key).copy()
+    i = rng.randrange(len(table))
+    table[i] = rng.randrange(T.levels[dst].size)
+    getattr(T, kind)[key] = table
+    return f"seed {seed}: {T.label} {kind} at {key} entry {i} -> {int(table[i])}", T
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_conjugation_family_matches_reference_on_mutants(block):
+    failing = 0
+    for seed in range(50 * block, 50 * block + 50):
+        failing += bool(_assert_conjugation_is_reference(*_seeded_mutant(seed)))
+    assert failing >= 5  # the mutants reach the family's failures
+
+
+def _with_table(T, kind, key, table):
+    T = copy_functor(T)
+    getattr(T, kind)[key] = np.array(table)
+    return T
+
+
+def _swapped(T, kind, key):
+    """T with the first two entries of one table exchanged."""
+    table = T.table(kind, key).copy()
+    table[[0, 1]] = table[[1, 0]]
+    return _with_table(T, kind, key, table)
+
+
+def _many_conjugation_failures():
+    """Functors failing more conjugation identities than are reported, with
+    the checks their first reported failures come from."""
+    F4C2, B3, S3F4 = (corpus.TAMBARA_CORPUS[name]
+                      for name in ["F4_galois_C2", "burnside_C3_3", "coind_C2a_S3_FPF4"])
+    e, top = S3.trivial_subgroup, S3.full_subgroup
+    tr = S3F4.tr[(e, top)].copy()
+    tr[1] ^= 1
+    return [
+        ("c_1 moves the top level of F4 over C2", _swapped(F4C2, "conj", (1, C2.full_subgroup)),
+         ("identity", "intertwining", "intertwining")),
+        ("c_1 cycles the bottom level of F4 over C2",
+         _with_table(F4C2, "conj", (1, C2.trivial_subgroup), [1, 2, 3, 0]),
+         ("composition", "intertwining", "intertwining")),
+        ("c_1 moves the top level of Burnside mod 3 over C3", _swapped(B3, "conj", (1, C3.full_subgroup)),
+         ("identity", "composition", "composition")),
+        ("c_2 and c_1 move the middle and top levels of F16 over C4",  # level before element
+         _swapped(_swapped(corpus.TAMBARA_CORPUS["F16_galois_C4"], "conj", (2, C4.subgroup([0, 2]))),
+                  "conj", (1, C4.full_subgroup)),
+         ("identity", "identity", "composition")),
+        ("c_1 moves the bottom level over S3", _swapped(S3F4, "conj", (1, e)),
+         ("composition",) * 3),
+        ("one transfer entry changed over S3", _with_table(S3F4, "tr", (e, top), tr),
+         ("intertwining",) * 3),
+    ]
+
+
+def _check_of(desc):
+    """Which of the three conjugation checks a failure description is from."""
+    return ("identity" if "identity" in desc else "composition" if "!=" in desc
+            else "intertwining")
+
+
+MANY_FAILURES = _many_conjugation_failures()
+
+
+@pytest.mark.parametrize("name, T, first", MANY_FAILURES, ids=[name for name, *_ in MANY_FAILURES])
+def test_conjugation_family_caps_and_orders_many_failures(name, T, first):
+    want = _assert_conjugation_is_reference(name, T)
+    assert len(want) > MAX_FAILURES_PER_FAMILY
+    assert tuple(map(_check_of, want[:MAX_FAILURES_PER_FAMILY])) == first
+
+
+def test_conjugation_family_reads_int64_tables():
+    # a table set after construction keeps its own dtype
+    T = copy_functor(corpus.TAMBARA_CORPUS["coind_C2a_S3_FPF4"])
+    for key in T.conj:
+        T.conj[key] = T.conj[key].astype(np.int64)
+    _assert_conjugation_is_reference("int64 conj tables", T)
+    assert check_axioms(T).passed
+    e = S3.trivial_subgroup
+    T.conj[(1, e)] = T.conj[(1, e)][::-1].astype(np.int64)
+    _assert_conjugation_is_reference("int64 conj table moved", T)
+    assert not check_axioms(T).passed
+
+
+def test_conjugation_family_memory_stays_near_the_tables():
+    # Coind_e^S3 F4 has a level of 4096 elements; the family holds one g's
+    # gathers at a time, never |G| times the source levels
+    T = coinduce(S3, S3.trivial_subgroup, constant_functor(F4, S3.trivial_subgroup.as_group[0]))
+    assert max(r.size for r in T.levels.values()) == 4096
+    tables = sum(T.table(name, key).nbytes for name, key, *_ in structure_maps(S3, T.has_norms))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert list(_conjugation_failures(T, subgroups(T.group))) == []
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * tables, (peak, tables)

@@ -289,6 +289,16 @@ def test_cmd_iso_timeout(tmp_path, capsys):
     assert "timeout" in capsys.readouterr().out
 
 
+def test_cmd_iso_refuses_negative_budget(tmp_path, capsys):
+    # a usage error, not a search that ran out of nodes (exit 5)
+    T = corpus.PRODUCT_CORPUS["burnside_sq_C2_4"]
+    p = _write_fixture(tmp_path, "b.json", T)
+    assert main(["--budget", "-3", "iso", p, p]) == 1
+    assert capsys.readouterr().out == "error: search budget must be at least 0, got -3\n"
+    with pytest.raises(DefinitionError, match="at least 0, got -1"):
+        functor_isomorphism(T, T, budget=-1)
+
+
 def test_cmd_unknown_subgroup_exit1(tmp_path, capsys):
     p = _write_fixture(tmp_path, "c4.json", corpus.COIND_CORPUS["coind_C2_C4_FPF4"])
     assert main(["restrict", p, "--to", "H9"]) == 1
