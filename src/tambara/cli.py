@@ -23,6 +23,7 @@ from . import serialize
 from .errors import NoNorms, SearchTimeout, TambaraError
 from .functors import (
     TambaraData,
+    _check_budget,
     _over_subgroup,
     check_axioms,
     coinduce,
@@ -139,6 +140,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    # before the norm flags are compared, which answer without a search
+    _check_budget(args.budget)
     T1 = serialize.load_functor(args.path1)
     T2 = _over_subgroup(T1.group.full_subgroup, serialize.load_functor(args.path2))
     if T1.has_norms != T2.has_norms:

@@ -44,6 +44,7 @@ from .rings import (
     GRing,
     coinduce_gring,
     hom_failure,
+    is_additive,
     op_failure,
     prod_components,
     prod_encode,
@@ -591,8 +592,10 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
 
     Each family is written once over the maps along inclusions that
     structure_maps lists (res, tr and, with norms, nm).  Families:
-    contracts (per pair: res a unital ring map, tr additive, nm
-    multiplicative with 0 -> 0, each the identity at K = H; chains),
+    contracts (per pair: res a unital ring map, tr additive, both decided
+    on the additive generators of their source level (rings.hom_failure,
+    rings.is_additive), nm multiplicative with 0 -> 0 on every pair, as a
+    map that need not be additive; each the identity at K = H; chains),
     conjugation (c_h the identity, composition, intertwining each map, as
     gathers on one stacked index of every level's elements, reported in
     the order of the per-identity loops: _conjugation_failures),
@@ -641,8 +644,12 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
                 if err:
                     fail("contracts", f"res {src.elements}->{dst.elements}: {err}")
                 continue
-            (op_s, unit_s), (op_d, unit_d) = _fold(rs, name), _fold(rd, name)
-            if t[unit_s] != unit_d or t[rs.zero] != rd.zero or op_failure(t, op_s, op_d):
+            if name == "tr":
+                broken = not is_additive(t, rs, rd)
+            else:  # nm is not additive, so no generating set decides it
+                broken = (t[rs.one] != rd.one or t[rs.zero] != rd.zero
+                          or op_failure(t, rs.mul, rd.mul) is not None)
+            if broken:
                 law = "additive" if name == "tr" else "multiplicative"
                 fail("contracts", f"{name} {src.elements}->{dst.elements} is not {law}")
         if K == H:
@@ -945,6 +952,11 @@ def _functor_structure(T: TambaraData) -> _search.OpStructure:
     return _search.OpStructure(sorts=sorts, constants=constants, unary=unary, binary=binary)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise DefinitionError(f"search budget must be at least 0, got {budget}")
+
+
 def functor_isomorphism(T1: TambaraData, T2: TambaraData,
                         budget: int = _search.DEFAULT_BUDGET
                         ) -> Optional[TambaraMorphism]:
@@ -954,8 +966,7 @@ def functor_isomorphism(T1: TambaraData, T2: TambaraData,
     exhaustion, which is a distinct outcome, and DefinitionError for a
     negative budget.
     """
-    if budget < 0:
-        raise DefinitionError(f"search budget must be at least 0, got {budget}")
+    _check_budget(budget)
     if T1.group is not T2.group:
         raise GroupMismatch("isomorphism needs a common group")
     if T1.has_norms != T2.has_norms:

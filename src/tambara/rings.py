@@ -16,6 +16,7 @@ object; operations that cannot tolerate it raise ZeroRing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +33,10 @@ from .groups import FiniteGroup, Subgroup, UpwardClosedSet, upward_closure
 from .gsets import GSet, Orbit, orbit_decomposition
 
 RING_SIZE_CAP = 20000
+# maps from rings of at most this many elements are checked on every pair:
+# there the n^2 gathers cost no more than the checks on the additive
+# generators, and spare finding them for a ring built inside the program
+SCAN_SIZE = 32
 
 # fixed irreducible polynomials over F_p, low-degree coefficients first
 # (from the standard tables; verified at construction by the field check)
@@ -67,6 +72,10 @@ class FiniteRing:
         self.label = label
         self._structural_check()
         self.neg = self._compute_neg()
+        # the additive generators as an intp array once computed; until
+        # then None (greedy) or the function a ring construction derives
+        # them with from its inputs (product_ring, idempotent_subring)
+        self._gens = None
 
     def _structural_check(self) -> None:
         n = self.size
@@ -96,25 +105,50 @@ class FiniteRing:
         return neg
 
     def additive_generators(self) -> List[int]:
-        """A greedy additive generating set S: repeatedly the smallest
-        element not yet reached from 0 by adding members of S one at a
-        time.  In a ring each new member at least doubles the subgroup
-        reached, so |S| <= log2(n)."""
+        """An additive generating set S, computed once per ring.
+
+        By default the greedy set: repeatedly the smallest element not yet
+        reached from 0 by adding members of S one at a time.  In a ring
+        each new member at least doubles the subgroup reached, so
+        |S| <= log2(n), which validate relies on.  product_ring takes the
+        factors' sets, each member placed in its factor with 0 elsewhere,
+        in increasing order (on factors whose zero is element 0 that is
+        the greedy set again, and |S| <= log2(n) still); idempotent_subring
+        takes the products e*s, without 0 or repeats, which span e*R but
+        may number more than log2|e*R|.  Rings read from tables validate,
+        and so take the greedy set."""
+        return self._generators().tolist()
+
+    def _generators(self) -> np.ndarray:
+        if not isinstance(self._gens, np.ndarray):
+            self._gens = np.asarray(self._gens() if self._gens else self._greedy_generators(),
+                                    dtype=np.intp)
+        return self._gens
+
+    def _greedy_generators(self) -> List[int]:
+        # the reached set is the least one holding 0 and closed under
+        # x -> x + s for every s chosen so far; it is closed under one such
+        # map by doubling: with f = (x -> x + s)^(2^k), X | f(X) adds the
+        # next 2^k steps of each chain, and f^(2^(k+1)) is f[f]
         add = self.add
         reached = np.zeros(self.size, dtype=bool)
         reached[self.zero] = True
         gens: List[int] = []
         while not reached.all():
-            s = int(np.argmin(reached))
-            gens.append(s)
-            # the old members still need + s; each new member needs + all of S
-            frontier, cols = np.flatnonzero(reached), [s]
-            while frontier.size:
-                hit = np.zeros(self.size, dtype=bool)
-                hit[add[frontier[:, None], cols]] = True
-                frontier = np.flatnonzero(hit & ~reached)
-                reached |= hit
-                cols = gens
+            gens.append(int(np.argmin(reached)))
+            todo = gens[-1:]
+            while todo:
+                for s in todo:
+                    f = add[s]  # row s is column s: f[x] = x + s
+                    while True:
+                        hit = f[reached]
+                        if reached[hit].all():
+                            break
+                        reached[hit] = True
+                        f = f[f]
+                # then a group's reached set is a subgroup, closed under
+                # every + t; tables whose + is no group may need more rounds
+                todo = [] if reached[add[np.flatnonzero(reached)[:, None], gens]].all() else gens
         return gens
 
     def validate(self) -> None:
@@ -134,42 +168,52 @@ class FiniteRing:
         3. (x+s)a == xa + sa for all x, a and each s.  With x = 0 this gives
            0a == 0, and by associativity of + the b with
            (x+b)a == xa + ba for all x, a are closed under +.
-        4. (xs)y == x(sy) for all x, y and each s.  By distributivity (both
-           sides, as * commutes) the associative elements are closed
-           under +.
+        4. (st)u == s(tu) for s, t, u in S.  With + an abelian group and
+           * distributive (both sides, as * commutes), the associator
+           (ab)c - a(bc) is additive in each argument, so for fixed b, c
+           the a where it vanishes hold 0 and are closed under +: it
+           vanishes everywhere once it vanishes on S^3.  Only a failure
+           pays for the scan (xs)y == x(sy) over all x, y for each s,
+           which then fails too (the same argument with s in the middle)
+           and names the first failing x, s, y.
 
-        Each step costs a few n x n gathers per generator, 3|S| rounds in
-        all against 3n for the row-by-row check.  If step 2 holds at the
-        first k members of S, the elements they reach form a group of at
-        least 2^k elements, so step 2 fails by member floor(log2 n) + 1 at
-        the latest: no input costs more than O(n^2 log n).
+        Steps 2 and 3 cost a few n x n gathers per generator, 2|S| rounds
+        against 3n for the row-by-row check, and step 4 |S|^3 lookups.  If
+        step 2 holds at the first k members of S, the elements they reach
+        form a group of at least 2^k elements, so step 2 fails by member
+        floor(log2 n) + 1 at the latest: no input costs more than
+        O(n^2 log n).
         """
         n, add, mul = self.size, self.add, self.mul
-        gens = self.additive_generators()
-        # three n x n buffers serve all 3|S| rounds.  Every entry is below n
-        # (_structural_check), so take's mode="clip" clamps nothing and fills
-        # its buffer ("raise" copies it).  Row s of a commutative table is
-        # its column s: x+s is add[s][x]; add[u, v] is add.flat[u*n + v],
-        # n*n <= RING_SIZE_CAP**2 < 2**31, read by indexing (no intp copy)
+        S = self._generators()
+        # two n x n buffers and a mask serve every round.  Every entry is
+        # below n (_structural_check), so take's mode="clip" clamps nothing
+        # and fills its buffer ("raise" copies it).  Row s of a commutative
+        # table is its column s: x+s is add[s][x]; add[u, v] is
+        # add.flat[u*n + v], n*n <= RING_SIZE_CAP**2 < 2**31, read by
+        # indexing (no intp copy)
         lhs, rhs = np.empty((2, n, n), dtype=np.int32)
         bad = np.empty((n, n), dtype=bool)
-        steps = [  # (message, [x, y] of the left side, of the right side)
-            ("addition not associative: ({x}+{s})+{y} != {x}+({s}+{y})",
-             lambda s: add.take(add[s], axis=0, out=lhs, mode="clip"),
-             lambda s: add.take(add[s], axis=1, out=rhs, mode="clip")),
-            ("distributivity fails: {y}*({x}+{s}) != {y}*{x}+{y}*{s}",
-             lambda s: mul.take(add[s], axis=0, out=lhs, mode="clip"),
-             lambda s: add.ravel()[np.add(np.multiply(mul, n, out=rhs), mul[s], out=rhs)]),
-            ("multiplication not associative: ({x}*{s})*{y} != {x}*({s}*{y})",
-             lambda s: mul.take(mul[s], axis=0, out=lhs, mode="clip"),
-             lambda s: mul.take(mul[s], axis=1, out=rhs, mode="clip")),
-        ]
-        for message, left, right in steps:
-            for s in gens:
+
+        def scan(message, left, right):
+            # [x, y] of the left side and of the right side, per s
+            for s in S:
                 np.not_equal(left(s), right(s), out=bad)
                 if bad.any():
                     x, y = np.argwhere(bad)[0]
                     raise DefinitionError(message.format(x=x, y=y, s=s))
+
+        scan("addition not associative: ({x}+{s})+{y} != {x}+({s}+{y})",
+             lambda s: add.take(add[s], axis=0, out=lhs, mode="clip"),
+             lambda s: add.take(add[s], axis=1, out=rhs, mode="clip"))
+        scan("distributivity fails: {y}*({x}+{s}) != {y}*{x}+{y}*{s}",
+             lambda s: mul.take(add[s], axis=0, out=lhs, mode="clip"),
+             lambda s: add.ravel()[np.add(np.multiply(mul, n, out=rhs), mul[s], out=rhs)])
+        st = mul[S[:, None], S]  # [s, t] -> st; [s, t, u] below
+        if not (mul[st[:, :, None], S] == mul[S[:, None, None], st]).all():
+            scan("multiplication not associative: ({x}*{s})*{y} != {x}*({s}*{y})",
+                 lambda s: mul.take(mul[s], axis=0, out=lhs, mode="clip"),
+                 lambda s: mul.take(mul[s], axis=1, out=rhs, mode="clip"))
 
     # -- pointwise helpers ---------------------------------------------
 
@@ -287,8 +331,19 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
     mul = prod_encode(sizes, (f.mul[np.ix_(a, a)] for f, a in zip(factors, comps)))
     zero = prod_encode(sizes, [f.zero for f in factors])
     one = prod_encode(sizes, [f.one for f in factors])
-    return FiniteRing(add, mul, zero, one,
-                      label=label or " x ".join(f.label for f in factors))
+    R = FiniteRing(add, mul, zero, one, label=label or " x ".join(f.label for f in factors))
+    R._gens = partial(_product_generators, list(factors), zero)
+    return R
+
+
+def _product_generators(factors: List[FiniteRing], zero: int) -> np.ndarray:
+    """Each factor's generators placed in their factor, 0 elsewhere, as
+    indices of the product (zero its 0), increasing."""
+    out, stride = [], 1
+    for f in reversed(factors):
+        out.append(zero + (f._generators() - f.zero) * stride)
+        stride *= f.size
+    return np.sort(np.concatenate(out))
 
 
 # -- the mixed-radix codec of product indices -----------------------------
@@ -342,7 +397,17 @@ def idempotent_subring(R: FiniteRing, e: int, label: Optional[str] = None
         raise NotIdempotent(f"{e} is not idempotent")
     include = np.flatnonzero(R.mul[e] == np.arange(R.size)).astype(np.int32)
     S, pos = subring(R, include, e, label or f"{R.label}|e{e}")
+    S._gens = partial(_idempotent_generators, R, e, pos)
     return S, include, pos
+
+
+def _idempotent_generators(R: FiniteRing, e: int, pos: np.ndarray) -> np.ndarray:
+    """The e*s for R's generators s, increasing, without 0 or repeats, as
+    indices of e*R (pos): x a sum of generators makes ex the sum of the es."""
+    keep = np.zeros(R.size, dtype=bool)
+    keep[R.mul[e, R._generators()]] = True
+    keep[R.zero] = False
+    return pos[np.flatnonzero(keep)]
 
 
 def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
@@ -361,18 +426,54 @@ def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray
     return int(a), int(b)
 
 
+def is_additive(img: np.ndarray, src: FiniteRing, dst: FiniteRing) -> bool:
+    """Whether img : src -> dst preserves 0 and +, for rings src and dst,
+    decided from the additive generators S of src: img(0) == 0 and
+    img(s + b) == img(s) + img(b) for s in S and every b.  The a with
+    img(a + b) == img(a) + img(b) for all b hold 0 and are closed under +,
+    so they are all of src.  A ring of at most SCAN_SIZE elements is
+    scanned pair by pair instead (op_failure), the zero ring, whose S is
+    empty, among them.  An image entry past dst raises IndexError, unless
+    img(0) already differs from 0."""
+    if img[src.zero] != dst.zero:
+        return False
+    if src.size <= SCAN_SIZE:
+        return op_failure(img, src.add, dst.add) is None
+    S = src._generators()
+    return bool((img[src.add[S]] == dst.add[img[S][:, None], img]).all())
+
+
+def _is_multiplicative(img: np.ndarray, src: FiniteRing, dst: FiniteRing) -> bool:
+    """Whether an additive img : src -> dst between rings preserves *,
+    decided on S x S: img(st) == img(s) img(t).  For fixed s the b with
+    img(sb) == img(s) img(b) hold 0 and are closed under +, by
+    distributivity, so they are all of src; then so are the a that work
+    with every b.  Small rings are scanned, as in is_additive."""
+    if src.size <= SCAN_SIZE:
+        return op_failure(img, src.mul, dst.mul) is None
+    S = src._generators()
+    imgS = img[S]
+    return bool((img[src.mul[S[:, None], S]] == dst.mul[imgS[:, None], imgS]).all())
+
+
 def hom_failure(img: np.ndarray, src: FiniteRing, dst: FiniteRing) -> Optional[str]:
     """The first law of a unital ring map that img : src -> dst breaks, in
-    the order 0, 1, addition, multiplication; None when img is one."""
+    the order 0, 1, addition, multiplication; None when img is one.
+
+    src and dst must be rings: validated at the loader or built by a ring
+    construction.  The laws are decided from src's additive generators
+    (is_additive, _is_multiplicative), and only a broken law pays for
+    op_failure's scan of every pair, which names its first failing pair."""
     if img[src.zero] != dst.zero:
         return f"0 -> {img[src.zero]}"
     if img[src.one] != dst.one:
         return f"1 -> {img[src.one]}"
-    for name, src_op, dst_op in (("addition", src.add, dst.add),
-                                 ("multiplication", src.mul, dst.mul)):
-        bad = op_failure(img, src_op, dst_op)
-        if bad:
-            return f"{name} broken at ({bad[0]},{bad[1]})"
+    for name, holds, src_op, dst_op in (
+            ("addition", is_additive, src.add, dst.add),
+            ("multiplication", _is_multiplicative, src.mul, dst.mul)):
+        if not holds(img, src, dst):
+            a, b = op_failure(img, src_op, dst_op)
+            return f"{name} broken at ({a},{b})"
     return None
 
 
@@ -416,9 +517,11 @@ class GRing:
     """A finite ring with a group acting by ring automorphisms.
 
     The constructor checks the action law and that each generator s of the
-    group acts additively and multiplicatively.  By the law every action
-    row is a composite of rows of generators (FiniteGroup.action_failure),
-    and a composite of maps preserving an operation preserves it."""
+    group acts additively and multiplicatively, decided from the ring's
+    additive generators (is_additive, _is_multiplicative).  By the law
+    every action row is a composite of rows of generators
+    (FiniteGroup.action_failure), and a composite of maps preserving an
+    operation preserves it."""
 
     def __init__(self, ring: FiniteRing, group: FiniteGroup, action) -> None:
         self.ring = ring
@@ -430,9 +533,9 @@ class GRing:
         if bad is not None:
             raise DefinitionError("action not a homomorphism at ({},{})".format(*bad[:2]))
         for s in group.generators:
-            if op_failure(self.action[s], ring.add, ring.add):
+            if not is_additive(self.action[s], ring, ring):
                 raise DefinitionError(f"element {s} is not additive")
-            if op_failure(self.action[s], ring.mul, ring.mul):
+            if not _is_multiplicative(self.action[s], ring, ring):
                 raise DefinitionError(f"element {s} is not multiplicative")
 
     def act(self, g: int, x: int) -> int:

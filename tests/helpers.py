@@ -1,6 +1,8 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
 fixtures, the row-by-row ring-axiom reference, the unbuffered ring-axiom
-and ring-map checks, the every-element action references, the
+and ring-map checks, the breadth-first additive generators, the
+every-pair scans of ring maps and G-ring generators, the every-element
+action references, the
 transversal-loop orbit reference, the point-by-point
 dependent product reference and the points of a diagram read from its
 maps, the scalar and unfused references of maps along G-set maps and of
@@ -89,6 +91,7 @@ from tambara.rings import (
     idempotent_subring,
     idempotents,
     is_clarified,
+    op_failure,
     primitive_idempotents,
     prod_components,
     prod_encode,
@@ -140,11 +143,11 @@ def reference_validate(ring):
 
 
 def unbuffered_validate(ring):
-    """FiniteRing.validate with a fresh array for every gather, the
-    reference of its fixed buffers: the same proof from the additive
-    generators, the same messages."""
+    """FiniteRing.validate with a fresh array for every gather and step 4
+    scanned on every x, y for each generator s: the reference of its fixed
+    buffers and of its check of * on S^3, with the same messages."""
     n, add, mul = ring.size, ring.add, ring.mul
-    gens = ring.additive_generators()
+    gens = reference_additive_generators(ring)
     for s in gens:
         bad = add[add[s]] != add[:, add[s]]  # [x, y]: (x+s)+y vs x+(s+y)
         if bad.any():
@@ -163,6 +166,67 @@ def unbuffered_validate(ring):
             x, y = np.argwhere(bad)[0]
             raise DefinitionError(
                 f"multiplication not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
+
+
+def reference_additive_generators(ring):
+    """The greedy additive generators by breadth-first search, adding each
+    member of S to the frontier one step at a time: the reference of
+    FiniteRing's doubling closure, on any tables."""
+    add = ring.add
+    reached = np.zeros(ring.size, dtype=bool)
+    reached[ring.zero] = True
+    gens = []
+    while not reached.all():
+        s = int(np.argmin(reached))
+        gens.append(s)
+        frontier, cols = np.flatnonzero(reached), [s]
+        while frontier.size:
+            hit = np.zeros(ring.size, dtype=bool)
+            hit[add[frontier[:, None], cols]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
+            cols = gens
+    return gens
+
+
+def scanned_hom_failure(img, src, dst):
+    """rings.hom_failure by a scan of every pair for + and for *: the
+    reference of its checks on the additive generators, with the same
+    messages."""
+    if img[src.zero] != dst.zero:
+        return f"0 -> {img[src.zero]}"
+    if img[src.one] != dst.one:
+        return f"1 -> {img[src.one]}"
+    for name, src_op, dst_op in (("addition", src.add, dst.add),
+                                 ("multiplication", src.mul, dst.mul)):
+        bad = op_failure(img, src_op, dst_op)
+        if bad:
+            return f"{name} broken at ({bad[0]},{bad[1]})"
+    return None
+
+
+def scanned_is_additive(img, src, dst):
+    """0 -> 0 and + kept on every pair: the contracts family's transfer
+    law as a scan, the reference of rings.is_additive."""
+    return img[src.zero] == dst.zero and op_failure(img, src.add, dst.add) is None
+
+
+def scanned_gring(ring, G, action):
+    """GRing's constructor with each generator's row scanned on every pair
+    for + and for *: the reference of its checks on the additive
+    generators, with the same messages.  Returns the action array."""
+    action = np.asarray(action, dtype=np.int32)
+    if action.shape != (G.order, ring.size):
+        raise DefinitionError("action table must be |G| x |R|")
+    bad = G.action_failure(action)
+    if bad is not None:
+        raise DefinitionError("action not a homomorphism at ({},{})".format(*bad[:2]))
+    for s in G.generators:
+        if op_failure(action[s], ring.add, ring.add):
+            raise DefinitionError(f"element {s} is not additive")
+        if op_failure(action[s], ring.mul, ring.mul):
+            raise DefinitionError(f"element {s} is not multiplicative")
+    return action
 
 
 def unbuffered_op_failure(img, src_op, dst_op):

@@ -299,6 +299,16 @@ def test_cmd_iso_refuses_negative_budget(tmp_path, capsys):
         functor_isomorphism(T, T, budget=-1)
 
 
+def test_cmd_iso_refuses_negative_budget_before_comparing_norm_flags(tmp_path, capsys):
+    # only the first file has norms, which alone answers "not isomorphic"
+    p1 = _write_fixture(tmp_path, "a.json", corpus.FP_CORPUS["F4_galois_C2"])
+    p2 = _write_fixture(tmp_path, "b.json", corpus.GREEN_CORPUS["green_cex_2_F2"])
+    assert main(["--budget", "-3", "iso", p1, p2]) == 1
+    assert capsys.readouterr().out == "error: search budget must be at least 0, got -3\n"
+    assert main(["iso", p1, p2]) == 0
+    assert capsys.readouterr().out == "not isomorphic (norm flags differ)\n"
+
+
 def test_cmd_unknown_subgroup_exit1(tmp_path, capsys):
     p = _write_fixture(tmp_path, "c4.json", corpus.COIND_CORPUS["coind_C2_C4_FPF4"])
     assert main(["restrict", p, "--to", "H9"]) == 1
