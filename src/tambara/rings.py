@@ -16,7 +16,6 @@ object; operations that cannot tolerate it raise ZeroRing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,9 +32,12 @@ from .groups import FiniteGroup, Subgroup, UpwardClosedSet, upward_closure
 from .gsets import GSet, Orbit, orbit_decomposition
 
 RING_SIZE_CAP = 20000
-# maps from rings of at most this many elements are checked on every pair:
-# there the n^2 gathers cost no more than the checks on the additive
-# generators, and spare finding them for a ring built inside the program
+# maps from rings of at most this many elements are checked on every pair.
+# At 16-32 elements a scan of + and * costs 15-25 us against 12-18 us on
+# the additive generators, but finding them costs 40-100 us once for a
+# ring that was built, not validated; summed over the rings the benchmark
+# workloads check, 32 and 64 cost least and 16 about 0.5 ms more per pass
+# (README "Ring maps and associativity from additive generators")
 SCAN_SIZE = 32
 
 # fixed irreducible polynomials over F_p, low-degree coefficients first
@@ -72,10 +74,7 @@ class FiniteRing:
         self.label = label
         self._structural_check()
         self.neg = self._compute_neg()
-        # the additive generators as an intp array once computed; until
-        # then None (greedy) or the function a ring construction derives
-        # them with from its inputs (product_ring, idempotent_subring)
-        self._gens = None
+        self._gens: Optional[np.ndarray] = None  # additive_generators, once found
 
     def _structural_check(self) -> None:
         n = self.size
@@ -105,24 +104,16 @@ class FiniteRing:
         return neg
 
     def additive_generators(self) -> List[int]:
-        """An additive generating set S, computed once per ring.
-
-        By default the greedy set: repeatedly the smallest element not yet
-        reached from 0 by adding members of S one at a time.  In a ring
-        each new member at least doubles the subgroup reached, so
-        |S| <= log2(n), which validate relies on.  product_ring takes the
-        factors' sets, each member placed in its factor with 0 elsewhere,
-        in increasing order (on factors whose zero is element 0 that is
-        the greedy set again, and |S| <= log2(n) still); idempotent_subring
-        takes the products e*s, without 0 or repeats, which span e*R but
-        may number more than log2|e*R|.  Rings read from tables validate,
-        and so take the greedy set."""
+        """A greedy additive generating set S, computed once per ring:
+        repeatedly the smallest element not yet reached from 0 by adding
+        members of S one at a time.  In a ring each new member at least
+        doubles the subgroup reached, so |S| <= log2(n), which validate
+        relies on."""
         return self._generators().tolist()
 
     def _generators(self) -> np.ndarray:
-        if not isinstance(self._gens, np.ndarray):
-            self._gens = np.asarray(self._gens() if self._gens else self._greedy_generators(),
-                                    dtype=np.intp)
+        if self._gens is None:
+            self._gens = np.asarray(self._greedy_generators(), dtype=np.intp)
         return self._gens
 
     def _greedy_generators(self) -> List[int]:
@@ -331,19 +322,8 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
     mul = prod_encode(sizes, (f.mul[np.ix_(a, a)] for f, a in zip(factors, comps)))
     zero = prod_encode(sizes, [f.zero for f in factors])
     one = prod_encode(sizes, [f.one for f in factors])
-    R = FiniteRing(add, mul, zero, one, label=label or " x ".join(f.label for f in factors))
-    R._gens = partial(_product_generators, list(factors), zero)
-    return R
-
-
-def _product_generators(factors: List[FiniteRing], zero: int) -> np.ndarray:
-    """Each factor's generators placed in their factor, 0 elsewhere, as
-    indices of the product (zero its 0), increasing."""
-    out, stride = [], 1
-    for f in reversed(factors):
-        out.append(zero + (f._generators() - f.zero) * stride)
-        stride *= f.size
-    return np.sort(np.concatenate(out))
+    return FiniteRing(add, mul, zero, one,
+                      label=label or " x ".join(f.label for f in factors))
 
 
 # -- the mixed-radix codec of product indices -----------------------------
@@ -397,17 +377,7 @@ def idempotent_subring(R: FiniteRing, e: int, label: Optional[str] = None
         raise NotIdempotent(f"{e} is not idempotent")
     include = np.flatnonzero(R.mul[e] == np.arange(R.size)).astype(np.int32)
     S, pos = subring(R, include, e, label or f"{R.label}|e{e}")
-    S._gens = partial(_idempotent_generators, R, e, pos)
     return S, include, pos
-
-
-def _idempotent_generators(R: FiniteRing, e: int, pos: np.ndarray) -> np.ndarray:
-    """The e*s for R's generators s, increasing, without 0 or repeats, as
-    indices of e*R (pos): x a sum of generators makes ex the sum of the es."""
-    keep = np.zeros(R.size, dtype=bool)
-    keep[R.mul[e, R._generators()]] = True
-    keep[R.zero] = False
-    return pos[np.flatnonzero(keep)]
 
 
 def op_failure(img: np.ndarray, src_op: np.ndarray, dst_op: np.ndarray

@@ -320,9 +320,7 @@ def test_greedy_generators_match_breadth_first_search(case):
 
 @pytest.mark.parametrize("factors", [[F2] * 9, [F4, F3], [zn(4), F2, fq(9)],
                                      [zn(8), zn(9)], [F4] * 3])
-def test_product_generators_are_the_greedy_ones(factors):
-    # every factor has its 0 at element 0, where the greedy set of the
-    # product is the factors' sets placed in their factors
+def test_product_generators_match_breadth_first_search(factors):
     P = product_ring(factors)
     assert P.additive_generators() == helpers.reference_additive_generators(P)
     assert len(P.additive_generators()) <= int(np.log2(P.size))
