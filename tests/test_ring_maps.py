@@ -324,12 +324,3 @@ def test_product_generators_match_breadth_first_search(factors):
     P = product_ring(factors)
     assert P.additive_generators() == helpers.reference_additive_generators(P)
     assert len(P.additive_generators()) <= int(np.log2(P.size))
-
-
-@pytest.mark.parametrize("R", [F2_6, product_ring([F4, F3, zn(4)]), product_ring([zn(9), F2])])
-def test_idempotent_subring_generators_span(R):
-    for e in idempotents(R)[1:]:
-        S, _, _ = idempotent_subring(R, e)
-        gens = S.additive_generators()
-        assert S.zero not in gens and gens == sorted(set(gens))
-        assert helpers.additive_span(S, gens) == set(range(S.size))
