@@ -18,7 +18,8 @@ the pair-loop closure and replay-from-scratch references of the
 isomorphism search, the element-tuple closure references of the subgroup
 lattice and the greedy generators, the permutation-group strategy, relabelled copies of rings and functors, the
 table-by-table functor comparison, the one-pass json.dumps document
-writer, packing and unpacking of ring tables, the ring on an idempotent,
+writer, the mark-solve fill of the Burnside level tables, packing and
+unpacking of ring tables, the ring on an idempotent,
 the randomized assembly sampler for round-trip tests, and the API only
 tests call (the first failure of a report, identity and trivial G-sets,
 orbit isomorphisms, ring and G-ring isomorphism and homomorphism
@@ -70,6 +71,7 @@ from tambara._search import (
     search_homomorphisms,
 )
 from tambara.groups import FiniteGroup, double_cosets, is_subconjugate, subgroups
+from tambara._burnside import _Level
 from tambara.gsets import (
     SECTION_CAP,
     GSet,
@@ -1047,6 +1049,39 @@ def reference_search_homomorphisms(A, B, *, injective, budget=DEFAULT_BUDGET, li
         partial.pop(pos, None)
 
     yield from rec(0, {})
+
+
+def reference_burnside_tables(B, N, block=1 << 18):
+    """The add and mul tables of every level of B = burnside_mod(G, N), as
+    {H: (add, mul)}, by the mark-solve reference fill: each entry from the
+    two coefficient vectors, their sum and their product through marks and
+    solve_marks, reduced mod N and read through the code-to-class array,
+    block entries at a time.
+
+    The level's data is taken from B itself: its classes from
+    index_to_vector, the code-to-class array from vector_to_index of every
+    vector in [0, N)^k, and the marks from a fresh _Level."""
+    out = {}
+    for H, R in B.levels.items():
+        lv = _Level(B.group, H)
+        radix = [N] * lv.nclasses
+        rep_index = np.array([R.vector_to_index(v) for v in prod_components(radix).T.tolist()])
+
+        def encode(cols):
+            return prod_encode(radix, [c % N for c in cols])
+
+        arr = np.array(R.index_to_vector, dtype=np.int64)
+        n = len(arr)
+        cols, mcols = arr.T, lv.to_marks(arr).T
+        add = np.empty((n, n), dtype=np.int32)
+        mul = np.empty((n, n), dtype=np.int32)
+        rows = max(1, block // n)
+        for s in range(0, n, rows):
+            blk = slice(s, s + rows)
+            add[blk] = rep_index[encode([c[blk, None] + c for c in cols])]
+            mul[blk] = rep_index[encode(lv.solve_marks([m[blk, None] * m for m in mcols]))]
+        out[H] = (add, mul)
+    return out
 
 
 def reference_dumps_document(doc):

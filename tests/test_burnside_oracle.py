@@ -10,11 +10,12 @@ integral construction; the quotient functor is derived from it.
 
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from corpus import C2, C3, C4, S3
 from tambara.groups import FiniteGroup, subgroups
-from tambara._burnside import _Level, _norm_marks
+from tambara._burnside import _Level, _norm_marks, burnside_mod
 
 
 def _coset_reps(G, K, H):
@@ -102,8 +103,6 @@ def test_norm_of_basis_elements_matches_set_oracle(G):
             for a, A in enumerate(lk.reps):
                 vec = [0] * lk.nclasses
                 vec[a] = 1
-                import numpy as np
-
                 marks = _norm_marks(G, lk, lh, lk.to_marks(np.array([vec])))
                 got = tuple(int(c[0]) for c in lh.solve_marks(list(marks.T)))
                 npoints, action = _transitive_kset(G, K, A)
@@ -139,3 +138,37 @@ def test_restriction_matches_set_oracle(G):
                     inter = K.intersect(A.conjugate(g))
                     want[lk.class_of[inter]] += 1
                 assert coeffs == want
+
+
+def _product_class_vector(G, H, A, B, level):
+    """Coefficients of the H-set H/A x H/B (diagonal action), orbit by
+    orbit, with the class of each orbit's stabilizer."""
+    na, act_a = _transitive_kset(G, H, A)
+    nb, act_b = _transitive_kset(G, H, B)
+    remaining = set(iproduct(range(na), range(nb)))
+    coeffs = [0] * level.nclasses
+    while remaining:
+        i, j = min(remaining)
+        remaining -= {(act_a[h][i], act_b[h][j]) for h in H.elements}
+        stab = [h for h in H.elements if act_a[h][i] == i and act_b[h][j] == j]
+        coeffs[level.class_of[G.subgroup(stab)]] += 1
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("G", [C2, C3, C4, S3], ids=lambda g: g.name)
+def test_multiplication_matches_set_oracle(G):
+    for N in (3, 4):
+        B = burnside_mod(G, N)
+        for H in subgroups(G):
+            lv, R = _Level(G, H), B.levels[H]
+            unit = np.eye(lv.nclasses, dtype=np.int64)
+            for a, A in enumerate(lv.reps):
+                for b, Bs in enumerate(lv.reps):
+                    want = _product_class_vector(G, H, A, Bs, lv)
+                    # the functor multiplies in mark coordinates
+                    marks = lv.to_marks(unit[[a]]) * lv.to_marks(unit[[b]])
+                    got = tuple(int(c[0]) for c in lv.solve_marks(list(marks.T)))
+                    assert got == want, (H.elements, A.elements, Bs.elements)
+                    # and the level's mul of the two basis classes is its class mod N
+                    ia, ib = R.vector_to_index(unit[a]), R.vector_to_index(unit[b])
+                    assert R.mul[ia, ib] == R.vector_to_index(want), (N, H.elements, a, b)

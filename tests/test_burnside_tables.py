@@ -8,7 +8,9 @@ every digest here must hold.  To pin a deliberate change of the tables,
 rerun ``_digest`` for the affected cases and update the table.
 
 The vector codec of each level (``vector_to_index``) is tested against
-``index_to_vector`` and the ideal it quotients by.
+``index_to_vector`` and the ideal it quotients by, and the add and mul
+tables of every level against the mark-solve reference fill of
+``helpers.reference_burnside_tables`` on a grid fixed by a size rule.
 """
 
 import hashlib
@@ -18,9 +20,10 @@ import numpy as np
 import pytest
 
 import corpus
+import helpers
 from tambara.errors import DefinitionError
 from tambara.groups import FiniteGroup, subgroups
-from tambara._burnside import burnside_mod
+from tambara._burnside import BURNSIDE_LEVEL_CAP, _Level, burnside_mod
 
 A4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")
 D6 = FiniteGroup.dihedral(6)
@@ -70,6 +73,14 @@ GOLDEN = {
     ("C2", 64): "9b13364f76bf3864a0b198e3b6c906b4b22999843f4046ab6f9d3df9a33650f9",
     ("C4", 16): "9411c3b70a643405e15e8152eb24708f0b991e1428033372c540f82efa86eaf1",
     ("S3", 8): "fc52481c375018ad0ea076a4c93c860a406e1a78eea41361d06ba28c07493df0",
+    # the benchmark's inputs, and C2 mod 4 (top ideal {0, 2x})
+    ("C4", 9): "ea84bd1466ed00952c0dc174233278557b3269dd841d5166b66cc66f99e083dc",
+    ("V4", 3): "19347b3dd437882f9a5a1ac44e03f2b882f9e5a2b5da7189d3e5be790439862c",
+    ("S3", 6): "3a532c184db0a90bc0d1a23d2eccd998326415e4760fe9c2fd9ab466e5a3893b",
+    ("C4", 8): "c1e1a53c628a551a16cbe86d491aea466f08ee202e76cb21f590f4c2dad30f77",
+    ("C3", 9): "6b76ea4a9a18822f7033f00b61dc91407bd1423b95877ab5b8de979299653179",
+    ("C6", 4): "9bd7818f06fb0607b33d9cb4ee8cf7268f2bc40121d7a62a5dc7371e84bc05ce",
+    ("C2", 4): "155aef191016e5abc7bdf045ba09fdb36ded81d1fe579dc8c9f0a6dd484b8528",
 }
 
 
@@ -99,9 +110,14 @@ def test_vector_to_index_reads_classes(case):
             plus = tuple(a + b for a, b in zip(v, w))
             assert R.vector_to_index(plus) == R.add[index[v], index[w]]
             assert R.vector_to_index(tuple(a - N for a in v)) == index[v]
-        for bad in ((0,) * (k + 1), (0,) * (k - 1), ((0,) * k,) * 2):
+        rest = (0,) * (k - 1)
+        # wrong length or shape, and coefficients that are no integers: a
+        # float is not truncated, nor a bool read as 1
+        for bad in ((0,) * (k + 1), rest, ((0,) * k,) * 2, (1.5,) + rest, (True,) + rest,
+                    (np.bool_(True),) + rest, ("1",) + rest, "0" * k, np.zeros(k), 0, None):
             with pytest.raises(DefinitionError):
                 R.vector_to_index(bad)
+        assert R.vector_to_index(np.ones(k, dtype=np.int64)) == index[(1,) * k]
 
 
 def test_vector_to_index_x_plus_2_mod_4():
@@ -111,3 +127,26 @@ def test_vector_to_index_x_plus_2_mod_4():
     assert top.vector_to_index((2, 0)) == top.zero
     assert top.vector_to_index((3, 2)) == top.vector_to_index((1, 2)) != top.zero
     assert top.index_to_vector[top.vector_to_index((3, 2))] == (1, 2)
+
+
+def _fill_grid():
+    """Every (G, N) with G in GROUPS and N = 2..9 whose levels all fit
+    BURNSIDE_LEVEL_CAP: N^k <= BURNSIDE_LEVEL_CAP for the largest number k
+    of basis classes of a level of G.  This is every case burnside_mod
+    builds on these groups and moduli (59 of them); the whole grid, with
+    the reference fill, takes about 7 s on 2 CPUs, most of it A4 and V4
+    mod 5 (two and one 3125-element levels)."""
+    for name, G in GROUPS.items():
+        k = max(_Level(G, H).nclasses for H in subgroups(G))
+        for N in range(2, 10):
+            if N ** k <= BURNSIDE_LEVEL_CAP:
+                yield name, N
+
+
+@pytest.mark.parametrize("case", list(_fill_grid()), ids=lambda c: f"{c[0]}_mod{c[1]}")
+def test_fill_matches_mark_solve_reference(case):
+    name, N = case
+    B = burnside_mod(GROUPS[name], N)
+    for H, (add, mul) in helpers.reference_burnside_tables(B, N).items():
+        assert np.array_equal(B.levels[H].add, add), (H.elements, "add")
+        assert np.array_equal(B.levels[H].mul, mul), (H.elements, "mul")
