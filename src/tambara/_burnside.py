@@ -64,14 +64,16 @@ from .groups import FiniteGroup, Subgroup, conjugacy_classes, double_cosets, sub
 from .rings import FiniteRing, prod_components, prod_encode
 
 BURNSIDE_LEVEL_CAP = 4096
-# Each breadth-first layer of the table fill costs about 25 microseconds
+# Each breadth-first layer of the table fill costs tens of microseconds
 # beyond its gathers.  Base 16 makes every coefficient below 16 one step
-# (depth <= k); per call it was 0-7% faster than steps 2^j e_l (C2 mod 4
-# 0.70 against 0.75 ms, C4 mod 9 9.9 against 10.2 ms, best of 9).
+# (depth <= k); per call it measured up to 12% faster than steps 2^j e_l
+# (C2 mod 4 0.65 against 0.74 ms, C4 mod 8 2.18 against 2.39 ms, C4 mod 9
+# 11.0 against 11.0 ms; best of 9).
 STEP_BASE = 16
 # Entries gathered at a time by the table fill: its int32 temporaries then
-# stay in cache.  The 729-element level of C4 mod 9 fills in 4.2 ms at
-# 2^15 entries, 4.5 at 2^16 and 7.0 at 2^18 (best of 20).
+# stay in cache.  The 729-element level of C4 mod 9 fills in 4.7 ms at
+# 2^15 entries, 4.9 at 2^16 and 8.2 at 2^18, the 1024-element level of
+# S3 mod 8 in 9.1, 9.5 and 9.9 ms (best of 3 to 20).
 FILL_BLOCK = 1 << 15
 
 
@@ -157,14 +159,21 @@ def _fill_from_steps(steps: np.ndarray, times: np.ndarray) -> Tuple[np.ndarray, 
     Each class x is reached from 0 breadth-first, as x = p + s with p a
     class of an earlier layer; then row x of add is row p carried along
     y -> y + s, and row x of mul is the sum of row p and y -> s * y, one
-    gather per entry.  At most FILL_BLOCK entries of a table are gathered
-    at a time.
+    gather per entry (none in the first layer, where p = 0).  At most
+    FILL_BLOCK entries of a table are gathered at a time.
     """
     n = steps.shape[1]
+    add_t = np.empty((n, n), dtype=np.int32)
+    mul_t = np.empty((n, n), dtype=np.int32)
+    # the first layer, the classes 0 + s of the steps, has the steps' rows
+    first = steps[:, 0]
+    add_t[0], mul_t[0] = np.arange(n), 0
+    add_t[first], mul_t[first] = steps, times
     layers = []
     pos = np.full(n, -1, dtype=np.int32)  # where a class was reached
-    pos[0] = 0
-    frontier, reached = np.zeros(1, dtype=np.intp), 1
+    pos[0] = pos[first] = 0
+    frontier = (pos == 0).nonzero()[0]
+    reached = frontier.size
     while reached < n:
         if not frontier.size:
             raise VerificationFailed("the steps do not generate the level")
@@ -175,10 +184,6 @@ def _fill_from_steps(steps: np.ndarray, times: np.ndarray) -> Tuple[np.ndarray, 
         step, at = np.divmod(pos[new], frontier.size)
         layers.append((new, frontier[at], step))
         frontier, reached = new, reached + new.size
-    add_t = np.empty((n, n), dtype=np.int32)
-    mul_t = np.empty((n, n), dtype=np.int32)
-    add_t[0] = np.arange(n)
-    mul_t[0] = 0
     rows = max(1, FILL_BLOCK // n)
     for x, p, s in layers:
         for c in range(0, len(x), rows):
