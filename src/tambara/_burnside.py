@@ -197,7 +197,8 @@ def _fill_from_steps(steps: np.ndarray, times: np.ndarray) -> Tuple[np.ndarray, 
 
 
 def burnside_mod(G: FiniteGroup, N: int):
-    """The mod-N Burnside Tambara functor of G (order <= 12)."""
+    """The mod-N Burnside Tambara functor of G (order <= 12).  Each level
+    is A(H) with Z/N coefficients modulo an ideal: a quotient ring."""
     from .functors import TambaraData
 
     if G.order > 12:

@@ -245,7 +245,7 @@ def _run(args) -> int:
         print(f"error: {exc}")
         return 1
     except MemoryError:
-        # the size caps bound element counts, not bytes (ROADMAP item 7)
+        # the size caps bound element counts, not bytes
         print("error: out of memory; the input's rings are too large for this machine")
         return 1
 

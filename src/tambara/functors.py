@@ -235,7 +235,7 @@ class EvalMap:
                 return flat.take(u * ring.size + v)
             # the items reading one source component fold into one table of
             # level size; the unit's row of the fold table is the identity
-            # (checked by FiniteRing), so a fold starts at its first item
+            # (the level is a ring), so a fold starts at its first item
             tables: Dict[int, np.ndarray] = {}
             for i, t in items:
                 tables[i] = op(tables[i], t) if i in tables else t
@@ -610,8 +610,8 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
     pullback corner, and compares nm_f tr_p with tr_pi nm res_ev on every
     element of T(A), on its open mesh (_exponential_paths), composing each
     table once per check; it names the first failing element in C order.
-    That regroups each fold, so the levels must be rings: FiniteRing checks
-    that + and x commute, validate() at the loader that they associate.  A
+    That regroups each fold, so the levels must be rings: the loader's
+    validate() proves it, and a level built from rings is one.  A
     diagram too large to build raises SizeLimitExceeded: it shows no
     identity failing, so it is not reported as a failure.
     """

@@ -59,7 +59,9 @@ _IRREDUCIBLE = {
 
 
 class FiniteRing:
-    """A finite commutative ring as add/mul tables with named 0 and 1."""
+    """A finite commutative ring as add/mul tables with named 0 and 1.
+    The constructor checks only the tables' shape and size; validate()
+    proves that they form a ring (README "Validated once, at the loader")."""
 
     def __init__(self, add, mul, zero: int, one: int, label: str = "R") -> None:
         self.add = np.asarray(add, dtype=np.int32)
@@ -72,36 +74,7 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.label = label
-        self._structural_check()
-        self.neg = self._compute_neg()
         self._gens: Optional[np.ndarray] = None  # additive_generators, once found
-
-    def _structural_check(self) -> None:
-        n = self.size
-        for unit, x in (("zero", self.zero), ("one", self.one)):
-            if not 0 <= x < n:
-                raise DefinitionError(f"{unit} {x} is not an element of 0..{n - 1}")
-        for t in (self.add, self.mul):
-            if t.min() < 0 or t.max() >= n:
-                raise DefinitionError("table entries out of range")
-        if not np.array_equal(self.add, self.add.T):
-            raise DefinitionError("addition is not commutative")
-        if not np.array_equal(self.mul, self.mul.T):
-            raise DefinitionError("multiplication is not commutative")
-        if not np.array_equal(self.add[self.zero], np.arange(n)):
-            raise DefinitionError("zero is not an additive identity")
-        if not np.array_equal(self.mul[self.one], np.arange(n)):
-            raise DefinitionError("one is not a multiplicative identity")
-        if n > 1 and self.zero == self.one:
-            raise DefinitionError("0 == 1 in a ring with more than one element")
-
-    def _compute_neg(self) -> np.ndarray:
-        rows, cols = np.nonzero(self.add == self.zero)
-        neg = np.full(self.size, -1, dtype=np.int32)
-        neg[rows] = cols
-        if (neg < 0).any():
-            raise DefinitionError("some element has no additive inverse")
-        return neg
 
     def additive_generators(self) -> List[int]:
         """A greedy additive generating set S, computed once per ring:
@@ -143,14 +116,16 @@ class FiniteRing:
         return gens
 
     def validate(self) -> None:
-        """Exact check of additive associativity, distributivity and
-        multiplicative associativity, from the additive generators S.
+        """Exact proof that the tables form a commutative ring.
 
-        The constructor has checked commutativity of both tables, the
-        identities 0 and 1 and additive inverses.  Every element is reached
-        from 0 by adding members of S, so a property holds everywhere once
-        the elements having it contain S and are closed under + (and 0 has
-        it).  The steps run in this order, each proof using the ones before:
+        Step 0 checks, in this order, that the units and every entry lie
+        in 0..n-1, that + and x commute, that 0 and 1 are identities, that
+        0 != 1 when n > 1 and that every element has a negative.  Steps 1-4
+        prove additive associativity, distributivity and multiplicative
+        associativity from the additive generators S.  Every element is
+        reached from 0 by adding members of S, so a property holds
+        everywhere once the elements having it contain S and are closed
+        under + (and 0 has it).  Each step's proof uses the ones before:
 
         1. S = additive_generators().
         2. (x+s)+y == x+(s+y) for all x, y and each s (Light's test).  The
@@ -168,23 +143,40 @@ class FiniteRing:
            which then fails too (the same argument with s in the middle)
            and names the first failing x, s, y.
 
-        Steps 2 and 3 cost a few n x n gathers per generator, 2|S| rounds
-        against 3n for the row-by-row check, and step 4 |S|^3 lookups.  If
-        step 2 holds at the first k members of S, the elements they reach
-        form a group of at least 2^k elements, so step 2 fails by member
-        floor(log2 n) + 1 at the latest: no input costs more than
-        O(n^2 log n).
+        Step 0 costs a few n x n passes.  Steps 2 and 3 cost a few n x n
+        gathers per generator, 2|S| rounds against 3n for the row-by-row
+        check, and step 4 |S|^3 lookups.  If step 2 holds at the first k
+        members of S, the elements they reach form a group of at least 2^k
+        elements, so step 2 fails by member floor(log2 n) + 1 at the
+        latest: no input costs more than O(n^2 log n).
         """
         n, add, mul = self.size, self.add, self.mul
-        S = self._generators()
-        # two n x n buffers and a mask serve every round.  Every entry is
-        # below n (_structural_check), so take's mode="clip" clamps nothing
-        # and fills its buffer ("raise" copies it).  Row s of a commutative
-        # table is its column s: x+s is add[s][x]; add[u, v] is
-        # add.flat[u*n + v], n*n <= RING_SIZE_CAP**2 < 2**31, read by
-        # indexing (no intp copy)
-        lhs, rhs = np.empty((2, n, n), dtype=np.int32)
+        for unit, x in (("zero", self.zero), ("one", self.one)):
+            if not 0 <= x < n:
+                raise DefinitionError(f"{unit} {x} is not an element of 0..{n - 1}")
+        for t in (add, mul):
+            if t.min() < 0 or t.max() >= n:
+                raise DefinitionError("table entries out of range")
+        if not np.array_equal(add, add.T):
+            raise DefinitionError("addition is not commutative")
+        if not np.array_equal(mul, mul.T):
+            raise DefinitionError("multiplication is not commutative")
+        if not np.array_equal(add[self.zero], np.arange(n)):
+            raise DefinitionError("zero is not an additive identity")
+        if not np.array_equal(mul[self.one], np.arange(n)):
+            raise DefinitionError("one is not a multiplicative identity")
+        if n > 1 and self.zero == self.one:
+            raise DefinitionError("0 == 1 in a ring with more than one element")
         bad = np.empty((n, n), dtype=bool)
+        if not np.equal(add, self.zero, out=bad).any(axis=1).all():
+            raise DefinitionError("some element has no additive inverse")
+        S = self._generators()
+        # two n x n buffers and the mask serve every round.  Every entry is
+        # below n (step 0), so take's mode="clip" clamps nothing and fills
+        # its buffer ("raise" copies it).  Row s of a commutative table is
+        # its column s: x+s is add[s][x]; add[u, v] is add.flat[u*n + v],
+        # n*n <= RING_SIZE_CAP**2 < 2**31, read by indexing (no intp copy)
+        lhs, rhs = np.empty((2, n, n), dtype=np.int32)
 
         def scan(message, left, right):
             # [x, y] of the left side and of the right side, per s
@@ -228,6 +220,7 @@ class FiniteRing:
 
 
 def zero_ring() -> FiniteRing:
+    """The ring {0}: its one-entry tables form a ring by construction."""
     return FiniteRing([[0]], [[0]], 0, 0, label="0")
 
 
@@ -238,6 +231,7 @@ def _check_size(n: int) -> None:
 
 
 def zn(n: int) -> FiniteRing:
+    """Z/n, whose tables are + and x mod n: a ring by construction."""
     if n < 1:
         raise DefinitionError("modulus must be positive")
     _check_size(n)
@@ -306,8 +300,8 @@ def frobenius(R: FiniteRing) -> np.ndarray:
 
 
 def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> FiniteRing:
-    """Componentwise product; index is C-order over factor indices
-    (prod_encode)."""
+    """Componentwise product, a ring as a product of rings; index is
+    C-order over factor indices (prod_encode)."""
     if not factors:
         raise DefinitionError("need at least one factor")
     sizes = [f.size for f in factors]
@@ -361,7 +355,8 @@ def prod_components(sizes: Sequence[int]) -> np.ndarray:
 def subring(R: FiniteRing, members: np.ndarray, one: int, label: str
             ) -> Tuple[FiniteRing, np.ndarray]:
     """The ring on R's elements members (ascending, closed under + and x)
-    with unit one, as (S, pos): pos[x] is x's S-index, -1 off members."""
+    with unit one, as (S, pos): pos[x] is x's S-index, -1 off members.
+    It is a ring as R is: a finite subset closed under + holds negatives."""
     pos = np.full(R.size, -1, dtype=np.int32)
     pos[members] = np.arange(len(members))
     add = pos[R.add[np.ix_(members, members)]]
@@ -372,7 +367,8 @@ def subring(R: FiniteRing, members: np.ndarray, one: int, label: str
 def idempotent_subring(R: FiniteRing, e: int, label: Optional[str] = None
                        ) -> Tuple[FiniteRing, np.ndarray, np.ndarray]:
     """The ring e*R with unit e as (S, include, pos), include[i] the
-    R-index of S's element i and pos its inverse, as subring gives it."""
+    R-index of S's element i and pos its inverse, as subring gives it;
+    eR is a ring with unit e, an ideal closed under x."""
     if int(R.mul[e, e]) != e:
         raise NotIdempotent(f"{e} is not idempotent")
     include = np.flatnonzero(R.mul[e] == np.arange(R.size)).astype(np.int32)
@@ -619,7 +615,7 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing) -> GRing:
     representative of each coset is its minimal element.  Component i of the
     product corresponds to coset i, and gamma sends the value at coset
     gamma^-1 c to the value at c, twisted by rep(c)^-1 gamma rep(gamma^-1 c)
-    acting through S.
+    acting through S.  Its ring is the product of |G:H| copies of S's ring.
     """
     _check_subgroup_ring(H, S)
     reps = [c[0] for c in H.left_cosets()]

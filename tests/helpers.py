@@ -1,8 +1,8 @@
 """Shared verification helpers: additive spans, transfer ideals, mutation
-fixtures, the row-by-row ring-axiom reference, the unbuffered ring-axiom
-and ring-map checks, the breadth-first additive generators, the
-every-pair scans of ring maps and G-ring generators, the every-element
-action references, the
+fixtures, the row-by-row ring-axiom reference, the structural ring check
+and additive negatives, the unbuffered ring-axiom and ring-map checks,
+the breadth-first additive generators, the every-pair scans of ring maps
+and G-ring generators, the every-element action references, the
 transversal-loop orbit reference, the point-by-point
 dependent product reference and the points of a diagram read from its
 maps, the scalar and unfused references of maps along G-set maps and of
@@ -144,10 +144,43 @@ def reference_validate(ring):
             raise DefinitionError(f"distributivity fails at {a}")
 
 
+def negatives(ring):
+    """neg[x] is the additive inverse of x, -1 where x has none."""
+    rows, cols = np.nonzero(ring.add == ring.zero)
+    neg = np.full(ring.size, -1, dtype=np.int32)
+    neg[rows] = cols
+    return neg
+
+
+def structural_check(ring):
+    """Step 0 of FiniteRing.validate, with its messages in its order:
+    units and entries in range, + and x commutative, 0 and 1 identities,
+    0 != 1 unless n == 1, and a negative for every element."""
+    n, add, mul = ring.size, ring.add, ring.mul
+    for unit, x in (("zero", ring.zero), ("one", ring.one)):
+        if x not in range(n):
+            raise DefinitionError(f"{unit} {x} is not an element of 0..{n - 1}")
+    if any(((t < 0) | (t >= n)).any() for t in (add, mul)):
+        raise DefinitionError("table entries out of range")
+    for name, t in (("addition", add), ("multiplication", mul)):
+        if (t != t.T).any():
+            raise DefinitionError(f"{name} is not commutative")
+    if (add[ring.zero] != np.arange(n)).any():
+        raise DefinitionError("zero is not an additive identity")
+    if (mul[ring.one] != np.arange(n)).any():
+        raise DefinitionError("one is not a multiplicative identity")
+    if n > 1 and ring.zero == ring.one:
+        raise DefinitionError("0 == 1 in a ring with more than one element")
+    if (negatives(ring) < 0).any():
+        raise DefinitionError("some element has no additive inverse")
+
+
 def unbuffered_validate(ring):
     """FiniteRing.validate with a fresh array for every gather and step 4
     scanned on every x, y for each generator s: the reference of its fixed
-    buffers and of its check of * on S^3, with the same messages."""
+    buffers and of its check of * on S^3, with the same messages, after
+    the same structural step 0."""
+    structural_check(ring)
     n, add, mul = ring.size, ring.add, ring.mul
     gens = reference_additive_generators(ring)
     for s in gens:
@@ -1316,7 +1349,7 @@ def _ring_structure(R):
     return OpStructure(
         sorts={"r": R.size},
         constants=[("zero", "r", R.zero), ("one", "r", R.one)],
-        unary=[("neg", "r", "r", R.neg)],
+        unary=[("neg", "r", "r", negatives(R))],
         binary=[("add", "r", R.add), ("mul", "r", R.mul)],
     )
 

@@ -143,7 +143,7 @@ def test_criterion_4_norm_lemmas():
             span = helpers.additive_span(ring, helpers.proper_transfer_images(T, L))
             nm = T.nm[(K, L)]
             add_k = T.levels[K].add
-            neg = ring.neg
+            neg = helpers.negatives(ring)
             for a in range(T.levels[K].size):
                 for b in range(T.levels[K].size):
                     diff = ring.add[nm[add_k[a, b]],
@@ -360,7 +360,7 @@ def test_criterion_9_serialization_closure(tmp_path):
         if cli_main(["decompose", str(src), "--out", str(out)]) != 0:
             ok = False
         artifacts.append(str(out))
-    if open(tmp_path / "dec1.json", "rb").read() != open(tmp_path / "dec2.json", "rb").read():
+    if (tmp_path / "dec1.json").read_bytes() != (tmp_path / "dec2.json").read_bytes():
         print("  decompose output is not byte-stable")
         ok = False
     # restrict and coinduce through the CLI; both outputs must re-ingest

@@ -311,8 +311,9 @@ def tables(draw):
 @given(tables())
 @settings(max_examples=200, deadline=None)
 def test_greedy_generators_match_breadth_first_search(case):
+    R = FiniteRing(*case)
     try:
-        R = FiniteRing(*case)
+        helpers.structural_check(R)
     except DefinitionError:  # no additive inverse left
         return
     assert R.additive_generators() == helpers.reference_additive_generators(R)

@@ -11,7 +11,15 @@ from tambara.errors import (
     SearchTimeout,
     ZeroRing,
 )
-from tambara.functors import fixed_point_functor, mackey_decomposition_iso
+from tambara._burnside import burnside_mod
+from tambara.decompose import clarify, full_decomposition
+from tambara.functors import (
+    coinduce,
+    fixed_point_functor,
+    mackey_decomposition_iso,
+    restrict,
+    transport,
+)
 from tambara.groups import FiniteGroup, is_subconjugate, subgroups, upward_closure
 from tambara.rings import (
     _IRREDUCIBLE,
@@ -95,11 +103,12 @@ def test_zero_ring():
 
 
 def test_bad_tables():
-    with pytest.raises(DefinitionError):
-        # non-commutative "addition"
-        a = [[0, 1], [0, 1]]
-        from tambara.rings import FiniteRing
-        FiniteRing(a, a, 0, 1)
+    # non-commutative "addition": the constructor holds the tables, and
+    # validate() refuses them
+    a = [[0, 1], [0, 1]]
+    R = FiniteRing(a, a, 0, 1)
+    with pytest.raises(DefinitionError, match="^addition is not commutative$"):
+        R.validate()
 
 
 # small rings whose perturbed tables validate() and the row-by-row
@@ -125,9 +134,11 @@ def perturbed_tables(draw, rings=PERTURBED_RINGS):
 @given(perturbed_tables())
 @settings(max_examples=400, deadline=None)
 def test_validate_agrees_with_row_reference(case):
+    R = FiniteRing(*case)
     try:
-        R = FiniteRing(*case)
-    except DefinitionError:  # a perturbed add may leave an element without inverse
+        helpers.structural_check(R)
+    except DefinitionError as exc:  # a perturbed add may leave an element without inverse
+        assert _outcome(R.validate) == (DefinitionError, str(exc))
         return
     try:
         helpers.reference_validate(R)
@@ -194,12 +205,9 @@ CORPUS_RING_MAPS = [(T.res[(K, H)], T.levels[H], T.levels[K])
 @given(perturbed_tables(PERTURBED_RINGS + CORPUS_RINGS))
 @settings(max_examples=300, deadline=None)
 def test_buffered_validate_matches_unbuffered(case):
-    # the same verdict and message, broken associativity or
-    # distributivity included
-    try:
-        R = FiniteRing(*case)
-    except DefinitionError:
-        return
+    # the same verdict and message, a structural fault, broken
+    # associativity or distributivity included
+    R = FiniteRing(*case)
     assert _outcome(R.validate) == _outcome(helpers.unbuffered_validate, R)
 
 
@@ -219,10 +227,72 @@ def test_op_failure_matches_unbuffered(ring_map, data):
             assert got[0] is IndexError
 
 
-# the rings of these tests and the level rings of the functor corpus
+# the (G, N) grid of the golden Burnside tables
+BURNSIDE_GRID = [(G, 2) for G in (C2, C3, C4, corpus.C5, corpus.C6, corpus.V4, S3, corpus.Q8,
+                                  corpus.D4, corpus.A4, FiniteGroup.dihedral(6))] + [
+    (C2, 64), (C4, 16), (S3, 8), (C4, 9), (corpus.V4, 3), (S3, 6), (C4, 8), (C3, 9),
+    (corpus.C6, 4), (C2, 4)]
+
+
+def _built_rings():
+    """(construction, ring) for the rings constructions build, which are
+    rings by construction and are not validated when built: every zn and
+    fq on file, products of corpus rings, the levels of
+    fixed_point_functor, coinduce, restrict, transport and burnside_mod
+    over the Burnside grid, those of the factors and reassembled functor
+    of full_decomposition and clarify over the corpus, and the rings of
+    coinduce_gring and gring_product."""
+    out = [("zn", zn(n)) for n in range(1, 65)]
+    out += [("fq", fq(p ** k)) for p, k in _IRREDUCIBLE] + [
+        ("fq", fq(p)) for p in sorted({p for p, _ in _IRREDUCIBLE})]
+    out += [("product_ring", product_ring([A, B]))
+            for A, B in zip(CORPUS_RINGS, CORPUS_RINGS[1:]) if A.size * B.size <= 512]
+
+    def levels(construction, T):
+        out.extend((construction, T.levels[H]) for H in subgroups(T.group))
+
+    for G, N in BURNSIDE_GRID:
+        B = burnside_mod(G, N)
+        levels("burnside_mod", B)
+        levels("fixed_point_functor", fixed_point_functor(B.bottom_gring()))
+        if N > 2:
+            continue
+        for H in subgroups(G):
+            BH = restrict(H, B)
+            levels("restrict", BH)
+            if H.order * 3 >= G.order:
+                levels("coinduce", coinduce(G, H, BH))
+            for d in G.elements():
+                levels("transport", transport(BH, H, d))
+    for T in corpus.TAMBARA_CORPUS.values():
+        dec = full_decomposition(T)
+        for _, ell in dec.factors:
+            levels("full_decomposition", ell)
+        levels("full_decomposition", dec.reassembled)
+        for H in subgroups(T.group):
+            levels("clarify", clarify(T, upward_closure(T.group, H))[0])
+    grings = list(corpus.GRING_CORPUS.values())
+    for R in grings:
+        G = R.group
+        for H in subgroups(G):
+            if R.ring.size ** (G.order // H.order) <= 1024:
+                out.append(("coinduce_gring", coinduce_gring(G, H, gring_restrict(H, R)).ring))
+    out += [("gring_product", gring_product(R1, R2).ring)
+            for R1, R2 in zip(grings, grings[1:]) if R1.group is R2.group]
+    # a ring object appears once, under the first construction that gave
+    # it: restrict and transport keep the levels they are given
+    unique = {}
+    for how, R in out:
+        unique.setdefault(id(R), (how, R))
+    return [pytest.param(R, id=f"{how}-{R.label}:{R.size}") for how, R in unique.values()]
+
+
+# the rings of these tests, the level rings of the functor corpus and the
+# rings the constructions build
 VALID_RINGS = ([zero_ring(), F2, F3, F4, F5, F9, fq(8), fq(27), Z4, Z6, zn(9), zn(256),
                 product_ring([F2] * 9), product_ring([F4] * 4)] + PERTURBED_RINGS
-               + [T.levels[H] for T in corpus.TAMBARA_CORPUS.values() for H in subgroups(T.group)])
+               + [T.levels[H] for T in corpus.TAMBARA_CORPUS.values() for H in subgroups(T.group)]
+               + _built_rings())
 
 
 @pytest.mark.parametrize("R", VALID_RINGS, ids=lambda R: f"{R.label}:{R.size}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tambara.cli import main
 from tambara.errors import DefinitionError
 from tambara.groups import Subgroup, subgroups
 from tambara.functors import _over_subgroup, constant_functor, functor_isomorphism
-from tambara.rings import product_ring
+from tambara.rings import FiniteRing, product_ring
 
 
 def test_group_roundtrip():
@@ -436,7 +437,7 @@ def test_serialization_closure_byte_stable(tmp_path, capsys):
     assert main(["decompose", src, "--out", d1]) == 0
     assert main(["decompose", src, "--out", d2]) == 0
     capsys.readouterr()
-    assert open(d1, "rb").read() == open(d2, "rb").read()
+    assert Path(d1).read_bytes() == Path(d2).read_bytes()
     assert main(["check", d1]) == 0
 
 
@@ -455,6 +456,76 @@ def test_large_broken_ring_exits_1(tmp_path, capsys, command):
     p.write_text(json.dumps(doc))
     assert main([command, str(p)]) == 1
     assert capsys.readouterr().out.startswith("error: distributivity fails")
+
+
+def _count_validate(monkeypatch):
+    """The messages FiniteRing.validate raises, one entry per call (None
+    when it passes)."""
+    calls = []
+    real = FiniteRing.validate
+
+    def counted(R):
+        calls.append(None)
+        try:
+            real(R)
+        except DefinitionError as exc:
+            calls[-1] = str(exc)
+            raise
+
+    monkeypatch.setattr(FiniteRing, "validate", counted)
+    return calls
+
+
+def test_table_rings_are_validated_once_at_the_loader(tmp_path, capsys, monkeypatch):
+    # each level read from tables is proven once; the rings decompose and
+    # iso build from them are rings by construction and not proven again
+    T = corpus.TAMBARA_CORPUS["FPF4_x_coindF2"]
+    p = _write_fixture(tmp_path, "in.json", T)
+    calls = _count_validate(monkeypatch)
+    levels = len(T.levels)
+    for argv, loads in ((["check", p], 1), (["decompose", p, "--out", str(tmp_path / "d.json")], 1),
+                        (["decompose", p, "--lambda", "G", "--out", str(tmp_path / "l.json")], 1),
+                        (["iso", p, p], 2)):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [None] * (loads * levels)
+    capsys.readouterr()
+
+
+# Z/4 or Z/3 tables with one structural fault each, and the message
+# validate() gives it, as the constructor gave it before
+_Z4_ADD = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+_Z4_MUL = [[a * b % 4 for b in range(4)] for a in range(4)]
+_STRUCTURAL_FAULTS = {
+    "entry_out_of_range": ({"add": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 4], [3, 0, 4, 2]]},
+                           "table entries out of range"),
+    "add_not_commutative": ({"add": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 2, 2]]},
+                            "addition is not commutative"),
+    "mul_not_commutative": ({"mul": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 0, 1]]},
+                            "multiplication is not commutative"),
+    "zero_not_identity": ({"zero": 2}, "zero is not an additive identity"),
+    "one_not_identity": ({"one": 2}, "one is not a multiplicative identity"),
+    "zero_is_one": ({"add": [[0, 1], [1, 0]], "mul": [[0, 1], [1, 1]], "one": 0},
+                    "0 == 1 in a ring with more than one element"),
+    "no_negative": ({"add": [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+                     "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]]},
+                    "some element has no additive inverse"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_STRUCTURAL_FAULTS))
+def test_structural_fault_raises_from_validate(tmp_path, capsys, monkeypatch, fault):
+    change, message = _STRUCTURAL_FAULTS[fault]
+    ring = {"kind": "tables", "add": _Z4_ADD, "mul": _Z4_MUL, "zero": 0, "one": 1, **change}
+    n = len(ring["add"])
+    doc = {"schema": 1, "group": _C2_GROUP,
+           "fp": {"ring": ring, "action": [list(range(n))] * 2}}
+    p = tmp_path / "fault.json"
+    p.write_text(json.dumps(doc))
+    calls = _count_validate(monkeypatch)
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert calls == [message]
 
 
 @pytest.mark.parametrize("ring", [{"kind": "Zn", "n": 30000}, {"kind": "Fq", "q": 1000000007}],
