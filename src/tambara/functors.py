@@ -483,22 +483,35 @@ def _reindex(T: TambaraData, K: FiniteGroup, elem: Sequence[int], label: str) ->
 def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
              label: Optional[str] = None) -> TambaraData:
     """Coinduction: the level at K is T's value on the restricted H-set G/K,
-    with structure maps evaluated along restricted coset maps."""
+    with structure maps evaluated along restricted coset maps, each built
+    and read (target orbit, carrier per source orbit) once; res, tr and nm
+    share a pair's reading.  A table is one fold of its source level's
+    components, encoded in C order as product_ring indexes the level."""
     T = _over_subgroup(H, T)
-    levels = {K: evaluate_gset(T, coset_gset(G, K).restricted(H)).materialize()
-              for K in subgroups(G)}
+    X = {K: coset_gset(G, K).restricted(H) for K in subgroups(G)}
+    vals = {K: evaluate_gset(T, XK) for K, XK in X.items()}
+    comps = {K: prod_components(v.sizes) for K, v in vals.items()}
+    readings: Dict[tuple, list] = {}
+    memo: Dict[tuple, np.ndarray] = {}  # _leg's, shared by every table
 
     def table(name, key, src, dst):
-        # evaluated along the coset map G/A -> G/B, xA -> xgB: for conj
-        # (g, K) the iso G/(gKg^-1) -> G/K, along which c_g is a
-        # restriction; otherwise the projection G/K1 -> G/K2
+        # along the coset map G/A -> G/B, xA -> xgB: for conj (g, K) the
+        # iso G/(gKg^-1) -> G/K, along which c_g is a restriction;
+        # otherwise the projection G/K1 -> G/K2
         g, (A, B) = (key[0], (dst, src)) if name == "conj" else (G.identity, key)
-        f = GSetMap(coset_gset(G, A).restricted(H), coset_gset(G, B).restricted(H),
-                    tuple(B.coset_index[G.mul(c[0], g)] for c in A.left_cosets()))
-        return eval_along(T, f, "res" if name == "conj" else name).as_table()
+        if key not in readings:
+            f = GSetMap(X[A], X[B], tuple(B.coset_index[G.mul(c[0], g)] for c in A.left_cosets()))
+            readings[key] = [(X[B].orbit_of[f(o.base)], X[B].carrier[f(o.base)])
+                             for o in vals[A].orbits]
+        kind = "res" if name == "conj" else name
+        legs = [(i, j, _leg(T, kind, o.stabilizer, vals[B].orbits[j].stabilizer, u, memo))
+                for i, (o, (j, u)) in enumerate(zip(vals[A].orbits, readings[key]))]
+        plan = ([(j, t) for _, j, t in legs] if kind == "res" else
+                [[(i, t) for i, k, t in legs if k == j] for j in range(len(vals[B].orbits))])
+        return prod_encode(vals[dst].sizes, EvalMap(kind, vals[src], vals[dst], plan).fold(comps[src]))
 
-    return TambaraData.build(G, levels, table, T.has_norms,
-                             label=label or f"Coind[{H.elements}]({T.label})")
+    return TambaraData.build(G, {K: v.materialize() for K, v in vals.items()}, table,
+                             T.has_norms, label=label or f"Coind[{H.elements}]({T.label})")
 
 
 def restrict(K: Subgroup, T: TambaraData, label: Optional[str] = None) -> TambaraData:

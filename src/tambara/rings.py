@@ -301,7 +301,10 @@ def frobenius(R: FiniteRing) -> np.ndarray:
 
 def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> FiniteRing:
     """Componentwise product, a ring as a product of rings; index is
-    C-order over factor indices (prod_encode)."""
+    C-order over factor indices (prod_encode).  add and mul fold the factors
+    in broadcast: t[a, c] * s + F[b, d] lands at [a, b, c, d], which the
+    reshape reads at (a*s + b, c*s + d), the C-order index; every entry is
+    below n <= RING_SIZE_CAP, so int32 cannot overflow."""
     if not factors:
         raise DefinitionError("need at least one factor")
     sizes = [f.size for f in factors]
@@ -310,13 +313,17 @@ def product_ring(factors: Sequence[FiniteRing], label: Optional[str] = None) -> 
         n *= s
         if n > RING_SIZE_CAP:
             raise SizeLimitExceeded(f"product ring would exceed {RING_SIZE_CAP} elements")
-    comps = prod_components(sizes)
-    # generators keep one n x n component table alive at a time
-    add = prod_encode(sizes, (f.add[np.ix_(a, a)] for f, a in zip(factors, comps)))
-    mul = prod_encode(sizes, (f.mul[np.ix_(a, a)] for f, a in zip(factors, comps)))
+
+    def fold(name):
+        t = getattr(factors[0], name)
+        for f in factors[1:]:
+            m, s = len(t), f.size
+            t = (t[:, None, :, None] * s + getattr(f, name)[None, :, None, :]).reshape(m * s, m * s)
+        return t
+
     zero = prod_encode(sizes, [f.zero for f in factors])
     one = prod_encode(sizes, [f.one for f in factors])
-    return FiniteRing(add, mul, zero, one,
+    return FiniteRing(fold("add"), fold("mul"), zero, one,
                       label=label or " x ".join(f.label for f in factors))
 
 

@@ -82,6 +82,7 @@ from tambara.gsets import (
 )
 from tambara.rings import (
     _IRREDUCIBLE,
+    RING_SIZE_CAP,
     FiniteRing,
     GRing,
     GRingDecomposition,
@@ -548,6 +549,25 @@ def reference_exponential_failure(T, diag, desc, K, H):
     return (f"exponential formula fails for {desc} over {K.elements}<={H.elements} "
             f"at element {tuple(arr[r].tolist())}: {tuple(path1[r].tolist())} vs "
             f"{tuple(path2[r].tolist())}")
+
+
+def reference_product_ring(factors, label=None):
+    """product_ring by gathers: each factor's n x n table read at the open
+    mesh of its components (np.ix_), one n x n gather per factor, summed
+    by prod_encode.  The reference the broadcast product_ring is tested
+    against."""
+    if not factors:
+        raise DefinitionError("need at least one factor")
+    sizes = [f.size for f in factors]
+    if np.prod(sizes, dtype=np.int64) > RING_SIZE_CAP:
+        raise SizeLimitExceeded(f"product ring would exceed {RING_SIZE_CAP} elements")
+    comps = prod_components(sizes)
+    add = prod_encode(sizes, (f.add[np.ix_(a, a)] for f, a in zip(factors, comps)))
+    mul = prod_encode(sizes, (f.mul[np.ix_(a, a)] for f, a in zip(factors, comps)))
+    zero = prod_encode(sizes, [f.zero for f in factors])
+    one = prod_encode(sizes, [f.one for f in factors])
+    return FiniteRing(add, mul, zero, one,
+                      label=label or " x ".join(f.label for f in factors))
 
 
 def reference_product(T1, T2, label=None):

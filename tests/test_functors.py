@@ -322,6 +322,51 @@ def test_coinduce_matches_per_map_reference_on_lattice_groups(G):
         assert_same_functor(coinduce(G, H, inner), reference_coinduce(G, H, inner))
 
 
+@pytest.mark.parametrize("G", corpus.LATTICE_GROUPS, ids=lambda g: g.name)
+def test_coinduce_matches_per_map_reference_on_green_inner(G):
+    # no norm tables: coinduce builds res, tr and conj only
+    for H in subgroups(G):
+        index = G.order // H.order
+        if 2 ** index > 256:
+            continue  # only (A4, e): a 4096-element bottom level
+        Hg = H.as_group[0]
+        R = galois_gring(F4, Hg) if H.order == 2 and index <= 4 else \
+            trivial_gring(F3 if index <= 4 else F2, Hg)
+        inner = fixed_point_functor(R, green_only=True)
+        got = coinduce(G, H, inner)
+        assert not got.has_norms and got.nm is None
+        assert_same_functor(got, reference_coinduce(G, H, inner))
+
+
+@pytest.mark.parametrize("G", corpus.LATTICE_GROUPS, ids=lambda g: g.name)
+def test_coinduce_matches_per_map_reference_nested(G):
+    # Coind_H^G Coind_K^H, as decompose builds from a slice coinduced twice
+    cases = 0
+    for H in subgroups(G)[1:-1]:
+        Hg = H.as_group[0]
+        for K in subgroups(Hg)[:-1]:
+            if G.order // K.order > 8:
+                continue  # a bottom level of more than 2^8 elements
+            inner = constant_functor(F2, K.as_group[0])
+            assert_same_functor(coinduce(G, H, coinduce(Hg, K, inner)),
+                                reference_coinduce(G, H, reference_coinduce(Hg, K, inner)))
+            cases += 1
+    assert cases
+
+
+@pytest.mark.parametrize("G", corpus.LATTICE_GROUPS, ids=lambda g: g.name)
+def test_coinduce_builds_each_restricted_map_once(G, monkeypatch):
+    # one GSetMap (and its equivariance check) per coset projection K1 <= K2,
+    # shared by res, tr and nm, and one per conjugation iso (g, K)
+    H = subgroups(G)[-2]
+    inner = constant_functor(F2, H.as_group[0])
+    built = []
+    check = GSetMap.__post_init__
+    monkeypatch.setattr(GSetMap, "__post_init__", lambda f: (built.append(f), check(f)))
+    coinduce(G, H, inner)
+    assert len(built) == len(G.subgroup_pairs) + G.order * len(subgroups(G))
+
+
 @pytest.mark.parametrize("green_only", [False, True])
 @pytest.mark.parametrize("name", sorted(corpus.GRING_CORPUS))
 def test_fixed_point_functor_matches_per_map_reference(name, green_only):

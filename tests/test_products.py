@@ -1,12 +1,21 @@
-"""n-ary products against left folds of binary products, and the one list
-of structure maps against the tables a functor holds."""
+"""n-ary products against left folds of binary products, product_ring
+against its gather reference, and the one list of structure maps against
+the tables a functor holds."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
-from corpus import C2, F2, F3, S3, S3_ORDER2
-from helpers import assert_same_functor, reference_fold_product, reference_gring_product
+from corpus import C2, F2, F3, F4, F9, F16, S3, S3_ORDER2, Z4, Z6, Z9
+from helpers import (
+    assert_same_functor,
+    reference_fold_product,
+    reference_gring_product,
+    reference_product_ring,
+)
 from tambara.errors import DefinitionError, GroupMismatch
 from tambara.functors import (
     _functor_structure,
@@ -16,7 +25,7 @@ from tambara.functors import (
     zero_functor,
 )
 from tambara.groups import subgroups
-from tambara.rings import coinduce_gring, gring_product, trivial_gring
+from tambara.rings import coinduce_gring, gring_product, product_ring, trivial_gring, zero_ring
 
 # four factors per pool; the pools' products stay below 100 bottom elements
 POOLS = {
@@ -72,6 +81,35 @@ def test_product_mismatch_in_the_last_factor_raises():
         product(A, B, fixed_point_functor(trivial_gring(F2, C2), green_only=True))
     with pytest.raises(DefinitionError):
         product()
+
+
+PRODUCT_RINGS = [F2, F3, F4, F9, F16, Z4, Z6, Z9, zero_ring(),
+                 corpus.GRING_CORPUS["F3xF3_triv_C2"].ring,
+                 corpus.GRING_CORPUS["coind_C2_C4_F5"].ring]
+
+
+def assert_same_ring(got, want):
+    assert (got.label, got.zero, got.one, got.size) == (want.label, want.zero, want.one, want.size)
+    for a, b in ((got.add, want.add), (got.mul, want.mul)):
+        assert a.dtype == b.dtype == np.int32
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("factors", [
+    [F4], [zero_ring()], [Z6, zero_ring()], [zero_ring(), F9, zero_ring()],
+    [F2, F3], [F3, F2], [F16, F16], [F2, F3, Z4, F4], [Z9, zero_ring(), F2, F4],
+    [F2] * 4, [corpus.GRING_CORPUS["coind_C2_C4_F5"].ring, Z6],
+], ids=lambda fs: " x ".join(f"{f.label}:{f.size}" for f in fs))
+def test_product_ring_matches_gather_reference(factors):
+    assert_same_ring(product_ring(factors), reference_product_ring(factors))
+    assert_same_ring(product_ring(factors, label="P"), reference_product_ring(factors, label="P"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(PRODUCT_RINGS), min_size=1, max_size=4).filter(
+    lambda fs: math.prod(f.size for f in fs) <= 4096))
+def test_product_ring_matches_gather_reference_on_drawn_factors(factors):
+    assert_same_ring(product_ring(factors), reference_product_ring(factors))
 
 
 GRING_POOLS = {
