@@ -49,6 +49,7 @@ from .rings import (
     prod_components,
     prod_encode,
     product_ring,
+    range_failure,
     subring,
     trivial_gring,
     zero_ring,
@@ -211,22 +212,25 @@ class EvalMap:
     kind: str
     source: LeveledValue
     target: LeveledValue
-    # res: per target-component: (source component, table)
-    # tr/nm: per target-component: list of (source component, table)
-    plan: List
+    # per target component, the (source component, table) items it reads:
+    # one for res, any number (none gives the unit) for tr and nm
+    plan: List[List[Tuple[int, np.ndarray]]]
 
     def fold(self, cols) -> List[np.ndarray]:
         """One int32 array per target component, of the broadcast shape of
-        the source components cols[i] it reads (0-d, the unit, for a tr or
-        nm component with no items).  A tr or nm component gathers each
-        source component it reads once, then combines them, so
+        the source components cols[i] it reads (0-d, the unit, for a
+        component with no items).  A one-item component, every res one and
+        most tr and nm ones, is one gather.  Otherwise the component gathers
+        each source component it reads once, then combines them, so
         broadcasting widens an array only where two source components
         meet.  Regrouping the fold so is exact because + and x of a ring
         commute and associate."""
-        if self.kind == "res":
-            return [t.take(cols[j]) for j, t in self.plan]
         out = []
         for items, ring in zip(self.plan, self.target.rings):
+            if len(items) == 1:
+                (i, t), = items
+                out.append(t.take(cols[i]))
+                continue
             table, unit = _fold(ring, self.kind)
             # table[u, v] is flat[u * size + v]; size**2 <= RING_SIZE_CAP**2 < 2**31
             flat = table.ravel()
@@ -254,9 +258,11 @@ class EvalMap:
         return out.T
 
     def as_table(self) -> np.ndarray:
-        """Dense index table between materialized product rings."""
-        out = self.apply_batch(prod_components(self.source.sizes).T)
-        return prod_encode(self.target.sizes, out.T)
+        """Dense index table between materialized product rings: fold on
+        the open mesh of the source, encoded and raveled in C order."""
+        shape = tuple(self.source.sizes)
+        comps = self.fold(np.ix_(*(np.arange(n) for n in shape)))
+        return np.broadcast_to(prod_encode(self.target.sizes, comps), shape).ravel()
 
 
 def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
@@ -273,21 +279,26 @@ def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:
         raise DefinitionError(f"unknown kind {kind!r}")
     X_val = evaluate_gset(T, f.source)
     Y_val = evaluate_gset(T, f.target)
-    orbit_of, carrier = f.target.orbit_of, f.target.carrier
+    Y = f.target
+    hits = [(Y.orbit_of[f(o.base)], Y.carrier[f(o.base)]) for o in X_val.orbits]
+    return _along(T, kind, X_val, Y_val, hits, {})
 
-    # factor each source orbit through its target orbit
-    plan = [] if kind == "res" else [[] for _ in Y_val.orbits]
-    memo: Dict[tuple, np.ndarray] = {}
-    for i, o in enumerate(X_val.orbits):
-        q = f(o.base)
-        j = orbit_of[q]
-        table = _leg(T, kind, o.stabilizer, Y_val.orbits[j].stabilizer, carrier[q], memo)
-        if kind == "res":
-            plan.append((j, table))
-        else:
-            plan[j].append((i, table))
+
+def _along(T: TambaraData, kind: str, X_val: LeveledValue, Y_val: LeveledValue,
+           hits: Sequence[Tuple[int, int]], memo: Dict[tuple, np.ndarray]) -> EvalMap:
+    """T's map of this kind along a G-map X -> Y, where source orbit i's
+    base maps to carrier u times the base of target orbit j, (j, u) =
+    hits[i]: each source orbit factors through its leg into its target
+    orbit (_leg, through memo).  A res component reads its one source
+    orbit's target orbit; a tr or nm component folds the source orbits
+    hitting it, in source order."""
+    legs = [(i, j, _leg(T, kind, o.stabilizer, Y_val.orbits[j].stabilizer, u, memo))
+            for i, (o, (j, u)) in enumerate(zip(X_val.orbits, hits))]
     if kind == "res":
-        return EvalMap(kind, Y_val, X_val, plan)
+        return EvalMap(kind, Y_val, X_val, [[(j, t)] for _, j, t in legs])
+    plan: List[List[Tuple[int, np.ndarray]]] = [[] for _ in Y_val.orbits]
+    for i, j, t in legs:
+        plan[j].append((i, t))
     return EvalMap(kind, X_val, Y_val, plan)
 
 
@@ -329,7 +340,8 @@ class TambaraMorphism:
             img = self.maps.get(H)
             if img is None or img.shape != (src.levels[H].size,):
                 raise DefinitionError(f"missing/misshaped map at level {H.elements}")
-            err = hom_failure(img, src.levels[H], tgt.levels[H])
+            err = (range_failure(img, tgt.levels[H])
+                   or hom_failure(img, src.levels[H], tgt.levels[H]))
             if err:
                 raise DefinitionError(f"map at level {H.elements} is not a ring map: {err}")
         for name, key, a, b in structure_maps(src.group, src.has_norms and tgt.has_norms):
@@ -503,12 +515,8 @@ def coinduce(G: FiniteGroup, H: Subgroup, T: TambaraData,
             f = GSetMap(X[A], X[B], tuple(B.coset_index[G.mul(c[0], g)] for c in A.left_cosets()))
             readings[key] = [(X[B].orbit_of[f(o.base)], X[B].carrier[f(o.base)])
                              for o in vals[A].orbits]
-        kind = "res" if name == "conj" else name
-        legs = [(i, j, _leg(T, kind, o.stabilizer, vals[B].orbits[j].stabilizer, u, memo))
-                for i, (o, (j, u)) in enumerate(zip(vals[A].orbits, readings[key]))]
-        plan = ([(j, t) for _, j, t in legs] if kind == "res" else
-                [[(i, t) for i, k, t in legs if k == j] for j in range(len(vals[B].orbits))])
-        return prod_encode(vals[dst].sizes, EvalMap(kind, vals[src], vals[dst], plan).fold(comps[src]))
+        m = _along(T, "res" if name == "conj" else name, vals[A], vals[B], readings[key], memo)
+        return prod_encode(vals[dst].sizes, m.fold(comps[src]))
 
     return TambaraData.build(G, {K: v.materialize() for K, v in vals.items()}, table,
                              T.has_norms, label=label or f"Coind[{H.elements}]({T.label})")
@@ -816,16 +824,13 @@ def _exponential_paths(T: TambaraData, nm_f: EvalMap, tr_p: EvalMap, diag: Expon
     T(pi) and tr_pi are read off diag's orbit records (orbit i maps onto
     the orbit of its y, base onto base y, so with carrier e), no pi, corner
     or restricted element is written out, and tables go through memo."""
-    G, Y_val, orbit_of = T.group, nm_f.target, diag.f.target.orbit_of
+    orbit_of, e = diag.f.target.orbit_of, T.group.identity
     pi_val = LeveledValue(diag.orbits, [T.levels[o.stabilizer] for o in diag.orbits])
-    plan: List[List[Tuple[int, np.ndarray]]] = [[] for _ in Y_val.orbits]
-    for i, o in enumerate(diag.orbits):
-        j = orbit_of[o.y]
-        plan[j].append((i, _leg(T, "tr", o.stabilizer, Y_val.orbits[j].stabilizer, G.identity, memo)))
+    tr_pi = _along(T, "tr", pi_val, nm_f.target, [(orbit_of[o.y], e) for o in diag.orbits], memo)
     shape = tuple(tr_p.source.sizes)
     cols = np.ix_(*(np.arange(n) for n in shape))
-    return (shape, nm_f.fold(tr_p.fold(cols)), EvalMap("tr", pi_val, Y_val, plan).fold(
-        _corner_norm(T, diag, tr_p.source, pi_val, memo).fold(cols)))
+    return (shape, nm_f.fold(tr_p.fold(cols)),
+            tr_pi.fold(_corner_norm(T, diag, tr_p.source, pi_val, memo).fold(cols)))
 
 
 def _corner_norm(T: TambaraData, diag: ExponentialDiagram, A_val: LeveledValue,

@@ -1,17 +1,17 @@
 """Finite G-sets and equivariant maps.
 
 A G-set is an action array over a FiniteGroup; points are 0-based indices.
-This module supplies orbit decomposition, pullbacks, the dependent product
-along a map (sections over fibers) and its exponential diagram, read off
-the fibers over the bases of the target's orbits; its point-level G-sets
-are built on first read.  G-sets and maps are validated on construction.
+This module supplies orbit decomposition, pullbacks, and the dependent
+product along a map (sections over fibers) with its exponential diagram,
+read off the fibers over the bases of the target's orbits as orbit records;
+no point-level Pi_f A is built.  G-sets and maps are validated on
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, product as iproduct
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -212,15 +212,14 @@ class SectionOrbit(NamedTuple):
 
 class ExponentialDiagram:
     """The five-object diagram generated by f : X -> Y and p : A -> X, as
-    dependent_product reads it.  pi = Pi_f A has size points (y, sigma),
-    numbered offset[y] + sum over x in f^-1(y) of rank[sigma(x)] * weight[x]
-    (README, "Π_f A from the fibers over Y's orbit bases").  orbits[j] is a
-    SectionOrbit with base base_j = (y_j, sigma_j); moves[j, g] = g.base_j
-    and base_sections[j, x] = sigma_j(x) on f^-1(y_j), A.size elsewhere, in
-    int32.  pi, its projection to Y and the read-only section matrix are
-    built on first read, every fiber by _action; so are the pullback corner
-    X x_Y pi, its evaluation (x, (y, sigma)) -> sigma(x) to A and its
-    projection to pi.  Evaluation followed by p is the projection to X."""
+    dependent_product reads it, by its orbit records only.  pi = Pi_f A
+    has size points (y, sigma), numbered offset[y] + sum over x in f^-1(y)
+    of rank[sigma(x)] * weight[x] (README, "Π_f A from the fibers over Y's
+    orbit bases").  orbits[j] is a SectionOrbit with base base_j = (y_j,
+    sigma_j); moves[j, g] = g.base_j and base_sections[j, x] = sigma_j(x) on
+    f^-1(y_j), A.size elsewhere, in int32.  Neither pi nor the pullback
+    corner X x_Y pi is written out: the test reference
+    reference_dependent_product builds them point by point."""
 
     def __init__(self, f: GSetMap, p: GSetMap) -> None:
         if p.target is not f.source:
@@ -241,8 +240,8 @@ class ExponentialDiagram:
         counts = [math.prod(len(self._lifts[x]) for x in self._fibers[o.base]) for o in y_orbits]
         if sum(c * len(o.points) for c, o in zip(counts, y_orbits)) > SECTION_CAP:
             raise SizeLimitExceeded(f"dependent product would have more than {SECTION_CAP} points")
-        self._counts = [counts[i] for i in Y.orbit_of]
-        self._offset = np.array([0, *accumulate(self._counts)], dtype=np.int32)  # Y.size + 1
+        counts = [counts[i] for i in Y.orbit_of]
+        self._offset = np.array([0, *accumulate(counts)], dtype=np.int32)  # Y.size + 1
         self.size = int(self._offset[-1])
         weight = [0] * X.size
         for fib in self._fibers:
@@ -292,31 +291,6 @@ class ExponentialDiagram:
             lift = np.array(self._lifts[x], dtype=np.int32)
             out[:, x] = lift[s // self._weight[x] % len(lift)]
         return out
-
-    @cached_property
-    def _points(self) -> Tuple[GSet, GSetMap, np.ndarray]:
-        G, Y = self.f.source.group, self.f.target
-        action = np.empty((G.order, self.size), dtype=np.int32)
-        sections = np.empty((self.size, self.f.source.size), dtype=np.int32)
-        for y, (lo, hi) in enumerate(zip(self._offset, self._offset[1:])):
-            action[:, lo:hi], sections[lo:hi] = self._action(y), self._values(y, np.arange(hi - lo))
-        sections.flags.writeable = False
-        pi = GSet(G, action)
-        return pi, GSetMap(pi, Y, tuple(np.repeat(np.arange(Y.size), self._counts).tolist())), sections
-
-    @cached_property
-    def _corner(self) -> Tuple[GSet, GSetMap, GSetMap]:
-        corner, to_x, to_pi = pullback(self.f, self.projection)
-        ev = self.sections[np.asarray(to_pi.images, dtype=np.int64),
-                           np.asarray(to_x.images, dtype=np.int64)]
-        return corner, GSetMap(corner, self.p.source, tuple(ev.tolist())), to_pi
-
-    pi = property(lambda self: self._points[0])
-    projection = property(lambda self: self._points[1])          # pi -> Y
-    sections = property(lambda self: self._points[2])            # (pi.size, X.size)
-    pullback_corner = property(lambda self: self._corner[0])     # X x_Y pi
-    evaluation = property(lambda self: self._corner[1])          # corner -> A
-    corner_projection = property(lambda self: self._corner[2])   # corner -> pi
 
 
 def dependent_product(f: GSetMap, p: GSetMap) -> ExponentialDiagram:

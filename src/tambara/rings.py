@@ -450,6 +450,16 @@ def hom_failure(img: np.ndarray, src: FiniteRing, dst: FiniteRing) -> Optional[s
     return None
 
 
+def range_failure(img: np.ndarray, dst: FiniteRing) -> Optional[str]:
+    """The first entry of img that is no element of dst, named; None when
+    there is none.  hom_failure reads img as indices into dst, so the
+    public constructors of ring maps call this first."""
+    bad = np.flatnonzero((img < 0) | (img >= dst.size))
+    if bad.size:
+        return f"entry {bad[0]} -> {img[bad[0]]} is outside the target's {dst.size} elements"
+    return None
+
+
 @dataclass(frozen=True)
 class RingHom:
     """A unital ring homomorphism as an image table."""
@@ -462,7 +472,7 @@ class RingHom:
         img = np.asarray(self.images, dtype=np.int32)
         if img.shape != (self.source.size,):
             raise DefinitionError("image table has wrong length")
-        err = hom_failure(img, self.source, self.target)
+        err = range_failure(img, self.target) or hom_failure(img, self.source, self.target)
         if err:
             raise DefinitionError(f"not a ring homomorphism: {err}")
 

@@ -31,7 +31,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -356,11 +356,14 @@ def assert_orbits_match_reference(X):
     assert len(X.orbit_of) == len(X.carrier) == X.size
 
 
+@lru_cache(maxsize=64)
 def reference_dependent_product(f, p):
     """Pi_f A built point by point from the definition: every section of p
     over every fiber, sorted, and g(y, sigma) = (gy, g sigma) worked out for
     each point, with the section matrix written entry by entry; the
-    reference gsets.dependent_product is tested against."""
+    reference gsets.dependent_product is tested against, and the only
+    point-level Pi_f A and pullback corner.  Built once per pair of maps
+    (a GSetMap compares by its G-set objects and its images)."""
     if p.target is not f.source:
         raise DefinitionError("p must target the source of f")
     X, Y, A = f.source, f.target, p.source
@@ -457,11 +460,11 @@ def diagram_points(diag):
 
 def reference_apply(m, tup):
     """EvalMap m on one element, a tuple of source components, one Python
-    int at a time: res reads each target component off its source
-    component, tr and nm fold each target component from the unit over its
-    items.  The scalar reference EvalMap.apply_batch is tested against."""
+    int at a time: res reads each target component off its one item's
+    source component, tr and nm fold each target component from the unit
+    over its items.  The scalar reference EvalMap.fold is tested against."""
     if m.kind == "res":
-        return tuple(int(t[tup[j]]) for (j, t) in m.plan)
+        return tuple(int(t[tup[j]]) for ((j, t),) in m.plan)
     out = []
     for items, ring in zip(m.plan, m.target.rings):
         table, acc = (ring.add, ring.zero) if m.kind == "tr" else (ring.mul, ring.one)
@@ -472,12 +475,13 @@ def reference_apply(m, tup):
 
 
 def reference_apply_batch(m, arr):
-    """EvalMap.apply_batch without its first-step gather: every tr or nm
-    component starts from the unit and folds in all of its items."""
+    """EvalMap.apply_batch without its first-step gather: a res component
+    reads its one item, and every tr or nm component starts from the unit
+    and folds in all of its items."""
     out = np.empty((len(arr), len(m.plan)), dtype=np.int64)
     for c, component in enumerate(m.plan):
         if m.kind == "res":
-            j, t = component
+            (j, t), = component
             out[:, c] = t[arr[:, j]]
             continue
         ring = m.target.rings[c]
@@ -491,10 +495,12 @@ def reference_apply_batch(m, arr):
 
 def reference_exponential_paths(T, diag):
     """Every element of T(A) as a row, and the two sides of the exponential
-    formula on it, unfused: nm_f tr_p, and tr_pi nm_corner res_ev with the
+    formula on it, unfused: nm_f tr_p, and tr_pi nm_corner res_ev through
+    the point-level diagram (reference_dependent_product) with the
     restricted elements written out as an array, each map applied by
     reference_apply_batch.  The reference of functors._exponential_paths."""
     tr_p = eval_along(T, diag.p, "tr")
+    diag = reference_dependent_product(diag.f, diag.p)
     arr = prod_components(tr_p.source.sizes).T
     path1 = reference_apply_batch(eval_along(T, diag.f, "nm"),
                                   reference_apply_batch(tr_p, arr))
@@ -505,16 +511,19 @@ def reference_exponential_paths(T, diag):
 
 def evalmap_after(nm, res):
     """The tr or nm map nm after the res map into its source, as one map of
-    nm's kind: item (i, t) becomes (j, t[r]), res.plan[i] being (j, r)."""
-    plan = [[(res.plan[i][0], t[res.plan[i][1]]) for i, t in items] for items in nm.plan]
+    nm's kind: item (i, t) becomes (j, t[r]), res.plan[i] being [(j, r)]."""
+    reads = [item for (item,) in res.plan]
+    plan = [[(reads[i][0], t[reads[i][1]]) for i, t in items] for items in nm.plan]
     return EvalMap(nm.kind, res.source, nm.target, plan)
 
 
 def corner_norm(T, diag):
-    """nm_corner res_ev built on the pullback corner of the diagram: the
-    restriction along the evaluation and the norm along the corner
-    projection, each an eval_along, composed by evalmap_after.  The
-    reference of functors._corner_norm."""
+    """nm_corner res_ev built on the pullback corner of the diagram, point
+    by point (reference_dependent_product): the restriction along the
+    evaluation and the norm along the corner projection, each an
+    eval_along, composed by evalmap_after.  The reference of
+    functors._corner_norm."""
+    diag = reference_dependent_product(diag.f, diag.p)
     return evalmap_after(eval_along(T, diag.corner_projection, "nm"),
                          eval_along(T, diag.evaluation, "res"))
 
@@ -524,7 +533,7 @@ def corner_second_path(T, diag):
     corner (corner_norm): the second side of the exponential formula as
     functors._exponential_paths computed it before it planned the norm
     orbit by orbit of Pi_f A."""
-    tr_pr = eval_along(T, diag.projection, "tr")
+    tr_pr = eval_along(T, reference_dependent_product(diag.f, diag.p).projection, "tr")
     shape = tuple(evaluate_gset(T, diag.p.source).sizes)
     return tr_pr.fold(corner_norm(T, diag).fold(np.ix_(*(np.arange(n) for n in shape))))
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import random
 import tracemalloc
@@ -62,7 +63,7 @@ from tambara.functors import (
     structure_maps,
     zero_functor,
 )
-from tambara.rings import idempotents, trivial_gring
+from tambara.rings import RingHom, idempotents, prod_encode, trivial_gring, zn
 from tambara._burnside import burnside_mod
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
@@ -231,6 +232,32 @@ def test_eval_along_identity():
     for kind in ("res", "tr", "nm"):
         m = eval_along(T, helpers.identity_map(X), kind)
         assert np.array_equal(m.as_table(), np.arange(4))
+
+
+def _as_table_reference(m):
+    """m's dense table, one source element at a time in C order."""
+    return [prod_encode(m.target.sizes, reference_apply(m, tup))
+            for tup in np.ndindex(*m.source.sizes)]
+
+
+def test_as_table_keeps_source_shape_when_fold_does_not_span_it():
+    # fold on the open mesh returns the shape of what it reads: a 0-d unit
+    # when nothing is read, fewer axes when a res skips an orbit of Y;
+    # as_table still has one entry per source element
+    B = corpus.BURNSIDE_CORPUS["burnside_C2_4"]
+    e, full = C2.trivial_subgroup, C2.full_subgroup
+    X = coset_gset(C2, e)
+    empty = helpers.trivial_gset(C2, 0)
+    for kind, unit in [("tr", 0), ("nm", 1)]:
+        m = eval_along(B, GSetMap(empty, X, ()), kind)
+        table = m.as_table()
+        assert table.shape == (1,) and table.tolist() == [unit] == _as_table_reference(m)
+    Y, _ = disjoint_union([X, coset_gset(C2, full)])
+    m = eval_along(B, GSetMap(X, Y, (0, 1)), "res")
+    assert m.source.sizes == [B.levels[e].size, B.levels[full].size]
+    table = m.as_table()
+    assert table.shape == (math.prod(m.source.sizes),)
+    assert table.tolist() == _as_table_reference(m)
 
 
 def test_eval_along_fold_map_gives_ring_ops():
@@ -561,7 +588,8 @@ def _assert_corner_norm_is_reference(name, T):
             except SizeLimitExceeded:
                 continue
             where = (name, K.elements, H.elements, desc)
-            got = _corner_norm(T, diag, evaluate_gset(T, A), evaluate_gset(T, diag.pi), {})
+            pi_val = evaluate_gset(T, helpers.reference_dependent_product(diag.f, diag.p).pi)
+            got = _corner_norm(T, diag, evaluate_gset(T, A), pi_val, {})
             want = helpers.corner_norm(T, diag)
             assert [[i for i, _ in c] for c in got.plan] == [[i for i, _ in c] for c in want.plan], where
             assert all(np.array_equal(a, b) for c, d in zip(got.plan, want.plan)
@@ -656,36 +684,6 @@ def test_check_never_builds_the_pullback_corner(monkeypatch):
         assert check_axioms(corpus.TAMBARA_CORPUS[name]).passed
     for _, T in EXPONENTIAL_FAILING:
         assert any(f.family == "exponential" for f in check_axioms(T).failures)
-    # the corner is still there to read, built by pullback on first read
-    G = corpus.S3
-    f = _coset_projection(G, G.trivial_subgroup, G.full_subgroup)
-    A, p, _ = next(x for x in _exponential_family(G, G.trivial_subgroup, 2) if "+" in x[2])
-    diag = dependent_product(f, GSetMap(A, f.source, p))
-    with pytest.raises(AssertionError, match="built a pullback"):
-        diag.pullback_corner
-
-
-def test_check_never_builds_pi_point_by_point(monkeypatch):
-    # every diagram is read off its orbit records: the point-level pi, its
-    # projection and its section matrix are built on first read, which
-    # check_axioms never does
-    import tambara.gsets as gsets
-
-    def refuse(diag):
-        raise AssertionError("pi built point by point")
-
-    monkeypatch.setattr(gsets.ExponentialDiagram, "_points", property(refuse))
-    for name in ["coind_C2a_S3_FPF4", "burnside_C4_4", "coind_e_V4_constF2"]:
-        assert check_axioms(corpus.TAMBARA_CORPUS[name]).passed
-    for _, T in EXPONENTIAL_FAILING:
-        assert any(f.family == "exponential" for f in check_axioms(T).failures)
-    G = corpus.S3
-    f = _coset_projection(G, G.trivial_subgroup, G.full_subgroup)
-    A, p, _ = next(x for x in _exponential_family(G, G.trivial_subgroup, 2) if "+" in x[2])
-    diag = dependent_product(f, GSetMap(A, f.source, p))
-    for read in ("pi", "projection", "sections"):
-        with pytest.raises(AssertionError, match="point by point"):
-            getattr(diag, read)
 
 
 def _swapping(monkeypatch, row, i, j):
@@ -732,12 +730,13 @@ def test_eval_along_shares_one_table_per_orbit_type():
     K, H = G.trivial_subgroup, G.full_subgroup
     f = _coset_projection(G, K, H)
     A, p, _ = next(x for x in _exponential_family(G, K, 2) if "+" in x[2])
-    diag = dependent_product(f, GSetMap(A, f.source, p))
+    diag = helpers.reference_dependent_product(f, GSetMap(A, f.source, p))
     for g, kind in [(diag.corner_projection, "nm"), (diag.corner_projection, "tr"),
                     (diag.evaluation, "res")]:
         m = eval_along(T, g, kind)
         if kind == "res":
-            items = [(i, t) for i, (_, t) in enumerate(m.plan)]
+            assert all(len(component) == 1 for component in m.plan)
+            items = [(i, t) for i, ((_, t),) in enumerate(m.plan)]
             sources, targets = m.target.orbits, m.source.orbits
         else:
             items = [item for component in m.plan for item in component]
@@ -1013,6 +1012,24 @@ def test_functor_isomorphism_flag_mismatch():
     with pytest.raises(GroupMismatch):
         functor_isomorphism(corpus.GREEN_CORPUS["green_cex_2_F2"],
                             corpus.FP_CORPUS["F2_triv_C2"])
+
+
+@pytest.mark.parametrize("past_end", [True, False])
+def test_ring_maps_refuse_entries_outside_the_target(past_end):
+    # an entry equal to the target size was a bare IndexError, and -1 read
+    # as the last element ("addition broken at (0,3)"); both are named
+    R = zn(4)
+    bad = 4 if past_end else -1
+    with pytest.raises(DefinitionError, match=rf"entry 3 -> {bad} is outside the target's 4 elements"):
+        RingHom(R, R, (0, 1, 2, bad))
+    B = corpus.BURNSIDE_CORPUS["burnside_C2_4"]
+    top = C2.full_subgroup
+    n = B.levels[top].size
+    maps = {H: np.arange(B.levels[H].size) for H in subgroups(C2)}
+    maps[top][-1] = n if past_end else -1
+    with pytest.raises(DefinitionError, match=rf"level \(0, 1\) .*entry {n - 1} -> {maps[top][-1]} "
+                                              rf"is outside the target's {n} elements"):
+        TambaraMorphism(B, B, maps)
 
 
 # -- the Green counterexample --------------------------------------------------
