@@ -219,18 +219,14 @@ class EvalMap:
     def fold(self, cols) -> List[np.ndarray]:
         """One int32 array per target component, of the broadcast shape of
         the source components cols[i] it reads (0-d, the unit, for a
-        component with no items).  A one-item component, every res one and
-        most tr and nm ones, is one gather.  Otherwise the component gathers
-        each source component it reads once, then combines them, so
-        broadcasting widens an array only where two source components
-        meet.  Regrouping the fold so is exact because + and x of a ring
-        commute and associate."""
+        component with no items).  A component gathers each source
+        component it reads once, then combines them, so broadcasting widens
+        an array only where two source components meet; a one-item
+        component, every res one and most tr and nm ones, is one gather.
+        Regrouping the fold so is exact because + and x of a ring commute
+        and associate."""
         out = []
         for items, ring in zip(self.plan, self.target.rings):
-            if len(items) == 1:
-                (i, t), = items
-                out.append(t.take(cols[i]))
-                continue
             table, unit = _fold(ring, self.kind)
             # table[u, v] is flat[u * size + v]; size**2 <= RING_SIZE_CAP**2 < 2**31
             flat = table.ravel()
@@ -256,13 +252,6 @@ class EvalMap:
         for col, comp in zip(out, self.fold(arr.T)):
             col[...] = comp
         return out.T
-
-    def as_table(self) -> np.ndarray:
-        """Dense index table between materialized product rings: fold on
-        the open mesh of the source, encoded and raveled in C order."""
-        shape = tuple(self.source.sizes)
-        comps = self.fold(np.ix_(*(np.arange(n) for n in shape)))
-        return np.broadcast_to(prod_encode(self.target.sizes, comps), shape).ravel()
 
 
 def eval_along(T: TambaraData, f: GSetMap, kind: str) -> EvalMap:

@@ -493,6 +493,14 @@ def reference_apply_batch(m, arr):
     return out
 
 
+def reference_table(m):
+    """EvalMap m as a dense index table between materialized product
+    rings: reference_apply_batch on every source element as a row, in C
+    order, encoded in int64."""
+    rows = reference_apply_batch(m, prod_components(m.source.sizes).T)
+    return prod_encode(m.target.sizes, rows.T)
+
+
 def reference_exponential_paths(T, diag):
     """Every element of T(A) as a row, and the two sides of the exponential
     formula on it, unfused: nm_f tr_p, and tr_pi nm_corner res_ev through
@@ -611,7 +619,8 @@ def reference_product(T1, T2, label=None):
 def reference_coinduce(G, H, T, label=None):
     """Coinduction with every structure map listed by hand: one GSetMap
     per coset projection or conjugation iso, restricted to H, and one
-    eval_along per table.  The reference coinduce is tested against."""
+    eval_along per table, written out by reference_table.  The reference
+    coinduce is tested against."""
     T = _over_subgroup(H, T)
     subs = subgroups(G)
     levels = {K: evaluate_gset(T, coset_gset(G, K).restricted(H)).materialize()
@@ -624,17 +633,17 @@ def reference_coinduce(G, H, T, label=None):
     nm = {} if T.has_norms else None
     for (K1, K2) in G.subgroup_pairs:
         proj = restricted(_coset_projection(G, K1, K2))
-        res[(K1, K2)] = eval_along(T, proj, "res").as_table()
-        tr[(K1, K2)] = eval_along(T, proj, "tr").as_table()
+        res[(K1, K2)] = reference_table(eval_along(T, proj, "res"))
+        tr[(K1, K2)] = reference_table(eval_along(T, proj, "tr"))
         if nm is not None:
-            nm[(K1, K2)] = eval_along(T, proj, "nm").as_table()
+            nm[(K1, K2)] = reference_table(eval_along(T, proj, "nm"))
     for g in G.elements():
         for K in subs:
             # c_g is restriction along the iso G/(gKg^-1) -> G/K, x -> xg
             Kg = K.conjugate(g)
             cmap = GSetMap(coset_gset(G, Kg), coset_gset(G, K),
                            tuple(K.coset_index[G.mul(c[0], g)] for c in Kg.left_cosets()))
-            conj[(g, K)] = eval_along(T, restricted(cmap), "res").as_table()
+            conj[(g, K)] = reference_table(eval_along(T, restricted(cmap), "res"))
     return TambaraData(G, levels, res, tr, nm, conj, has_norms=T.has_norms,
                        label=label or f"Coind[{H.elements}]({T.label})")
 

@@ -1,5 +1,4 @@
 import importlib
-import math
 import os
 import random
 import tracemalloc
@@ -63,7 +62,7 @@ from tambara.functors import (
     structure_maps,
     zero_functor,
 )
-from tambara.rings import RingHom, idempotents, prod_encode, trivial_gring, zn
+from tambara.rings import RingHom, idempotents, prod_components, trivial_gring, zn
 from tambara._burnside import burnside_mod
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
@@ -231,33 +230,53 @@ def test_eval_along_identity():
 
     for kind in ("res", "tr", "nm"):
         m = eval_along(T, helpers.identity_map(X), kind)
-        assert np.array_equal(m.as_table(), np.arange(4))
+        assert np.array_equal(helpers.reference_table(m), np.arange(4))
 
 
-def _as_table_reference(m):
-    """m's dense table, one source element at a time in C order."""
-    return [prod_encode(m.target.sizes, reference_apply(m, tup))
-            for tup in np.ndindex(*m.source.sizes)]
-
-
-def test_as_table_keeps_source_shape_when_fold_does_not_span_it():
+def test_fold_on_the_mesh_keeps_the_shape_of_what_it_reads():
     # fold on the open mesh returns the shape of what it reads: a 0-d unit
     # when nothing is read, fewer axes when a res skips an orbit of Y;
-    # as_table still has one entry per source element
+    # broadcast to the mesh, it is the row reference on every element
     B = corpus.BURNSIDE_CORPUS["burnside_C2_4"]
     e, full = C2.trivial_subgroup, C2.full_subgroup
     X = coset_gset(C2, e)
+
+    def fold_on_mesh(m):
+        shape = tuple(m.source.sizes)
+        comps = m.fold(np.ix_(*(np.arange(n) for n in shape)))
+        rows = helpers.reference_apply_batch(m, prod_components(shape).T)
+        assert np.array_equal(helpers.mesh_rows(shape, comps), rows)
+        return comps
+
     empty = helpers.trivial_gset(C2, 0)
     for kind, unit in [("tr", 0), ("nm", 1)]:
-        m = eval_along(B, GSetMap(empty, X, ()), kind)
-        table = m.as_table()
-        assert table.shape == (1,) and table.tolist() == [unit] == _as_table_reference(m)
+        comps = fold_on_mesh(eval_along(B, GSetMap(empty, X, ()), kind))
+        assert [c.shape for c in comps] == [()] and comps[0] == unit
     Y, _ = disjoint_union([X, coset_gset(C2, full)])
     m = eval_along(B, GSetMap(X, Y, (0, 1)), "res")
     assert m.source.sizes == [B.levels[e].size, B.levels[full].size]
-    table = m.as_table()
-    assert table.shape == (math.prod(m.source.sizes),)
-    assert table.tolist() == _as_table_reference(m)
+    assert [c.shape for c in fold_on_mesh(m)] == [(B.levels[e].size, 1)]
+
+
+@pytest.mark.parametrize("name", sorted({**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}))
+def test_eval_along_one_orbit_is_the_stored_map(name):
+    # along the projection G/K -> G/H, res, tr and nm are T's stored tables,
+    # and along the iso G/(gKg^-1) -> G/K, x -> xg, res is c_g: the legs
+    # and orientation of eval_along's plans, checked against T itself
+    T = {**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}[name]
+    G = T.group
+    for K, H in G.subgroup_pairs:
+        f = _coset_projection(G, K, H)
+        for kind in map_kinds(T.has_norms):
+            table = helpers.reference_table(eval_along(T, f, kind))
+            assert np.array_equal(table, T.table(kind, (K, H))), (kind, K.elements, H.elements)
+    for g in G.elements():
+        for K in subgroups(G):
+            Kg = K.conjugate(g)
+            iso = GSetMap(coset_gset(G, Kg), coset_gset(G, K),
+                          tuple(K.coset_index[G.mul(c[0], g)] for c in Kg.left_cosets()))
+            table = helpers.reference_table(eval_along(T, iso, "res"))
+            assert np.array_equal(table, T.conj[(g, K)]), (g, K.elements)
 
 
 def test_eval_along_fold_map_gives_ring_ops():
@@ -269,7 +288,9 @@ def test_eval_along_fold_map_gives_ring_ops():
         ring = T.levels[e]
         tr = eval_along(T, fold, "tr")
         nm = eval_along(T, fold, "nm")
+        res = eval_along(T, fold, "res")
         for a in range(ring.size):
+            assert reference_apply(res, (a,)) == (a, a)
             for b in range(ring.size):
                 assert reference_apply(tr, (a, b)) == (int(ring.add[a, b]),)
                 assert reference_apply(nm, (a, b)) == (int(ring.mul[a, b]),)
