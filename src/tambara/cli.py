@@ -142,8 +142,8 @@ def cmd_restrict(args) -> int:
 def cmd_iso(args) -> int:
     # before the norm flags are compared, which answer without a search
     _check_budget(args.budget)
-    T1 = serialize.load_functor(args.path1)
-    T2 = _over_subgroup(T1.group.full_subgroup, serialize.load_functor(args.path2))
+    T1, T2 = serialize.load_functors(args.path1, args.path2)
+    T2 = _over_subgroup(T1.group.full_subgroup, T2)
     if T1.has_norms != T2.has_norms:
         print("not isomorphic (norm flags differ)")
         return 0

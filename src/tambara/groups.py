@@ -186,62 +186,6 @@ class FiniteGroup:
         mul = [[(a + b) % n for b in range(n)] for a in range(n)]
         return FiniteGroup(mul, name=f"C{n}")
 
-    @staticmethod
-    def symmetric(n: int) -> "FiniteGroup":
-        base = list(range(n))
-        gens = []
-        if n >= 2:
-            t = base.copy()
-            t[0], t[1] = t[1], t[0]
-            gens.append(t)
-        if n >= 3:
-            gens.append([(i + 1) % n for i in range(n)])
-        if not gens:
-            gens = [base]
-        return FiniteGroup.from_permutations(gens, name=f"S{n}")
-
-    @staticmethod
-    def dihedral(n: int) -> "FiniteGroup":
-        """Dihedral group of order 2n acting on an n-gon."""
-        rot = [(i + 1) % n for i in range(n)]
-        flip = [(-i) % n for i in range(n)]
-        return FiniteGroup.from_permutations([rot, flip], name=f"D{n}")
-
-    @staticmethod
-    def quaternion() -> "FiniteGroup":
-        """Quaternion group Q8 as permutations of {1,i,j,k,...} by left mult."""
-        # elements 1,-1,i,-i,j,-j,k,-k indexed 0..7
-        def q_mul(a, b):
-            names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-            sign = lambda s: -1 if s.startswith("-") else 1
-            unit = lambda s: s.lstrip("-")
-            table = {
-                ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-                ("i", "1"): "i", ("i", "i"): "-1", ("i", "j"): "k", ("i", "k"): "-j",
-                ("j", "1"): "j", ("j", "i"): "-k", ("j", "j"): "-1", ("j", "k"): "i",
-                ("k", "1"): "k", ("k", "i"): "j", ("k", "j"): "-i", ("k", "k"): "-1",
-            }
-            sa, sb = names[a], names[b]
-            s = sign(sa) * sign(sb)
-            r = table[(unit(sa), unit(sb))]
-            s *= sign(r)
-            r = unit(r)
-            out = ("" if s == 1 else "-") + r
-            return names.index(out)
-
-        mul = [[q_mul(a, b) for b in range(8)] for a in range(8)]
-        return FiniteGroup(mul, name="Q8")
-
-    @staticmethod
-    def direct_product(g1: "FiniteGroup", g2: "FiniteGroup", name: Optional[str] = None) -> "FiniteGroup":
-        n1, n2 = g1.order, g2.order
-        enc = lambda a, b: a * n2 + b
-        mul = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-        for a1, b1 in product(range(n1), range(n2)):
-            for a2, b2 in product(range(n1), range(n2)):
-                mul[enc(a1, b1)][enc(a2, b2)] = enc(g1.mul(a1, a2), g2.mul(b1, b2))
-        return FiniteGroup(mul, name=name or f"{g1.name}x{g2.name}")
-
     # -- cached lattice data -------------------------------------------
 
     @cached_property

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DefinitionError
 from .groups import FiniteGroup, Subgroup, subgroups
-from .rings import FiniteRing, GRing, _check_size, fq, product_ring, zero_ring, zn
+from .rings import FiniteRing, GRing, _check_size, fq, product_ring, prove, zero_ring, zn
 from .functors import TambaraData, structure_maps
 from ._burnside import burnside_mod
 
@@ -109,7 +109,11 @@ def _is_cyclic(G: FiniteGroup, H: Subgroup) -> bool:
 # -- rings ----------------------------------------------------------------
 
 
-def parse_ring(block: dict) -> FiniteRing:
+def parse_ring(block: dict, proven: Optional[dict] = None) -> FiniteRing:
+    """A ring block's ring.  A ring from tables is proven through
+    `rings.prove` and the record `proven` (a fresh one by default), so
+    tables met before in the record are not proven again."""
+    proven = {} if proven is None else proven
     if not isinstance(block, dict) or "kind" not in block:
         raise DefinitionError("ring block needs a 'kind'")
     kind = block["kind"]
@@ -120,12 +124,12 @@ def parse_ring(block: dict) -> FiniteRing:
     if kind == "Fq":
         return fq(_int(block["q"], "q"))
     if kind == "product":
-        return product_ring([parse_ring(b) for b in block["factors"]])
+        return product_ring([parse_ring(b, proven) for b in block["factors"]])
     if kind == "tables":
         R = FiniteRing(_ring_table(block, "add"), _ring_table(block, "mul"),
                        _int(block["zero"], "zero"), _int(block["one"], "one"),
                        label=block.get("label", "R"))
-        R.validate()
+        prove(R, proven)
         return R
     raise DefinitionError(f"unknown ring kind {kind!r}")
 
@@ -207,8 +211,8 @@ def _packed(A: np.ndarray):
         "b64": _Base64(A), "dtype": PACK_DTYPE, "shape": list(A.shape)}
 
 
-def parse_gring(block: dict, G: FiniteGroup) -> GRing:
-    ring = parse_ring(block.get("ring", block))
+def parse_gring(block: dict, G: FiniteGroup, proven: Optional[dict] = None) -> GRing:
+    ring = parse_ring(block.get("ring", block), proven)
     action = block.get("action")
     if action is None:
         raise DefinitionError("gring block needs an 'action' table")
@@ -254,23 +258,26 @@ def functor_to_json(T: TambaraData) -> dict:
     return _listed(functor_doc(T))
 
 
-def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraData:
-    """Interpret a functor definition body over the group G.
+def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T",
+                       proven: Optional[dict] = None) -> TambaraData:
+    """Interpret a functor definition body over the group G, its rings
+    proven through the record `proven` (`parse_ring`).
 
     Explicit tables are accepted nested under "functor" (the emitted form)
     or flat at the top level of the body.
     """
+    proven = {} if proven is None else proven
     present = [k for k in ("functor", "levels", "fp", "burnside", "coind") if k in body]
     if len(present) > 1:
         raise DefinitionError(f"ambiguous definition: found {present}")
     if "functor" in body:
-        return _parse_explicit(body["functor"], G, body.get("label", label))
+        return _parse_explicit(body["functor"], G, body.get("label", label), proven)
     if "levels" in body:
-        return _parse_explicit(body, G, body.get("label", label))
+        return _parse_explicit(body, G, body.get("label", label), proven)
     if "fp" in body:
         from .functors import fixed_point_functor
 
-        return fixed_point_functor(parse_gring(body["fp"], G),
+        return fixed_point_functor(parse_gring(body["fp"], G, proven),
                                    label=body.get("label", label))
     if "burnside" in body:
         return burnside_mod(G, _int(body["burnside"]["mod"], "mod"))
@@ -280,13 +287,13 @@ def parse_functor_body(body: dict, G: FiniteGroup, label: str = "T") -> TambaraD
         block = body["coind"]
         H = resolve_subgroup(G, block["from"])
         Hg, _ = H.as_group
-        inner = parse_functor_body(block["functor"], Hg, label=f"{label}|inner")
+        inner = parse_functor_body(block["functor"], Hg, f"{label}|inner", proven)
         return coinduce(G, H, inner, label=body.get("label", label))
     raise DefinitionError(
         "definition needs one of 'functor', 'fp', 'burnside', 'coind'")
 
 
-def _parse_explicit(block: dict, G: FiniteGroup, label: str) -> TambaraData:
+def _parse_explicit(block: dict, G: FiniteGroup, label: str, proven: dict) -> TambaraData:
     green_only = block.get("green_only", False)
     if not isinstance(green_only, bool):
         raise DefinitionError("green_only must be true or false")
@@ -295,7 +302,7 @@ def _parse_explicit(block: dict, G: FiniteGroup, label: str) -> TambaraData:
         key = subgroup_id(G, H)
         if key not in block.get("levels", {}):
             raise DefinitionError(f"missing level {key}")
-        levels[H] = parse_ring(block["levels"][key])
+        levels[H] = parse_ring(block["levels"][key], proven)
     tables = []
     for name, key, _, _ in structure_maps(G, not green_only):
         ident = _table_key(G, name, key)
@@ -320,11 +327,12 @@ def _int_tables(tables: List[Tuple[str, object]]) -> List[np.ndarray]:
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def load_document(path: str, over: Optional[str] = None
+def load_document(path: str, over: Optional[str] = None, proven: Optional[dict] = None
                   ) -> Tuple[FiniteGroup, Subgroup, TambaraData]:
     """Read a definition file: returns (G, H, T) with G the file's group, H
     its subgroup with id `over` (default: G itself) and T the file's functor
-    body read over H.as_group.
+    body read over H.as_group, its rings proven through the record `proven`
+    (a fresh one by default; `parse_ring`).
 
     This is the one entry point for files: a malformed block (a missing
     key, a wrong type, a non-integer entry, an entry past int32) raises
@@ -344,13 +352,20 @@ def load_document(path: str, over: Optional[str] = None
     try:
         G = parse_group(doc["group"])
         H = G.full_subgroup if over is None else resolve_subgroup(G, over)
-        return G, H, parse_functor_body(doc, H.as_group[0], label=doc.get("label", "T"))
+        return G, H, parse_functor_body(doc, H.as_group[0], doc.get("label", "T"), proven)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DefinitionError(f"malformed definition: {type(exc).__name__}: {exc}") from exc
 
 
-def load_functor(path: str) -> TambaraData:
-    return load_document(path)[2]
+def load_functor(path: str, proven: Optional[dict] = None) -> TambaraData:
+    return load_document(path, proven=proven)[2]
+
+
+def load_functors(*paths: str) -> List[TambaraData]:
+    """The functors of the files, read in order through one record of
+    proven rings: a ring met in an earlier file is not proven again."""
+    proven: dict = {}
+    return [load_functor(path, proven) for path in paths]
 
 
 def _plain(x):

@@ -6,13 +6,13 @@ whole module loads in a few seconds.
 
 import numpy as np
 
+from helpers import dihedral_group, direct_product, quaternion_group, symmetric_group
 from tambara.groups import FiniteGroup, subgroups
 from tambara.rings import (
     GRing,
     coinduce_gring,
     fq,
     frobenius,
-    gring_product,
     product_ring,
     trivial_gring,
     zn,
@@ -32,10 +32,10 @@ C4 = FiniteGroup.cyclic(4)
 C5 = FiniteGroup.cyclic(5)
 C6 = FiniteGroup.cyclic(6)
 C8 = FiniteGroup.cyclic(8)
-V4 = FiniteGroup.direct_product(C2, C2, name="V4")
-S3 = FiniteGroup.symmetric(3)
-D4 = FiniteGroup.dihedral(4)
-Q8 = FiniteGroup.quaternion()
+V4 = direct_product(C2, C2, name="V4")
+S3 = symmetric_group(3)
+D4 = dihedral_group(4)
+Q8 = quaternion_group()
 
 A4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")
 

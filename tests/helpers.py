@@ -16,7 +16,8 @@ element-by-element G-ring decomposition references, the every-idempotent
 scans for clarification and for the idempotent detect_coinduction picks,
 the pair-loop closure and replay-from-scratch references of the
 isomorphism search, the element-tuple closure references of the subgroup
-lattice and the greedy generators, the permutation-group strategy, relabelled copies of rings and functors, the
+lattice and the greedy generators, the symmetric, dihedral, quaternion and direct
+product groups, the permutation-group strategy, relabelled copies of rings and functors, the
 table-by-table functor comparison, the one-pass json.dumps document
 writer, the mark-solve fill of the Burnside level tables, packing and
 unpacking of ring tables, the ring on an idempotent,
@@ -28,7 +29,6 @@ searches)."""
 import base64
 import json
 import math
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -37,7 +37,6 @@ from itertools import product as iproduct
 import numpy as np
 from hypothesis import assume, strategies as st
 
-import corpus
 from tambara.errors import (
     DefinitionError,
     GroupMismatch,
@@ -1231,6 +1230,62 @@ def reference_generators(G):
     return tuple(gens)
 
 
+def symmetric_group(n):
+    base = list(range(n))
+    gens = []
+    if n >= 2:
+        t = base.copy()
+        t[0], t[1] = t[1], t[0]
+        gens.append(t)
+    if n >= 3:
+        gens.append([(i + 1) % n for i in range(n)])
+    if not gens:
+        gens = [base]
+    return FiniteGroup.from_permutations(gens, name=f"S{n}")
+
+
+def dihedral_group(n):
+    """Dihedral group of order 2n acting on an n-gon."""
+    rot = [(i + 1) % n for i in range(n)]
+    flip = [(-i) % n for i in range(n)]
+    return FiniteGroup.from_permutations([rot, flip], name=f"D{n}")
+
+
+def quaternion_group():
+    """Quaternion group Q8 as permutations of {1,i,j,k,...} by left mult."""
+    # elements 1,-1,i,-i,j,-j,k,-k indexed 0..7
+    def q_mul(a, b):
+        names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+        sign = lambda s: -1 if s.startswith("-") else 1
+        unit = lambda s: s.lstrip("-")
+        table = {
+            ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
+            ("i", "1"): "i", ("i", "i"): "-1", ("i", "j"): "k", ("i", "k"): "-j",
+            ("j", "1"): "j", ("j", "i"): "-k", ("j", "j"): "-1", ("j", "k"): "i",
+            ("k", "1"): "k", ("k", "i"): "j", ("k", "j"): "-i", ("k", "k"): "-1",
+        }
+        sa, sb = names[a], names[b]
+        s = sign(sa) * sign(sb)
+        r = table[(unit(sa), unit(sb))]
+        s *= sign(r)
+        r = unit(r)
+        out = ("" if s == 1 else "-") + r
+        return names.index(out)
+
+    mul = [[q_mul(a, b) for b in range(8)] for a in range(8)]
+    return FiniteGroup(mul, name="Q8")
+
+
+def direct_product(g1, g2, name=None):
+    n1, n2 = g1.order, g2.order
+    enc = lambda a, b: a * n2 + b
+    mul = [[0] * (n1 * n2) for _ in range(n1 * n2)]
+    for a1, b1 in iproduct(range(n1), range(n2)):
+        for a2, b2 in iproduct(range(n1), range(n2)):
+            mul[enc(a1, b1)][enc(a2, b2)] = enc(g1.mul(a1, a2), g2.mul(b1, b2))
+    return FiniteGroup(mul, name=name or f"{g1.name}x{g2.name}")
+
+
 @st.composite
 def permutation_groups(draw):
     """The group generated by 1-3 random permutations of at most 6 points;
@@ -1245,9 +1300,9 @@ def permutation_groups(draw):
 
 def mutation_fixtures():
     """One broken functor per axiom family, with the family it must fail."""
-    from corpus import C2
+    import corpus  # here, not at the top: corpus builds its groups with this module
 
-    e, full = C2.trivial_subgroup, C2.full_subgroup
+    e, full = corpus.C2.trivial_subgroup, corpus.C2.full_subgroup
     out = []
 
     T = copy_functor(corpus.FP_CORPUS["F4_galois_C2"])
@@ -1294,6 +1349,8 @@ def random_assembly(G, rng, max_bottom=2048):
     """A random product of coinductions of clarified template factors over
     distinct conjugacy classes.  Returns (T, expected) with expected the
     list of (class representative, template functor)."""
+    import corpus  # as in mutation_fixtures
+
     classes = [cls[0] for cls in G.subgroup_conjugacy_classes]
     k = rng.randint(1, min(3, len(classes)))
     chosen = rng.sample(classes, k)

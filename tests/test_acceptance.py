@@ -8,7 +8,6 @@ import json
 import random
 
 import numpy as np
-import pytest
 
 import corpus
 import helpers

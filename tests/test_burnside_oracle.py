@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from corpus import C2, C3, C4, S3
-from tambara.groups import FiniteGroup, subgroups
+from tambara.groups import subgroups
 from tambara._burnside import _Level, _norm_marks, burnside_mod
 
 

@@ -26,7 +26,7 @@ from tambara.groups import FiniteGroup, subgroups
 from tambara._burnside import BURNSIDE_LEVEL_CAP, _Level, burnside_mod
 
 A4 = FiniteGroup.from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")
-D6 = FiniteGroup.dihedral(6)
+D6 = helpers.dihedral_group(6)
 
 GROUPS = {"C2": corpus.C2, "C3": corpus.C3, "C4": corpus.C4, "C5": corpus.C5,
           "C6": corpus.C6, "V4": corpus.V4, "S3": corpus.S3, "Q8": corpus.Q8,

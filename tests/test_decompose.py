@@ -5,9 +5,8 @@ import pytest
 
 import corpus
 import helpers
-from corpus import C2, C3, C4, F2, F3, F4, S3, V4
+from corpus import C2, C3, C4, F2, F3, F4, S3
 from tambara.errors import (
-    CrossTermFound,
     DefinitionError,
     FactorizationFailed,
     NoNorms,
@@ -28,7 +27,6 @@ from tambara.functors import (
     functor_isomorphism,
     identity_morphism,
     product,
-    restrict,
 )
 from tambara.decompose import (
     clarify,

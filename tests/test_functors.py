@@ -15,7 +15,6 @@ from corpus import (
     F2,
     F3,
     F4,
-    F9,
     S3,
     V4,
     galois_gring,
@@ -53,8 +52,6 @@ from tambara.functors import (
     evaluate_gset,
     fixed_point_functor,
     functor_isomorphism,
-    green_counterexample,
-    identity_morphism,
     mackey_decomposition_iso,
     map_kinds,
     product,

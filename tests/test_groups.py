@@ -2,16 +2,14 @@ import pytest
 from itertools import combinations
 
 from corpus import LATTICE_GROUPS
-from helpers import reference_closure
+from helpers import direct_product, quaternion_group, reference_closure, symmetric_group
 
 from tambara.errors import DefinitionError
 from tambara.groups import (
     GROUP_ORDER_CAP,
     FiniteGroup,
-    Subgroup,
     double_cosets,
     is_subconjugate,
-    normalizer,
     subgroups,
     upward_closure,
     weyl_group,
@@ -21,8 +19,8 @@ from tambara.groups import (
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
 C4 = FiniteGroup.cyclic(4)
-S3 = FiniteGroup.symmetric(3)
-V4 = FiniteGroup.direct_product(C2, C2)
+S3 = symmetric_group(3)
+V4 = direct_product(C2, C2)
 
 
 def brute_force_subgroups(G):
@@ -75,7 +73,7 @@ def test_subgroups_s3_against_brute_force():
 
 def test_subgroups_v4_and_q8_against_brute_force():
     assert [s.elements for s in subgroups(V4)] == brute_force_subgroups(V4)
-    Q8 = FiniteGroup.quaternion()
+    Q8 = quaternion_group()
     assert [s.elements for s in subgroups(Q8)] == brute_force_subgroups(Q8)
     assert len(subgroups(Q8)) == 6
 

@@ -9,6 +9,7 @@ from helpers import (
     identity_map,
     orbit_coset_iso,
     reference_dependent_product,
+    symmetric_group,
     trivial_gset,
 )
 from tambara.errors import DefinitionError, SizeLimitExceeded
@@ -29,7 +30,7 @@ from tambara.gsets import (
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
-S3 = FiniteGroup.symmetric(3)
+S3 = symmetric_group(3)
 
 
 def regular_gset(G):

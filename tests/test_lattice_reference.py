@@ -10,7 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import corpus
-from helpers import permutation_groups, reference_generators, reference_subgroups
+from helpers import (
+    dihedral_group,
+    direct_product,
+    permutation_groups,
+    reference_generators,
+    reference_subgroups,
+    symmetric_group,
+)
 from tambara.errors import DefinitionError
 from tambara.groups import FiniteGroup, Subgroup, subgroups
 
@@ -29,8 +36,8 @@ def _sl23():
                                          name="SL23")
 
 
-ORDER_24 = [FiniteGroup.symmetric(4), FiniteGroup.cyclic(24), FiniteGroup.dihedral(12),
-            FiniteGroup.direct_product(C2, corpus.A4, name="C2xA4"), _sl23()]
+ORDER_24 = [symmetric_group(4), FiniteGroup.cyclic(24), dihedral_group(12),
+            direct_product(C2, corpus.A4, name="C2xA4"), _sl23()]
 CORPUS_GROUPS = list({id(G): G for G in corpus.SMALL_GROUPS + corpus.LATTICE_GROUPS}.values())
 
 

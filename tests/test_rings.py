@@ -49,7 +49,7 @@ from tambara.rings import (
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
 C4 = FiniteGroup.cyclic(4)
-S3 = FiniteGroup.symmetric(3)
+S3 = helpers.symmetric_group(3)
 
 F2 = fq(2)
 F3 = fq(3)
@@ -229,7 +229,7 @@ def test_op_failure_matches_unbuffered(ring_map, data):
 
 # the (G, N) grid of the golden Burnside tables
 BURNSIDE_GRID = [(G, 2) for G in (C2, C3, C4, corpus.C5, corpus.C6, corpus.V4, S3, corpus.Q8,
-                                  corpus.D4, corpus.A4, FiniteGroup.dihedral(6))] + [
+                                  corpus.D4, corpus.A4, helpers.dihedral_group(6))] + [
     (C2, 64), (C4, 16), (S3, 8), (C4, 9), (corpus.V4, 3), (S3, 6), (C4, 8), (C3, 9),
     (corpus.C6, 4), (C2, 4)]
 
@@ -525,8 +525,8 @@ def _assert_mackey_gring_iso(K, H, S):
 
 
 @pytest.mark.parametrize("G,R", [(C4, F3), (S3, F3),
-                                 (FiniteGroup.direct_product(C2, C2), F3),
-                                 (FiniteGroup.dihedral(4), F2)])
+                                 (helpers.direct_product(C2, C2), F3),
+                                 (helpers.dihedral_group(4), F2)])
 def test_mackey_gring_iso_all_pairs(G, R):
     for H in subgroups(G):
         Hg, _ = H.as_group
@@ -551,7 +551,7 @@ def test_ring_size_caps():
     from tambara._burnside import burnside_mod
 
     with pytest.raises(SizeLimitExceeded):
-        burnside_mod(FiniteGroup.dihedral(4), 4)  # 4^8 top level
+        burnside_mod(helpers.dihedral_group(4), 4)  # 4^8 top level
 
 
 def test_op_failure_names_first_failing_pair():

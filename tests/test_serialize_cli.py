@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ from tambara.errors import DefinitionError
 from tambara.groups import Subgroup, subgroups
 from tambara.functors import _over_subgroup, constant_functor, functor_isomorphism
 from tambara.rings import FiniteRing, product_ring
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
 
 def test_group_roundtrip():
@@ -476,20 +479,93 @@ def _count_validate(monkeypatch):
     return calls
 
 
+def _distinct_rings(levels):
+    return {(R.size, R.zero, R.one, R.add.tobytes(), R.mul.tobytes()) for R in levels}
+
+
 def test_table_rings_are_validated_once_at_the_loader(tmp_path, capsys, monkeypatch):
-    # each level read from tables is proven once; the rings decompose and
-    # iso build from them are rings by construction and not proven again
-    T = corpus.TAMBARA_CORPUS["FPF4_x_coindF2"]
-    p = _write_fixture(tmp_path, "in.json", T)
+    # one proof per distinct ring per command, so `iso p p` proves as many
+    # as one load (F4_sign_S3 has 6 levels and 2 distinct rings); the rings
+    # decompose and iso build from the levels are rings by construction
+    # and not proven again
     calls = _count_validate(monkeypatch)
-    levels = len(T.levels)
-    for argv, loads in ((["check", p], 1), (["decompose", p, "--out", str(tmp_path / "d.json")], 1),
-                        (["decompose", p, "--lambda", "G", "--out", str(tmp_path / "l.json")], 1),
-                        (["iso", p, p], 2)):
-        calls.clear()
-        assert main(argv) == 0
-        assert calls == [None] * (loads * levels)
+    for name in ("FPF4_x_coindF2", "F4_sign_S3"):
+        T = corpus.TAMBARA_CORPUS[name]
+        p = _write_fixture(tmp_path, f"{name}.json", T)
+        distinct = len(_distinct_rings(T.levels.values()))
+        for argv in (["check", p], ["decompose", p, "--out", str(tmp_path / "d.json")],
+                     ["decompose", p, "--lambda", "G", "--out", str(tmp_path / "l.json")],
+                     ["iso", p, p]):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [None] * distinct
     capsys.readouterr()
+
+
+def test_rings_with_equal_add_are_proven_apart_unless_all_equal(monkeypatch):
+    # F4 and F2[x]/x^2 (a + bx at index a + 2b) share +, 0 and 1; F4's
+    # tables with another 0 or 1 are no ring; each is proven, and only a
+    # repeat of F4 itself takes over the earlier proof
+    F4 = corpus.F4
+    dual = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]]
+    assert np.array_equal(F4.add, np.bitwise_xor.outer(np.arange(4), np.arange(4)))
+    block = {"kind": "tables", "add": F4.add.tolist(), "mul": F4.mul.tolist(), "zero": 0, "one": 1}
+    calls = _count_validate(monkeypatch)
+    proven = {}
+    first = serialize.parse_ring(block, proven)
+    serialize.parse_ring({**block, "mul": dual}, proven)
+    for change, message in (({"zero": 1}, "zero is not an additive identity"),
+                            ({"one": 2}, "one is not a multiplicative identity")):
+        with pytest.raises(DefinitionError, match=message):
+            serialize.parse_ring({**block, **change}, proven)
+    assert calls == [None, None, "zero is not an additive identity",
+                     "one is not a multiplicative identity"]
+    again = serialize.parse_ring({**block, "label": "again"}, proven)
+    assert len(calls) == 4
+    assert again is not first and (again.label, first.label) == ("again", "R")
+    assert again.additive_generators() == first.additive_generators()
+
+
+def _loaded_levels(paths_and_over):
+    """The levels of the files, loaded through one record of proofs, and
+    the number of validate() calls that took."""
+    proven, levels = {}, []
+    for path, over in paths_and_over:
+        levels += serialize.load_document(path, over=over, proven=proven)[2].levels.values()
+    return levels, sum(map(len, proven.values()))
+
+
+def _assert_each_level_is_a_ring(levels, proofs):
+    # some levels were proven and some took over a proof or were built by
+    # construction; each passes a fresh proof, and its additive generators
+    # are the ones a fresh search finds
+    assert 0 < proofs <= len(_distinct_rings(levels)) < len(levels)
+    for R in levels:
+        fresh = FiniteRing(R.add, R.mul, R.zero, R.one)
+        fresh.validate()
+        assert R.additive_generators() == fresh.additive_generators()
+
+
+def test_levels_loaded_from_the_corpus_are_rings(tmp_path):
+    found = []
+    for name, T in {**corpus.TAMBARA_CORPUS, **corpus.GREEN_CORPUS}.items():
+        found.append((_write_fixture(tmp_path, f"{name}.json", T), None))
+    _assert_each_level_is_a_ring(*_loaded_levels(found))
+
+
+@pytest.mark.parametrize("workload", ["burnside", "lattice", "tables"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_levels_loaded_from_benchmark_inputs_are_rings(tmp_path, workload, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        wl = importlib.import_module("workloads")
+    _, commands = wl.generate(workload, seed, str(tmp_path))
+    found = []
+    for cmd in commands:  # the input files, read as their commands read them
+        over = cmd.argv[3] if cmd.kind == "coinduce" else None
+        paths = cmd.argv[1:3] if cmd.kind == "iso" else cmd.argv[1:2]
+        found += [(path, over) for path in paths if os.path.exists(path)]
+    _assert_each_level_is_a_ring(*_loaded_levels(dict.fromkeys(found)))
 
 
 # Z/4 or Z/3 tables with one structural fault each, and the message
@@ -526,6 +602,28 @@ def test_structural_fault_raises_from_validate(tmp_path, capsys, monkeypatch, fa
     assert main(["check", str(p)]) == 1
     assert capsys.readouterr().out == f"error: {message}\n"
     assert calls == [message]
+
+
+@pytest.mark.parametrize("fault", sorted(_STRUCTURAL_FAULTS))
+def test_repeated_broken_ring_exits_1_with_its_message(tmp_path, capsys, monkeypatch, fault):
+    # the broken ring at both levels of one file, and as the second file
+    # of iso after a file whose levels are the ring it breaks
+    change, message = _STRUCTURAL_FAULTS[fault]
+    good = serialize.functor_to_json(constant_functor(corpus.Z4, C2))
+    bad = json.loads(json.dumps(good))
+    for block in bad["functor"]["levels"].values():
+        block.update(change)
+    pg, pb = tmp_path / "good.json", tmp_path / "bad.json"
+    pg.write_text(json.dumps(good))
+    pb.write_text(json.dumps(bad))
+    calls = _count_validate(monkeypatch)
+    for argv, proofs in ((["check", str(pb)], [message]),
+                         (["iso", str(pg), str(pb)], [None, message]),
+                         (["iso", str(pb), str(pg)], [message])):
+        calls.clear()
+        assert main(argv) == 1
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert calls == proofs
 
 
 @pytest.mark.parametrize("ring", [{"kind": "Zn", "n": 30000}, {"kind": "Fq", "q": 1000000007}],
