@@ -21,7 +21,6 @@ from .gsets import (
     GSetMap,
     ExponentialDiagram,
     dependent_product,
-    gset_isomorphism,
     orbit_decomposition,
     pullback,
 )
@@ -35,7 +34,6 @@ from .rings import (
     decompose_gring,
     fq,
     gring_product,
-    gring_restrict,
     idempotents,
     is_clarified,
     is_lambda_clarified,

@@ -153,9 +153,6 @@ class TambaraData:
         """The structure map (name, key) as listed by structure_maps."""
         return getattr(self, name)[key]
 
-    def sub_pairs(self) -> Tuple[Tuple[Subgroup, Subgroup], ...]:
-        return self.group.subgroup_pairs
-
     @property
     def bottom(self) -> FiniteRing:
         return self.levels[self.group.trivial_subgroup]
@@ -570,6 +567,8 @@ def green_counterexample(p: int, S: FiniteRing) -> TambaraData:
 
 MAX_FAILURES_PER_FAMILY = 3
 
+Checks = Iterator[Tuple[str, int, Optional[str]]]  # (family, identities, failure or None)
+
 
 @dataclass
 class CheckFailure:
@@ -598,94 +597,86 @@ class CheckReport:
 
 
 def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
-    """Exhaustive verification of the structure axioms over every element.
-
-    Each family is written once over the maps along inclusions that
-    structure_maps lists (res, tr and, with norms, nm).  Families:
-    contracts (per pair: res a unital ring map, tr additive, both decided
-    on the additive generators of their source level (rings.hom_failure,
-    rings.is_additive), nm multiplicative with 0 -> 0 on every pair, as a
-    map that need not be additive; each the identity at K = H; chains),
-    conjugation (c_h the identity, composition, intertwining each map, as
-    gathers on one stacked index of every level's elements, reported in
-    the order of the per-identity loops: _conjugation_failures),
-    mackey_additive and mackey_norm (one fold over (tr, +, 0) and
-    (nm, x, 1) along shared double-coset paths), frobenius, and with norms
-    exponential; the exponential family has every fiber of size <=
-    fiber_bound, which must be at least 2: a smaller bound drops the
-    norm-of-sum and norm-of-transfer diagrams, and a PASS would no longer
-    cover them.  Each K's family A -> G/K and its transfers tr_p are built
-    once, for every H above K.  Each diagram is read off the fibers over
-    Y's orbit bases (dependent_product), building neither pi nor its
-    pullback corner, and compares nm_f tr_p with tr_pi nm res_ev on every
-    element of T(A), on its open mesh (_exponential_paths), composing each
-    table once per check; it names the first failing element in C order.
-    That regroups each fold, so the levels must be rings: the loader's
-    validate() proves it, and a level built from rings is one.  A
-    diagram too large to build raises SizeLimitExceeded: it shows no
-    identity failing, so it is not reported as a failure.
-    """
+    """Exhaustive verification of the structure axioms over every element:
+    one loop over the family checks _contracts, _conjugation, _mackey,
+    _frobenius and _exponential(fiber_bound), whose docstrings say what
+    each checks, summing identities and keeping the first
+    MAX_FAILURES_PER_FAMILY failures of each family."""
     if fiber_bound < 2:
         raise DefinitionError(f"fiber bound must be at least 2, got {fiber_bound}")
-    G = T.group
-    subs = subgroups(G)
     failures: List[CheckFailure] = []
     checked: Dict[str, int] = {}
+    memo: Dict[tuple, np.ndarray] = {}
+    for checks in (_contracts(T), _conjugation(T), _mackey(T, memo), _frobenius(T),
+                   _exponential(T, fiber_bound, memo)):
+        for family, n, desc in checks:
+            checked[family] = checked.get(family, 0) + n
+            if desc is not None and (sum(1 for f in failures if f.family == family)
+                                     < MAX_FAILURES_PER_FAMILY):
+                failures.append(CheckFailure(family, desc))
+    return CheckReport(passed=not failures, failures=failures, checked=checked)
 
-    def note(family: str, n: int = 1):
-        checked[family] = checked.get(family, 0) + n
 
-    def fail(family: str, desc: str):
-        if sum(1 for f in failures if f.family == family) < MAX_FAILURES_PER_FAMILY:
-            failures.append(CheckFailure(family, desc))
-
-    kinds = map_kinds(T.has_norms)
-    along = [m for m in structure_maps(G, T.has_norms) if m[0] != "conj"]
-
-    # (1) contracts and functoriality: per pair each kind's law, then at
-    # K = H each map is the identity; each kind composes along chains
+def _contracts(T: TambaraData) -> Checks:
+    """contracts, over the maps along inclusions that structure_maps lists:
+    per pair, res a unital ring map and tr additive, both decided on the
+    additive generators of their source level (rings.hom_failure,
+    rings.is_additive), nm multiplicative with 0 -> 0, as a map that need
+    not be additive, and at K = H each the identity; then chains."""
+    along = (m for m in structure_maps(T.group, T.has_norms) if m[0] != "conj")
     for (K, H), pair in groupby(along, key=lambda m: m[1]):
         pair = list(pair)
         for name, key, src, dst in pair:
             t, rs, rd = T.table(name, key), T.levels[src], T.levels[dst]
-            note("contracts")
             if name == "res":
                 err = hom_failure(t, rs, rd)
-                if err:
-                    fail("contracts", f"res {src.elements}->{dst.elements}: {err}")
-                continue
-            if name == "tr":
-                broken = not is_additive(t, rs, rd)
+                why = f": {err}" if err else None
+            elif name == "tr":
+                why = None if is_additive(t, rs, rd) else " is not additive"
             else:  # nm is not additive, so no generating set decides it
                 broken = (t[rs.one] != rd.one or t[rs.zero] != rd.zero
                           or op_failure(t, rs.mul, rd.mul) is not None)
-            if broken:
-                law = "additive" if name == "tr" else "multiplicative"
-                fail("contracts", f"{name} {src.elements}->{dst.elements} is not {law}")
+                why = " is not multiplicative" if broken else None
+            # the text is formatted only for a failure: a tuple's repr costs microseconds
+            yield "contracts", 1, why and f"{name} {src.elements}->{dst.elements}{why}"
         if K == H:
             for name, key, src, _ in pair:
-                note("contracts")
+                yield "contracts", 1, None
                 if not np.array_equal(T.table(name, key), np.arange(T.levels[src].size)):
-                    fail("contracts", f"{name} at {K.elements}<={K.elements} is not the identity")
-    for L, H in T.sub_pairs():
+                    yield "contracts", 0, f"{name} at {K.elements}<={K.elements} is not the identity"
+    subs = subgroups(T.group)
+    for L, H in T.group.subgroup_pairs:
         for K in (K for K in subs if K.is_subgroup_of(L)):
-            for name in kinds:
+            for name in map_kinds(T.has_norms):
                 down = name == "res"
                 first, then = ((L, H), (K, L)) if down else ((K, L), (L, H))
-                note("contracts")
-                if not np.array_equal(T.table(name, then)[T.table(name, first)],
-                                      T.table(name, (K, H))):
-                    a, b, sep = (H, K, ">") if down else (K, H, "<")
-                    fail("contracts", f"{name} chain {a.elements}{sep}{L.elements}{sep}{b.elements}")
+                a, b, sep = (H, K, ">") if down else (K, H, "<")
+                composes = np.array_equal(T.table(name, then)[T.table(name, first)],
+                                          T.table(name, (K, H)))
+                yield ("contracts", 1, None if composes
+                       else f"{name} chain {a.elements}{sep}{L.elements}{sep}{b.elements}")
 
-    # (2) conjugation: c_h identity, composition, intertwining each map
-    note("conjugation", sum(H.order for H in subs) + len(G) * (len(G) * len(subs) + len(along)))
+
+def _conjugation(T: TambaraData) -> Checks:
+    """conjugation: c_h = id on each level H for h in H, c_g1 c_g2 = c_g1g2
+    on each level, and c_g intertwining each map along inclusions; only the
+    first MAX_FAILURES_PER_FAMILY of _conjugation_failures are computed."""
+    G, subs = T.group, subgroups(T.group)
+    along = len(G.subgroup_pairs) * len(map_kinds(T.has_norms))
+    yield "conjugation", sum(H.order for H in subs) + len(G) * (len(G) * len(subs) + along), None
     for desc in islice(_conjugation_failures(T, subs), MAX_FAILURES_PER_FAMILY):
-        fail("conjugation", desc)
+        yield "conjugation", 0, desc
 
-    # (3)+(4) double coset formulas: res_L of tr or nm from K to H is the
-    # sum or product over L\H/K of the paths through K cap L^g
-    folds = [name for name in kinds if name != "res"]
+
+def _mackey(T: TambaraData, memo: Dict[tuple, np.ndarray]) -> Checks:
+    """mackey_additive and, with norms, mackey_norm, the double coset
+    formulas: for L, K <= H, res_L of tr (nm) from K to H is the sum
+    (product) over L\\H/K of the paths through M = L ∩ gKg^-1, tr (nm)
+    from M to L after the res leg G/M -> G/K, gM -> gK (_leg, through
+    memo).  Both are one fold along the shared paths, so their failures
+    interleave, per (H, L, K)."""
+    G, subs = T.group, subgroups(T.group)
+    folds = [name for name in map_kinds(T.has_norms) if name != "res"]
     for H in subs:
         inner = [K for K in subs if K.is_subgroup_of(H)]
         for L in inner:
@@ -693,66 +684,78 @@ def check_axioms(T: TambaraData, fiber_bound: int = 2) -> CheckReport:
             for K in inner:
                 acc = {name: np.full(T.levels[K].size, ops[name][1]) for name in folds}
                 for g, _ in double_cosets(G, L, K, within=H):
-                    Msrc = K.intersect(L.conjugate(G.inv(g)))
-                    Mdst = L.intersect(K.conjugate(g))
-                    path = T.conj[(g, Msrc)][T.res[(Msrc, K)]]
+                    M = L.intersect(K.conjugate(g))
+                    path = _leg(T, "res", M, K, g, memo)
                     for name in folds:
-                        acc[name] = ops[name][0][acc[name], T.table(name, (Mdst, L))[path]]
-                for name in folds:
-                    family = "mackey_additive" if name == "tr" else "mackey_norm"
+                        acc[name] = ops[name][0][acc[name], T.table(name, (M, L))[path]]
+                for name, family in zip(folds, ("mackey_additive", "mackey_norm")):
                     lhs, rhs = T.res[(L, H)][T.table(name, (K, H))], acc[name]
-                    note(family)
+                    yield family, 1, None
                     if not np.array_equal(lhs, rhs):
                         x = int(np.argwhere(lhs != rhs)[0][0])
-                        fail(family, f"res_{L.elements} {name}_{K.elements} -> {H.elements} "
-                                     f"differs at x={x}: {int(lhs[x])} vs {int(rhs[x])}")
+                        yield family, 0, (f"res_{L.elements} {name}_{K.elements} -> {H.elements} "
+                                          f"differs at x={x}: {int(lhs[x])} vs {int(rhs[x])}")
 
-    # (5) Frobenius reciprocity
-    for (K, H) in T.sub_pairs():
+
+def _frobenius(T: TambaraData) -> Checks:
+    """frobenius: tr(res(y) x) = y tr(x) for K <= H, every y of level H
+    and x of level K."""
+    for K, H in T.group.subgroup_pairs:
         rk, rh = T.levels[K], T.levels[H]
         resKH, trKH = T.res[(K, H)], T.tr[(K, H)]
         mixed = rk.mul[resKH[:, None], np.arange(rk.size)[None, :]]
         lhs = trKH[mixed]
         rhs = rh.mul[np.ix_(np.arange(rh.size), trKH)]
-        note("frobenius", rh.size * rk.size)
+        yield "frobenius", rh.size * rk.size, None
         if not np.array_equal(lhs, rhs):
             y, x = np.argwhere(lhs != rhs)[0]
-            fail("frobenius",
-                 f"tr(res(y)x) != y tr(x) at {K.elements}<={H.elements}, y={y}, x={x}")
+            yield "frobenius", 0, (f"tr(res(y)x) != y tr(x) at {K.elements}<={H.elements}, "
+                                   f"y={y}, x={x}")
 
-    # (6) exponential diagrams, each K's family and its tr_p built once
+
+def _exponential(T: TambaraData, fiber_bound: int, memo: Dict[tuple, np.ndarray]) -> Checks:
+    """exponential, with norms: nm_f tr_p = tr_pi nm res_ev for each f:
+    G/K -> G/H, K < H, and each p: A -> G/K of _exponential_family(G, K,
+    fiber_bound), K's family and its tr_p built once for every H.  A bound
+    below 2 would drop the norm-of-sum and norm-of-transfer diagrams, and a
+    PASS would no longer cover them.  Each diagram is read off the fibers
+    over Y's orbit bases (dependent_product), building neither pi nor its
+    pullback corner; both sides are compared on every element of T(A), on
+    its open mesh, with tables composed through memo (_exponential_paths),
+    and a failure names the first failing element in C order.  That
+    regroups each fold, so the levels must be rings: the loader's
+    validate() proves it, and a level built from rings is one.  A diagram
+    too large to build raises SizeLimitExceeded: it shows no identity
+    failing, so it is not reported as a failure."""
+    if not T.has_norms:
+        return
+    G = T.group
     families: Dict[Subgroup, List[Tuple[GSetMap, EvalMap, str]]] = {}
-    memo: Dict[tuple, np.ndarray] = {}  # one composed table per (kind, A, B, u)
-    if "nm" in kinds:
-        for (K, H) in T.sub_pairs():
-            if K == H:
-                continue
-            f = _coset_projection(G, K, H)
-            nm_f = eval_along(T, f, "nm")
-            if K not in families:
-                maps = [(GSetMap(A, f.source, p), desc)
-                        for A, p, desc in _exponential_family(G, K, fiber_bound)]
-                families[K] = [(p, eval_along(T, p, "tr"), desc) for p, desc in maps]
-            for p, tr_p, desc in families[K]:
-                try:
-                    diag = dependent_product(f, p)
-                except SizeLimitExceeded as exc:
-                    raise SizeLimitExceeded(
-                        f"exponential diagram {desc} over {K.elements}<={H.elements}: {exc}"
-                    ) from exc
-                shape, path1, path2 = _exponential_paths(T, nm_f, tr_p, diag, memo)
-                note("exponential", int(np.prod(shape)))
-                bad = [a != b for a, b in zip(path1, path2)]
-                if any(b.any() for b in bad):
-                    x = np.unravel_index(int(np.argmax(np.broadcast_to(
-                        reduce(np.logical_or, bad), shape))), shape)
-                    v1, v2 = (tuple(int(np.broadcast_to(c, shape)[x]) for c in side)
-                              for side in (path1, path2))
-                    fail("exponential",
-                         f"exponential formula fails for {desc} over {K.elements}<={H.elements} "
-                         f"at element {tuple(map(int, x))}: {v1} vs {v2}")
-
-    return CheckReport(passed=not failures, failures=failures, checked=checked)
+    for K, H in G.subgroup_pairs:
+        if K == H:
+            continue
+        f = _coset_projection(G, K, H)
+        nm_f = eval_along(T, f, "nm")
+        if K not in families:
+            maps = [(GSetMap(A, f.source, p), desc)
+                    for A, p, desc in _exponential_family(G, K, fiber_bound)]
+            families[K] = [(p, eval_along(T, p, "tr"), desc) for p, desc in maps]
+        for p, tr_p, desc in families[K]:
+            where = f"{desc} over {K.elements}<={H.elements}"
+            try:
+                diag = dependent_product(f, p)
+            except SizeLimitExceeded as exc:
+                raise SizeLimitExceeded(f"exponential diagram {where}: {exc}") from exc
+            shape, path1, path2 = _exponential_paths(T, nm_f, tr_p, diag, memo)
+            yield "exponential", int(np.prod(shape)), None
+            bad = [a != b for a, b in zip(path1, path2)]
+            if any(b.any() for b in bad):
+                x = np.unravel_index(int(np.argmax(np.broadcast_to(
+                    reduce(np.logical_or, bad), shape))), shape)
+                v1, v2 = (tuple(int(np.broadcast_to(c, shape)[x]) for c in side)
+                          for side in (path1, path2))
+                yield "exponential", 0, (f"exponential formula fails for {where} "
+                                         f"at element {tuple(map(int, x))}: {v1} vs {v2}")
 
 
 def _conjugation_failures(T: TambaraData, subs: List[Subgroup]) -> Iterator[str]:
@@ -985,7 +988,3 @@ def functor_isomorphism(T1: TambaraData, T2: TambaraData,
     subs = subgroups(T1.group)
     maps = {H: image[i] for i, H in enumerate(subs)}
     return TambaraMorphism(T1, T2, maps)
-
-
-# re-exported here because the construction lives with the functor API
-from ._burnside import burnside_mod  # noqa: E402

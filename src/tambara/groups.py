@@ -243,12 +243,6 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return self._subgroups[-1]
 
-    @cached_property
-    def subgroup_conjugacy_classes(self) -> Tuple[Tuple["Subgroup", ...], ...]:
-        """Conjugacy classes of subgroups; each class sorted, classes sorted
-        by their minimal member. The class representative is the minimum."""
-        return tuple(map(tuple, conjugacy_classes(self._subgroups, self.elements())))
-
     def conjugacy_class_rep(self, s: "Subgroup") -> "Subgroup":
         if s.mask not in self._positions:
             raise DefinitionError("subgroup not of this group")

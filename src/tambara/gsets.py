@@ -314,42 +314,3 @@ def equivariant_maps(X: GSet, Y: GSet) -> Iterator[GSetMap]:
                                  .all(axis=0)).tolist() for orb in orbits]
     for choice in iproduct(*candidates):
         yield GSetMap(X, Y, tuple(Y.act(g, choice[i]) for g, i in zip(X.carrier, X.orbit_of)))
-
-
-def gset_isomorphism(X: GSet, Y: GSet) -> Optional[GSetMap]:
-    """An equivariant bijection X -> Y, or None.
-
-    Orbits are matched by stabilizer conjugacy in canonical order, so the
-    result is deterministic.
-    """
-    if X.group is not Y.group or X.size != Y.size:
-        return None
-    G = X.group
-    xorbs = orbit_decomposition(X)
-    yorbs = orbit_decomposition(Y)
-    used = [False] * len(yorbs)
-    target_bases = []
-    for xo in xorbs:
-        match = None
-        for j, yo in enumerate(yorbs):
-            if used[j] or len(yo.points) != len(xo.points):
-                continue
-            u = next((g for g in G.elements()
-                      if yo.stabilizer.conjugate(g) is xo.stabilizer), None)
-            if u is not None:
-                match = (j, yo, u)
-                break
-        if match is None:
-            return None
-        j, yo, u = match
-        used[j] = True
-        # stabilizer u Stab(yo.base) u^-1 == Stab(xo.base)
-        target_bases.append(Y.act(u, yo.base))
-    try:
-        m = GSetMap(X, Y, tuple(Y.act(g, target_bases[i])
-                                for g, i in zip(X.carrier, X.orbit_of)))
-    except DefinitionError:
-        return None
-    if sorted(m.images) != list(range(Y.size)):
-        return None
-    return m

@@ -667,14 +667,6 @@ def coinduce_gring(G: FiniteGroup, H: Subgroup, S: GRing) -> GRing:
     return GRing(ring, G, action)
 
 
-def gring_restrict(K: Subgroup, R: GRing) -> GRing:
-    """The same ring with the action restricted to K (as its own group)."""
-    if R.group is not K.parent:
-        raise GroupMismatch("K must be a subgroup of R's group")
-    Kg, embed = K.as_group
-    return GRing(R.ring, Kg, R.action[list(embed)])
-
-
 def gring_product(*rings: GRing) -> GRing:
     """Componentwise product, indexed like product_ring; it equals the left
     fold of binary products, and one G-ring is its own product."""

@@ -22,9 +22,9 @@ table-by-table functor comparison, the one-pass json.dumps document
 writer, the mark-solve fill of the Burnside level tables, packing and
 unpacking of ring tables, the ring on an idempotent,
 the randomized assembly sampler for round-trip tests, and the API only
-tests call (the first failure of a report, identity and trivial G-sets,
-orbit isomorphisms, ring and G-ring isomorphism and homomorphism
-searches)."""
+tests call (the first failure of a report, subgroup conjugacy classes,
+identity and trivial G-sets, orbit and G-set isomorphisms, restricted
+G-rings, ring and G-ring isomorphism and homomorphism searches)."""
 
 import base64
 import json
@@ -69,7 +69,13 @@ from tambara._search import (
     find_isomorphism,
     search_homomorphisms,
 )
-from tambara.groups import FiniteGroup, double_cosets, is_subconjugate, subgroups
+from tambara.groups import (
+    FiniteGroup,
+    conjugacy_classes,
+    double_cosets,
+    is_subconjugate,
+    subgroups,
+)
 from tambara._burnside import _Level
 from tambara.gsets import (
     SECTION_CAP,
@@ -1351,7 +1357,7 @@ def random_assembly(G, rng, max_bottom=2048):
     list of (class representative, template functor)."""
     import corpus  # as in mutation_fixtures
 
-    classes = [cls[0] for cls in G.subgroup_conjugacy_classes]
+    classes = [cls[0] for cls in subgroup_conjugacy_classes(G)]
     k = rng.randint(1, min(3, len(classes)))
     chosen = rng.sample(classes, k)
     expected = []
@@ -1423,6 +1429,59 @@ def reference_conjugation_failures(T):
 def first_failure(report):
     """The first failure of a CheckReport, or None."""
     return report.failures[0] if report.failures else None
+
+
+def subgroup_conjugacy_classes(G):
+    """G's subgroups in their conjugacy classes: each class in lattice
+    order, the classes by their first member, the class's least subgroup."""
+    return conjugacy_classes(subgroups(G), G.elements())
+
+
+def gset_isomorphism(X, Y):
+    """An equivariant bijection X -> Y, or None.
+
+    Orbits are matched by stabilizer conjugacy in canonical order, so the
+    result is deterministic.
+    """
+    if X.group is not Y.group or X.size != Y.size:
+        return None
+    G = X.group
+    xorbs = orbit_decomposition(X)
+    yorbs = orbit_decomposition(Y)
+    used = [False] * len(yorbs)
+    target_bases = []
+    for xo in xorbs:
+        match = None
+        for j, yo in enumerate(yorbs):
+            if used[j] or len(yo.points) != len(xo.points):
+                continue
+            u = next((g for g in G.elements()
+                      if yo.stabilizer.conjugate(g) is xo.stabilizer), None)
+            if u is not None:
+                match = (j, yo, u)
+                break
+        if match is None:
+            return None
+        j, yo, u = match
+        used[j] = True
+        # stabilizer u Stab(yo.base) u^-1 == Stab(xo.base)
+        target_bases.append(Y.act(u, yo.base))
+    try:
+        m = GSetMap(X, Y, tuple(Y.act(g, target_bases[i])
+                                for g, i in zip(X.carrier, X.orbit_of)))
+    except DefinitionError:
+        return None
+    if sorted(m.images) != list(range(Y.size)):
+        return None
+    return m
+
+
+def gring_restrict(K, R):
+    """The same ring with the action restricted to K (as its own group)."""
+    if R.group is not K.parent:
+        raise GroupMismatch("K must be a subgroup of R's group")
+    Kg, embed = K.as_group
+    return GRing(R.ring, Kg, R.action[list(embed)])
 
 
 def identity_map(X):

@@ -135,7 +135,7 @@ def test_criterion_4_norm_lemmas():
     # (a) norm additivity up to proper transfers, over the whole corpus
     for name in sorted(corpus.TAMBARA_CORPUS):
         T = corpus.TAMBARA_CORPUS[name]
-        for (K, L) in T.sub_pairs():
+        for (K, L) in T.group.subgroup_pairs:
             if K == L:
                 continue
             ring = T.levels[L]
@@ -287,7 +287,7 @@ def test_criterion_7_green_counterexample():
         e = Gother.trivial_subgroup
         green = fixed_point_functor(trivial_gring(R, e.as_group[0]), green_only=True)
         T = coinduce(Gother, e, green)
-        for (K, H) in T.sub_pairs():
+        for (K, H) in T.group.subgroup_pairs:
             if len(set(T.res[(K, H)].tolist())) != T.levels[H].size:
                 print("  a coinduced Green functor has non-injective restriction")
                 ok = False

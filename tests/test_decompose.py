@@ -540,7 +540,7 @@ def _is_product_of_fields(ring):
 def test_field_like_surrogate_decomposes_to_single_field_coinduction(name):
     T = corpus.TAMBARA_CORPUS[name]
     # surrogate check: all restrictions injective, bottom a product of fields
-    for (K, H) in T.sub_pairs():
+    for (K, H) in T.group.subgroup_pairs:
         assert len(set(T.res[(K, H)].tolist())) == T.levels[H].size
     assert _is_product_of_fields(T.bottom)
     dec = full_decomposition(T)

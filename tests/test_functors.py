@@ -129,7 +129,7 @@ def test_burnside_nm_formula_c3_mod9():
 
 def test_burnside_nm_monoid_values():
     for name, B in corpus.BURNSIDE_CORPUS.items():
-        for (K, H) in B.sub_pairs():
+        for (K, H) in B.group.subgroup_pairs:
             assert B.nm[(K, H)][B.levels[K].zero] == B.levels[H].zero
             assert B.nm[(K, H)][B.levels[K].one] == B.levels[H].one
 
@@ -944,7 +944,7 @@ def _proper_transfer_images(T, L):
 def test_norm_additive_up_to_proper_transfers(name):
     T = corpus.TAMBARA_CORPUS[name]
     G = T.group
-    for (K, L) in T.sub_pairs():
+    for (K, L) in T.group.subgroup_pairs:
         if K == L:
             continue
         ring = T.levels[L]
@@ -1089,7 +1089,7 @@ def test_coinduced_green_functors_have_injective_restriction():
         green = fixed_point_functor(trivial_gring(R, e.as_group[0]), green_only=True)
         T = coinduce(G, e, green)
         assert not T.has_norms
-        for (K, H) in T.sub_pairs():
+        for (K, H) in T.group.subgroup_pairs:
             assert len(set(T.res[(K, H)].tolist())) == T.levels[H].size
     GC = corpus.GREEN_CORPUS["green_cex_2_F2"]
     G = GC.group

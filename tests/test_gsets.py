@@ -6,6 +6,7 @@ import corpus
 from helpers import (
     assert_orbits_match_reference,
     diagram_points,
+    gset_isomorphism,
     identity_map,
     orbit_coset_iso,
     reference_dependent_product,
@@ -23,7 +24,6 @@ from tambara.gsets import (
     dependent_product,
     disjoint_union,
     equivariant_maps,
-    gset_isomorphism,
     orbit_decomposition,
     pullback,
 )

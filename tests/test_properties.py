@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import corpus
 import helpers
 from corpus import C2, C3, C4, F2, F3, F4, S3, V4
-from helpers import gring_isomorphism, reference_dependent_product
+from helpers import gring_isomorphism, gset_isomorphism, reference_dependent_product
 from tambara.groups import subgroups
 from tambara.errors import DefinitionError, SizeLimitExceeded
 from tambara.functors import _corner_norm, _exponential_paths, eval_along, evaluate_gset
@@ -22,7 +22,6 @@ from tambara.gsets import (
     dependent_product,
     disjoint_union,
     equivariant_maps,
-    gset_isomorphism,
     orbit_decomposition,
     pullback,
 )
@@ -315,7 +314,7 @@ def test_section_count_of_dependent_product(n, G):
 def test_frobenius_on_random_elements(name, data):
     # spot-check Frobenius reciprocity on randomly drawn elements
     T = corpus.TAMBARA_CORPUS[name]
-    pairs = [p for p in T.sub_pairs() if p[0] != p[1]]
+    pairs = [p for p in T.group.subgroup_pairs if p[0] != p[1]]
     if not pairs:
         return
     K, H = data.draw(st.sampled_from(pairs))

@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import helpers
-from helpers import gring_homomorphisms, gring_isomorphism, ring_isomorphism, subring_on_idempotent
+from helpers import (
+    gring_homomorphisms,
+    gring_isomorphism,
+    gring_restrict,
+    ring_isomorphism,
+    subring_on_idempotent,
+)
 from tambara.errors import (
     DefinitionError,
     NotIdempotent,
@@ -32,7 +38,6 @@ from tambara.rings import (
     fq,
     frobenius,
     gring_product,
-    gring_restrict,
     idempotents,
     is_clarified,
     is_lambda_clarified,

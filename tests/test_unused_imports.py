@@ -1,16 +1,20 @@
-"""Every name a test module imports is read in that module.
+"""Every name a module imports is read in that module.
 
-This test reads the source: for each module under tests/ it collects the
-names its import statements bind (`import a.b` binds `a`) and fails on any
-that no expression of the module reads.  An unread import keeps dead
-coupling to the API it names, so moving or deleting that API breaks
-modules that never used it.
+This test reads the source: for each module under tests/ and each module
+of the package but its __init__ (whose imports are the public API), it
+collects the names its import statements bind (`import a.b` binds `a`)
+and fails on any that no expression of the module reads.  An unread
+import keeps dead coupling to the API it names, so moving or deleting
+that API breaks modules that never used it.
 """
 
 import ast
 from pathlib import Path
 
+import tambara
+
 TESTS = Path(__file__).parent
+PACKAGE = Path(tambara.__file__).parent
 
 
 def _unread_imports(source: str) -> list:
@@ -33,8 +37,14 @@ def test_unread_imports_are_found():
     assert _unread_imports(source) == [(1, "os"), (3, "dumps")]
 
 
+def _unread(paths) -> list:
+    return [f"{path.name}:{line} {name}"
+            for path in sorted(paths) for line, name in _unread_imports(path.read_text())]
+
+
 def test_no_test_module_imports_a_name_it_never_reads():
-    unread = []
-    for path in sorted(TESTS.glob("*.py")):
-        unread += [f"{path.name}:{line} {name}" for line, name in _unread_imports(path.read_text())]
-    assert unread == []
+    assert _unread(TESTS.glob("*.py")) == []
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    assert _unread(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") == []
